@@ -31,6 +31,7 @@ from .optimizer import (
     driver_sup,
     envelope_derivative,
     lipschitz_probe,
+    maximize_batch,
     maximize_over,
     numeric_second_derivative,
     second_derivative_at_zero,

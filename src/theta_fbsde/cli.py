@@ -45,26 +45,61 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _reject_unknown(section: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(section, dict):
+        raise UsageError(f"{context} must be a JSON object, got {section!r}")
     for key in section:
         if key not in allowed:
             raise UsageError(f"unknown field '{key}' in {context}")
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    return tuple(_pair(p) for p in value)
+
+
+def _field(cfg: dict, key: str, convert, context: str, *default):
+    """``convert`` applied to ``cfg[key]`` (or to the default when one is given).
+
+    A missing required field raises ``KeyError``, which the entry point reports
+    by name; a value of the wrong type or shape becomes a :class:`UsageError`.
+    """
+    value = cfg.get(key, *default) if default else cfg[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed field '{key}' in {context}: {value!r}") from exc
 
 
 def _build_theta_rule(cfg: dict):
     _reject_unknown(cfg, {"kind", "value", "alpha", "beta", "bounds"}, "theta_rule")
     kind = cfg.get("kind", "constant")
     if kind == "constant":
-        return ConstantTheta(float(cfg.get("value", 0.0)))
+        return ConstantTheta(_field(cfg, "value", float, "theta_rule", 0.0))
     if kind == "affine":
-        lo, hi = cfg["bounds"]
-        return AffineTheta(float(cfg.get("alpha", 0.0)), float(cfg.get("beta", 0.0)), float(lo), float(hi))
+        lo, hi = _field(cfg, "bounds", _pair, "theta_rule")
+        alpha = _field(cfg, "alpha", float, "theta_rule", 0.0)
+        return AffineTheta(alpha, _field(cfg, "beta", float, "theta_rule", 0.0), lo, hi)
     raise UsageError(f"unknown theta_rule kind '{kind}'")
 
 
 def build_ambiguity(cfg: dict) -> AmbiguityMap:
     _reject_unknown(cfg, {"intervals", "theta_rule", "endpoint_shifts"}, "ambiguity")
-    base = IntervalUnion(tuple((float(lo), float(hi)) for lo, hi in cfg["intervals"]))
-    shifts = tuple(float(s) for s in cfg.get("endpoint_shifts", ()))
+    base = IntervalUnion(_field(cfg, "intervals", _pairs, "ambiguity"))
+    shifts = _field(cfg, "endpoint_shifts", lambda v: tuple(float(s) for s in v), "ambiguity", ())
     rule = _build_theta_rule(cfg.get("theta_rule", {}))
     return AmbiguityMap(base=base, endpoint_shifts=shifts, theta_rule=rule)
 
@@ -75,9 +110,9 @@ def _build_f0(cfg: dict):
     if kind == "zero":
         return ZeroF0()
     if kind == "linear":
-        return LinearF0(float(cfg["slope"]))
+        return LinearF0(_field(cfg, "slope", float, "f0"))
     if kind == "table":
-        return TableF0(np.asarray(cfg["ys"], float), np.asarray(cfg["values"], float))
+        return TableF0(_field(cfg, "ys", _array, "f0"), _field(cfg, "values", _array, "f0"))
     raise UsageError(f"unknown f0 kind '{kind}'")
 
 
@@ -85,11 +120,11 @@ def _build_terminal(cfg: dict):
     _reject_unknown(cfg, {"kind", "coeffs", "value"}, "terminal")
     kind = cfg.get("kind", "linear")
     if kind == "linear":
-        return LinearTerminal(np.asarray(cfg.get("coeffs", [1.0]), float))
+        return LinearTerminal(_field(cfg, "coeffs", _array, "terminal", [1.0]))
     if kind == "quadratic":
         return QuadraticTerminal()
     if kind == "constant":
-        return ConstantTerminal(float(cfg["value"]))
+        return ConstantTerminal(_field(cfg, "value", float, "terminal"))
     raise UsageError(f"unknown terminal kind '{kind}'")
 
 
@@ -101,35 +136,31 @@ def build_problem(cfg: dict) -> ProblemSpec:
     if cfg.get("kind", "application") != "application":
         raise UsageError(f"unknown problem kind '{cfg.get('kind')}'")
     return build_application_spec(
-        C0=np.asarray(cfg["C0"], float),
-        C1=np.asarray(cfg["C1"], float),
-        sigma=np.asarray(cfg["sigma"], float),
-        kappa=float(cfg.get("kappa", 1.0)),
-        w0=float(cfg.get("w0", 0.0)),
+        C0=_field(cfg, "C0", _array, "problem"),
+        C1=_field(cfg, "C1", _array, "problem"),
+        sigma=_field(cfg, "sigma", _array, "problem"),
+        kappa=_field(cfg, "kappa", float, "problem", 1.0),
+        w0=_field(cfg, "w0", float, "problem", 0.0),
         f0=_build_f0(cfg.get("f0", {})),
         ambiguity=build_ambiguity(cfg["ambiguity"]),
-        x0=np.asarray(cfg["x0"], float),
-        horizon=float(cfg["T"]),
+        x0=_field(cfg, "x0", _array, "problem"),
+        horizon=_field(cfg, "T", float, "problem"),
         terminal=_build_terminal(cfg.get("terminal", {})),
     )
 
 
 def _solver_params(cfg: dict, args) -> dict:
-    _reject_unknown(
-        cfg, {"particles", "steps", "seed", "tol", "max_iter", "beta", "damping", "threads"},
-        "solver",
-    )
-    params = {
-        "particles": int(cfg.get("particles", 10_000)),
-        "steps": int(cfg.get("steps", 100)),
-        "seed": int(cfg.get("seed", 0)),
-        "tol": float(cfg.get("tol", 1e-6)),
-        "max_iter": int(cfg.get("max_iter", 50)),
-        "beta": float(cfg.get("beta", 1.0)),
-        "damping": float(cfg.get("damping", 1.0)),
-        "threads": cfg.get("threads"),
+    defaults = {
+        "particles": (_integer, 10_000), "steps": (_integer, 100), "seed": (_integer, 0),
+        "tol": (float, 1e-6), "max_iter": (_integer, 50), "beta": (float, 1.0),
+        "damping": (float, 1.0),
     }
-    for name in ("particles", "steps", "seed", "tol", "max_iter", "threads"):
+    _reject_unknown(cfg, set(defaults), "solver")
+    params = {
+        name: _field(cfg, name, convert, "solver", default)
+        for name, (convert, default) in defaults.items()
+    }
+    for name in ("particles", "steps", "seed", "tol", "max_iter"):
         flag = getattr(args, name, None)
         if flag is not None:
             params[name] = flag
@@ -171,7 +202,6 @@ def _cmd_solve(args) -> int:
     sol, report = picard_solve(
         spec, grid, params["particles"], seed=params["seed"], tol=params["tol"],
         max_iter=params["max_iter"], beta=params["beta"], damping=params["damping"],
-        threads=params["threads"],
     )
     wall = time.perf_counter() - t0
     out = _out_dir(args)
@@ -246,11 +276,12 @@ def _cmd_pde_check(args) -> int:
     )
     if {"nx", "nt", "x_min", "x_max"} <= set(pde_cfg):
         grid1d = Grid1D(
-            float(pde_cfg["x_min"]), float(pde_cfg["x_max"]),
-            int(pde_cfg["nx"]), int(pde_cfg["nt"]),
+            _field(pde_cfg, "x_min", float, "pde"), _field(pde_cfg, "x_max", float, "pde"),
+            _field(pde_cfg, "nx", _integer, "pde"), _field(pde_cfg, "nt", _integer, "pde"),
         )
     else:
-        grid1d = default_grid(spec, nx=int(pde_cfg.get("nx", 201)), cfl=float(pde_cfg.get("cfl", 0.45)))
+        nx = _field(pde_cfg, "nx", _integer, "pde", 201)
+        grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", float, "pde", 0.45))
     report = feynman_kac_check(spec, grid1d, grid, sol)
     out = _out_dir(args)
     _write_json(out / "feynman_kac_report.json", report.to_dict())
@@ -271,11 +302,12 @@ def _cmd_properties(args) -> int:
     if "counterexample" in cfg:
         ce = cfg["counterexample"]
         _reject_unknown(ce, {"lambda", "gamma", "c", "T", "steps", "split"}, "counterexample")
-        lam, gamma = float(ce["lambda"]), float(ce["gamma"])
-        c = float(ce.get("c", 0.1))
-        horizon = float(ce.get("T", 1.0))
-        steps = int(ce.get("steps", 1000))
-        split = float(ce.get("split", horizon / 2))
+        lam = _field(ce, "lambda", float, "counterexample")
+        gamma = _field(ce, "gamma", float, "counterexample")
+        c = _field(ce, "c", float, "counterexample", 0.1)
+        horizon = _field(ce, "T", float, "counterexample", 1.0)
+        steps = _field(ce, "steps", _integer, "counterexample", 1000)
+        split = _field(ce, "split", float, "counterexample", horizon / 2)
         driver = QuarticDriver(lam, gamma)
         spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), horizon)
         grid = TimeGrid(horizon, steps)
@@ -333,10 +365,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=str, default="./out", help="output directory")
         p.add_argument("--tol", type=float, default=None, help="fixed-point tolerance (default 1e-6)")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None, help="iteration budget (default 50)")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="worker threads for the per-particle argmax fallback (default 1)",
-        )
 
     p_solve = sub.add_parser("solve", help="solve a configured coupled system")
     add_common(p_solve)

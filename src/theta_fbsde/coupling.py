@@ -10,7 +10,6 @@ in a weighted norm whose decay diagnoses contraction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .bsde import solve_backward
 from .errors import NoConvergenceError, NonContractionError, UsageError
 from .measures import EmpiricalMeasure
-from .optimizer import DriverState, maximize_over, QuadraticPenaltyDriver
+from .optimizer import DriverState, QuadraticPenaltyDriver, maximize_batch, maximize_over
 from .sde import ProblemSpec, SolutionPaths, TimeGrid, brownian_increments, simulate_forward
 
 
@@ -73,49 +72,24 @@ def _controls_stage(
     Y: np.ndarray,
     Z: np.ndarray,
     laws: list[EmpiricalMeasure],
-    threads: int | None,
 ) -> tuple[np.ndarray, int]:
     """Pointwise argmax at every node and particle.
 
     Drivers whose argmax does not involve the state are solved once per node;
-    otherwise particles are solved individually, optionally across a thread
-    pool (pure functions, so chunking cannot change the result).
+    otherwise each node's particles are solved in one batch.
     """
-    n_nodes, n = Y.shape
-    times = grid.times
-    A = np.empty((n_nodes, n))
+    A = np.empty(Y.shape)
     ties = 0
-    driver = spec.driver
-    state_free = getattr(driver, "state_free_argmax", False)
-    pool = None
-    if not state_free and threads and threads > 1 and n >= 256:
-        pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        for i in range(n_nodes):
-            uset = spec.ambiguity.realize(laws[i])
-            if state_free:
-                res = maximize_over(uset, driver, DriverState(t=times[i], mu=laws[i]))
-                A[i] = res.a_star
-                ties += int(res.tie_flag)
-                continue
-
-            def solve_one(p: int, _i=i, _uset=uset) -> tuple[float, bool]:
-                state = DriverState(
-                    t=times[_i], x=X[_i, p], y=Y[_i, p], z=Z[_i, p], mu=laws[_i]
-                )
-                res = maximize_over(_uset, driver, state)
-                return res.a_star, res.tie_flag
-
-            if pool is not None:
-                results = list(pool.map(solve_one, range(n)))
-            else:
-                results = [solve_one(p) for p in range(n)]
-            for p, (a, tie) in enumerate(results):
-                A[i, p] = a
-                ties += int(tie)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    state_free = getattr(spec.driver, "state_free_argmax", False)
+    for i, t in enumerate(grid.times):
+        uset = spec.ambiguity.realize(laws[i])
+        if state_free:
+            res = maximize_over(uset, spec.driver, DriverState(t=t, mu=laws[i]))
+            A[i], tie = res.a_star, res.tie_flag
+        else:
+            state = DriverState(t=t, x=X[i], y=Y[i], z=Z[i], mu=laws[i])
+            A[i], tie = maximize_batch(uset, spec.driver, state)
+        ties += int(np.count_nonzero(tie))
     return A, ties
 
 
@@ -156,7 +130,6 @@ def picard_solve(
     damping: float = 1.0,
     *,
     degree: int = 3,
-    threads: int | None = None,
 ) -> tuple[SolutionPaths, PicardReport]:
     """Iterate the three-stage sweep to a fixed point.
 
@@ -165,14 +138,20 @@ def picard_solve(
     reduce the damping), and :class:`NoConvergenceError` when the iteration
     budget runs out; both carry the report collected so far.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise UsageError("tol must be positive")
     if max_iter < 1:
         raise UsageError("max_iter must be at least 1")
     if not 0.0 < damping <= 1.0:
         raise UsageError("damping must lie in (0, 1]")
-    if beta <= 0:
+    if not beta > 0:
         raise UsageError("beta must be positive")
+    basis_size = math.comb(spec.state_dim + degree, degree)
+    if n_particles < basis_size:
+        raise UsageError(
+            f"need at least {basis_size} particles for the degree-{degree} regression basis, "
+            f"got {n_particles}"
+        )
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles, increments)
@@ -180,7 +159,7 @@ def picard_solve(
 
     for iteration in range(1, max_iter + 1):
         laws = _node_laws(Y)
-        A, ties = _controls_stage(spec, grid, X, Y, Z, laws, threads)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
         report.tie_events += ties
         Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments, degree=degree)
         X_new = simulate_forward(spec, grid, A, laws, increments)
@@ -215,10 +194,10 @@ def picard_solve(
     # Consistency pass: align the terminal values with the final forward
     # paths, then recompute laws and controls from the exact returned state.
     laws = _node_laws(Y)
-    A, _ = _controls_stage(spec, grid, X, Y, Z, laws, threads)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     Y, Z = solve_backward(spec, grid, X, A, laws, increments, degree=degree)
     laws = _node_laws(Y)
-    A, _ = _controls_stage(spec, grid, X, Y, Z, laws, threads)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     sol = SolutionPaths(times=grid.times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
     return sol, report
 
@@ -237,7 +216,7 @@ def fixed_point_residual(
         seed, sol.n_particles, grid.n_steps, spec.noise_dim, grid.dt
     )
     laws = list(sol.measures)
-    A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws, None)
+    A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
     Y_new, Z_new = solve_backward(spec, grid, sol.X, A, laws, increments, degree=degree)
     X_new = simulate_forward(spec, grid, A, laws, increments)
     return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, beta, grid.dt)

@@ -161,8 +161,10 @@ class GenericDriver:
     """User-supplied objective with explicit control derivatives.
 
     ``kappa`` declares the concavity modulus that :func:`concavity_audit`
-    verifies by sampling.  Callables receive ``(state, a)`` and should accept
-    array-valued arguments when used inside the particle solvers.
+    verifies by sampling.  Callables receive ``(state, a)``.  Inside the
+    particle and grid solvers all three receive array states in the layout
+    :func:`solve_backward` passes to ``value``: ``x`` of shape (n, k), ``y``
+    and ``a`` of shape (n,), ``z`` of shape (n, d).
     """
 
     value_fn: Callable
@@ -183,14 +185,6 @@ class GenericDriver:
 
     def d2_da2(self, state: DriverState, a):
         return self.d2_da2_fn(state, a)
-
-
-def zero_penalty_driver() -> QuadraticPenaltyDriver:
-    """Driver whose optimized value vanishes on any set containing 0.
-
-    Useful for configs that need an identically zero backward drift.
-    """
-    return QuadraticPenaltyDriver(kappa=1.0, w0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +273,57 @@ def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerR
             best.derivative_residual,
         )
     return best
+
+
+def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise :func:`maximize_over` on one set: arrays ``(a_star, tie_flag)``.
+
+    The batch has the shape of ``state.y``; ``x`` and ``z`` carry it as leading
+    axes.  Each element runs the scalar path's floating-point operations under
+    an active mask, so controls and tie flags equal the scalar ones bit for bit.
+    """
+    shape = np.shape(state.y)
+
+    def grad(a, mask):
+        g2 = np.broadcast_to(driver.d2_da2(state, a), shape)
+        bad = np.flatnonzero(mask & ~(g2 < 0.0))
+        if bad.size:  # witness: the first failing element, as a one-point state
+            k = np.unravel_index(bad[0], shape)
+            x, y, z = (v if np.ndim(v) < len(shape) else np.asarray(v)[k] for v in state[1:4])
+            msg = f"second control derivative {g2[k]} is not negative at a={a[k]}"
+            raise ConcavityError(msg, witness=(state._replace(x=x, y=y, z=z), float(a[k])))
+        return driver.d_da(state, a), g2
+
+    best_a = best_val = tie = None
+    for lo, hi in uset.intervals:
+        a = np.full(shape, lo)
+        if lo != hi:
+            active = grad(a, np.ones(shape, bool))[0] > 0.0
+            a_lo, a_hi = a, np.full(shape, hi)
+            upper = active & (grad(a_hi, active)[0] >= 0.0)
+            active &= ~upper
+            a = np.where(upper, hi, np.where(active, 0.5 * (lo + hi), lo))
+            for _ in range(_MAX_ITER):
+                if not active.any():
+                    break
+                g, g2 = grad(a, active)
+                active &= ~(np.abs(g) <= _DERIV_TOL)
+                a_lo = np.where(active & (g > 0.0), a, a_lo)
+                a_hi = np.where(active & ~(g > 0.0), a, a_hi)
+                ulp4 = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(a_lo), np.abs(a_hi)), 1.0))
+                active &= ~(a_hi - a_lo <= ulp4)
+                with np.errstate(all="ignore"):
+                    step = a - g / g2
+                inside = (a_lo < step) & (step < a_hi) & np.isfinite(step)
+                a = np.where(active, np.where(inside, step, 0.5 * (a_lo + a_hi)), a)
+        val = np.broadcast_to(driver.value(state, a), shape)
+        if best_a is None:
+            best_a, best_val, tie = a, val, np.zeros(shape, bool)
+            continue
+        better = val > best_val + _TIE_TOL
+        tie = ~better & (tie | ((val >= best_val - _TIE_TOL) & (a != best_a)))
+        best_a, best_val = np.where(better, a, best_a), np.where(better, val, best_val)
+    return best_a, tie
 
 
 def driver_sup(uset: IntervalUnion, driver, state: DriverState) -> float:

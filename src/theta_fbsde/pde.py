@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GridError, UsageError
 from .measures import EmpiricalMeasure
-from .optimizer import DriverState, maximize_over
+from .optimizer import DriverState, maximize_batch, maximize_over
 from .sde import AffineControlDrift, ConstantVolatility, ProblemSpec, SolutionPaths, TimeGrid
 
 MeasureFlow = Callable[[float], EmpiricalMeasure]
@@ -117,9 +117,9 @@ def solve_hjb(
 ) -> np.ndarray:
     """Explicit backward sweep of the optimized terminal-value problem.
 
-    At every node the control and the optimized driver value come from
-    :func:`maximize_over`, exactly as in the coupled system; the drift at that
-    control picks the upwind direction of the advection term.  Returns the
+    At every node the control comes from the pointwise argmax of the coupled
+    system, one batched call per time layer; the drift at that control picks
+    the upwind direction of the advection term.  Returns the
     value surface as an (nt + 1, nx) array, row 0 at time zero.  The boundary
     second derivative is extrapolated to zero and the missing one-sided slopes
     are extrapolated as constants.
@@ -157,23 +157,14 @@ def solve_hjb(
         d2 = np.zeros_like(v)
         d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
         diffusion = 0.5 * sigma * sigma * d2
+        z = 0.5 * (d_plus + d_minus) * sigma
+        state = DriverState(t=t_data, x=xs[:, None], y=v, z=z[:, None], mu=mu)
         if state_free:
             res = maximize_over(uset, spec.driver, DriverState(t=t_data, mu=mu))
             controls = np.full_like(v, res.a_star)
-            optimized = np.asarray(
-                spec.driver.value(DriverState(t=t_data, y=v, mu=mu), res.a_star), dtype=float
-            )
         else:
-            z = 0.5 * (d_plus + d_minus) * sigma
-            controls = np.empty_like(v)
-            optimized = np.empty_like(v)
-            for j in range(grid1d.nx):
-                state = DriverState(
-                    t=t_data, x=xs[j : j + 1], y=v[j], z=z[j : j + 1], mu=mu
-                )
-                res = maximize_over(uset, spec.driver, state)
-                controls[j] = res.a_star
-                optimized[j] = res.value
+            controls, _ = maximize_batch(uset, spec.driver, state)
+        optimized = np.asarray(spec.driver.value(state, controls), dtype=float)
         drift = drift_const + drift_slope * controls
         advection = np.maximum(drift, 0.0) * d_plus + np.minimum(drift, 0.0) * d_minus
         v = v + dt * (advection + diffusion + optimized)

@@ -67,10 +67,6 @@ class AffineControlDrift:
         object.__setattr__(self, "C0", c0)
         object.__setattr__(self, "C1", c1)
 
-    def x_lipschitz(self, control_lo: float, control_hi: float) -> float:
-        gain = max(abs(1.0 + 3.0 * control_lo), abs(1.0 + 3.0 * control_hi))
-        return float(np.linalg.norm(self.C1, 2)) * gain
-
     def __call__(self, t, x, a, mu):
         mult = 1.0 + 3.0 * np.asarray(a, dtype=float)
         return self.C0 - mult[..., None] * (x @ self.C1)

@@ -83,6 +83,52 @@ class TestExitCodes:
         assert code == 2
 
 
+MALFORMED = [
+    (("solver",), "particles", "abc"),
+    (("solver",), "particles", -5),
+    (("solver",), "particles", 1),
+    (("solver",), "tol", float("nan")),
+    (("solver",), "threads", 2),
+    (("problem", "ambiguity"), "intervals", [[1.0]]),
+    (("problem",), "C0", "abc"),
+]
+
+
+class TestMalformedInputs:
+    """Bad inputs end with exit 1 and one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_one_line_usage_error(code, err):
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path,key,value", MALFORMED, ids=[f"{k}={v!r}" for _, k, v in MALFORMED]
+    )
+    def test_config_value(self, path, key, value, tmp_path, capsys):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        section = cfg
+        for name in path:
+            section = section[name]
+        section[key] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert key in err or "particles" in err
+
+    def test_removed_threads_flag(self, app_config, tmp_path, capsys):
+        code = main(
+            ["solve", "--config", str(app_config), "--out", str(tmp_path / "o"), "--threads", "2"]
+        )
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "--threads" in err
+
+
 class TestCounterexampleCommand:
     def test_prints_gap(self, capsys):
         code = main(["counterexample", "--lambda", "2", "--gamma", "1", "--c", "0.1", "--T", "1"])

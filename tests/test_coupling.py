@@ -182,21 +182,29 @@ class TestPicardSolve:
         assert report.tie_events > 0
         assert np.all(sol.A == -1.0)  # ties resolve toward the smaller regime
 
-    def test_threads_do_not_change_results(self):
+    def test_batched_controls_equal_scalar_argmax(self):
         spec = ProblemSpec(
             horizon=0.5,
             x0=np.array([0.2]),
-            drift=AffineControlDrift(np.array([0.0]), np.array([[0.0]])),
+            drift=AffineControlDrift(np.array([0.0]), np.array([[0.25]])),
             volatility=ConstantVolatility(np.array([[0.5]])),
             driver=QuarticDriver(2.0, 1.0),
             terminal=LinearTerminal(np.array([1.0])),
-            ambiguity=static_set([(-10.0, 10.0)]),
+            ambiguity=static_set([(-2.0, -0.5), (0.5, 2.0)]),
         )
         grid = TimeGrid(0.5, 8)
-        sol_serial, _ = picard_solve(spec, grid, 300, seed=7)
-        sol_pool, _ = picard_solve(spec, grid, 300, seed=7, threads=4)
-        assert np.array_equal(sol_serial.A, sol_pool.A)
-        assert np.array_equal(sol_serial.Y, sol_pool.Y)
+        sol, report = picard_solve(spec, grid, 300, seed=7)
+        assert report.converged
+        expected = np.empty_like(sol.A)
+        for i, mu in enumerate(sol.measures):
+            uset = spec.ambiguity.realize(mu)
+            for p in range(sol.n_particles):
+                state = DriverState(
+                    t=sol.times[i], x=sol.X[i, p], y=sol.Y[i, p], z=sol.Z[i, p], mu=mu
+                )
+                expected[i, p] = maximize_over(uset, spec.driver, state).a_star
+        assert len(np.unique(sol.A)) > 100  # interior controls, not just clamped endpoints
+        assert sol.A.tobytes() == expected.tobytes()
 
 
 class TestPicardFailures:
@@ -236,3 +244,12 @@ class TestPicardFailures:
             picard_solve(spec, grid, 100, damping=0.0)
         with pytest.raises(UsageError):
             picard_solve(spec, grid, 100, max_iter=0)
+        with pytest.raises(UsageError, match="tol"):
+            picard_solve(spec, grid, 100, tol=float("nan"))
+        with pytest.raises(UsageError, match="beta"):
+            picard_solve(spec, grid, 100, beta=float("nan"))
+        # a cubic regression basis in one state variable has four columns
+        with pytest.raises(UsageError, match="at least 4 particles"):
+            picard_solve(spec, grid, 3)
+        with pytest.raises(UsageError, match="particles"):
+            picard_solve(spec, grid, -5)

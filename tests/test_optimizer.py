@@ -20,6 +20,7 @@ from theta_fbsde import (
     driver_sup,
     envelope_derivative,
     lipschitz_probe,
+    maximize_batch,
     maximize_over,
     numeric_second_derivative,
     second_derivative_at_zero,
@@ -29,6 +30,24 @@ from theta_fbsde import (
 
 WIDE = IntervalUnion(((-10.0, 10.0),))
 TWO_REGIME = IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
+POINTED = IntervalUnion(((-2.0, -1.0), (0.0, 0.0), (1.0, 2.0)))
+
+
+def gap_midpoints(uset):
+    return [0.5 * (hi + lo) for (_, hi), (lo, _) in zip(uset.intervals, uset.intervals[1:])]
+
+
+def scalar_argmax(uset, driver, state):
+    """Element-wise maximize_over over a batch state, for comparison with maximize_batch."""
+    ys = np.asarray(state.y)
+    results = []
+    for k in np.ndindex(ys.shape):
+        x = None if state.x is None else state.x[k]
+        z = None if state.z is None else state.z[k]
+        results.append(maximize_over(uset, driver, state._replace(x=x, y=ys[k], z=z)))
+    a = np.array([r.a_star for r in results]).reshape(ys.shape)
+    tie = np.array([r.tie_flag for r in results]).reshape(ys.shape)
+    return a, tie
 
 
 def cubic_root_bisection(lam, gamma, y, tol=1e-12):
@@ -144,6 +163,90 @@ class TestMaximizeOver:
         res = maximize_over(WIDE, QuarticDriver(lam, gamma), DriverState(y=y))
         a = res.a_star
         assert abs(gamma * a**3 + (lam - gamma) * a - lam * y) <= 1e-10
+
+
+class TestMaximizeBatch:
+    @given(
+        st.sampled_from([TWO_REGIME, WIDE, POINTED]),
+        st.floats(0.1, 3.0),
+        st.floats(0.1, 3.0),
+        st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_quartic_matches_scalar_bitwise(self, uset, gamma, excess, ys):
+        driver = QuarticDriver(gamma + excess, gamma)
+        state = DriverState(y=np.array(ys + [0.0] + gap_midpoints(uset)))
+        a, tie = maximize_batch(uset, driver, state)
+        a_ref, tie_ref = scalar_argmax(uset, driver, state)
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(tie, tie_ref)
+
+    @given(
+        st.sampled_from([TWO_REGIME, WIDE, POINTED]),
+        st.floats(0.2, 5.0),
+        st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_anchored_penalty_matches_scalar_bitwise(self, uset, kappa, ys):
+        # reference = y, so a y at a gap midpoint is equidistant from both sides
+        driver = GenericDriver(
+            value_fn=lambda s, a: -0.5 * kappa * (a - s.y) ** 2,
+            d_da_fn=lambda s, a: -kappa * (a - s.y),
+            d2_da2_fn=lambda s, a: -kappa + 0.0 * a,
+            kappa=kappa,
+        )
+        state = DriverState(y=np.array(ys + gap_midpoints(uset)))
+        a, tie = maximize_batch(uset, driver, state)
+        a_ref, tie_ref = scalar_argmax(uset, driver, state)
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(tie, tie_ref)
+
+    def test_ties_resolve_toward_smaller_control(self):
+        driver = QuadraticPenaltyDriver(kappa=1.0, w0=0.0)
+        a, tie = maximize_batch(TWO_REGIME, driver, DriverState(y=np.zeros(5)))
+        assert np.all(a == -1.0)
+        assert np.all(tie)
+
+    def test_batch_shape_and_array_state_layout(self):
+        # x (n, k), y (n,), z (n, d): the control tracks x[:, 0] + z[:, 1]
+        rng = np.random.default_rng(4)
+        x, z = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
+        driver = GenericDriver(
+            value_fn=lambda s, a: -0.5 * (a - s.x[..., 0] - s.z[..., 1]) ** 2,
+            d_da_fn=lambda s, a: -(a - s.x[..., 0] - s.z[..., 1]),
+            d2_da2_fn=lambda s, a: -1.0,
+            kappa=1.0,
+        )
+        state = DriverState(x=x, y=np.zeros(6), z=z)
+        a, tie = maximize_batch(WIDE, driver, state)
+        assert a.shape == tie.shape == (6,)
+        assert np.allclose(a, x[:, 0] + z[:, 1], atol=1e-10)
+        assert np.array_equal(a, scalar_argmax(WIDE, driver, state)[0])
+
+        grid_y = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+        a2, tie2 = maximize_batch(TWO_REGIME, QuarticDriver(2.0, 1.0), DriverState(y=grid_y))
+        assert a2.shape == tie2.shape == (3, 4)
+        assert np.array_equal(a2, scalar_argmax(TWO_REGIME, QuarticDriver(2.0, 1.0), DriverState(y=grid_y))[0])
+
+    def test_concavity_failure_names_the_element(self):
+        # concave for y <= 1, convex beyond: the third element is the first failure
+        driver = GenericDriver(
+            value_fn=lambda s, a: -0.5 * np.where(s.y > 1.0, -1.0, 1.0) * a * a,
+            d_da_fn=lambda s, a: -np.where(s.y > 1.0, -1.0, 1.0) * a,
+            d2_da2_fn=lambda s, a: -np.where(s.y > 1.0, -1.0, 1.0) + 0.0 * a,
+            kappa=1.0,
+        )
+        x = np.arange(8.0).reshape(4, 2)
+        state = DriverState(x=x, y=np.array([0.0, 0.5, 2.0, 3.0]))
+        with pytest.raises(ConcavityError) as err:
+            maximize_batch(WIDE, driver, state)
+        point, a = err.value.witness
+        assert point.y == 2.0
+        assert np.array_equal(point.x, x[2])
+        assert a == -10.0
+        with pytest.raises(ConcavityError) as scalar_err:
+            maximize_over(WIDE, driver, point)
+        assert scalar_err.value.witness[1] == a
 
 
 class TestTableF0:
