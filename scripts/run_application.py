@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 try:
-    from theta_fbsde import IntervalUnion, LinearF0, run_application
+    import theta_fbsde as tf
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from theta_fbsde import IntervalUnion, LinearF0, run_application
+    import theta_fbsde as tf
 
 
 def main() -> None:
@@ -27,20 +27,18 @@ def main() -> None:
     parser.add_argument("--w0", type=float, default=0.6)
     args = parser.parse_args()
 
-    rep = run_application(
+    spec = tf.build_application_spec(
         C0=[0.0],
         C1=[[0.25]],
         sigma=[[0.3]],
         kappa=1.0,
         w0=args.w0,
-        f0=LinearF0(0.5),
-        control_set=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+        f0=tf.LinearF0(0.5),
+        ambiguity=tf.static_set([(-2.0, -1.0), (1.0, 2.0)]),
         x0=[1.0],
         horizon=1.0,
-        n_particles=args.particles,
-        n_steps=args.steps,
-        seed=args.seed,
     )
+    rep = tf.run_application(spec, tf.TimeGrid(1.0, args.steps), args.particles, seed=args.seed)
     print(f"{'':24} {'two-regime set':>16} {'convex hull':>14}")
     print(f"{'control':24} {rep.control_nonconvex:16.4f} {rep.control_hull:14.4f}")
     print(f"{'drift multiplier 1+3w':24} {rep.multiplier_nonconvex:16.4f} {rep.multiplier_hull:14.4f}")

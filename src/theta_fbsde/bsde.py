@@ -18,6 +18,7 @@ from .measures import EmpiricalMeasure
 from .optimizer import DriverState
 from .sde import ProblemSpec, TimeGrid
 
+REGRESSION_DEGREE = 3
 _CONDITION_LIMIT = 1e12
 _DEGENERATE_SPREAD = 1e-13
 
@@ -66,8 +67,7 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> np.ndar
     cond = singular[0] / singular[-1] if singular[-1] > 0 else math.inf
     if phi.shape[0] < phi.shape[1] or not math.isfinite(cond) or cond > _CONDITION_LIMIT:
         raise RegressionBasisError(
-            f"regression basis condition number {cond:.3e} exceeds 1e12; "
-            "use a lower degree or more particles"
+            f"regression basis condition number {cond:.3e} exceeds 1e12; use more particles"
         )
     coef, *_ = np.linalg.lstsq(phi, targets, rcond=None)
     return phi @ coef
@@ -80,9 +80,6 @@ def solve_backward(
     controls: np.ndarray,
     laws: Sequence[EmpiricalMeasure],
     increments: np.ndarray,
-    *,
-    degree: int = 3,
-    fixed_point_correction: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One backward sweep producing value and volatility paths.
 
@@ -90,10 +87,9 @@ def solve_backward(
     Y_{i+1} dB_i on the state divided by dt, the continuation value is the
     regression of Y_{i+1}, and the driver is evaluated explicitly at the
     continuation value.  The terminal volatility row repeats the last
-    estimated one; no fresh information arrives at the horizon.
+    estimated one; no fresh information arrives at the horizon.  The basis
+    holds the monomials up to total degree ``REGRESSION_DEGREE``.
     """
-    if not 1 <= degree <= 5:
-        raise UsageError(f"regression degree must be within 1..5, got {degree}")
     n_nodes = grid.n_nodes
     n = x_paths.shape[1]
     d = spec.noise_dim
@@ -113,15 +109,12 @@ def solve_backward(
     driver = spec.driver
     for i in range(grid.n_steps - 1, -1, -1):
         targets = np.column_stack([Y[i + 1]] + [Y[i + 1] * increments[i, :, j] for j in range(d)])
-        fitted = _node_regression(x_paths[i], targets, degree)
+        fitted = _node_regression(x_paths[i], targets, REGRESSION_DEGREE)
         cont = fitted[:, 0]
         z = fitted[:, 1:] / dt
         a_i = controls[i] if controls.shape[1] == n else np.full(n, controls[i, 0])
         state = DriverState(t=times[i], x=x_paths[i], y=cont, z=z, mu=laws[i])
         y_new = cont + np.asarray(driver.value(state, a_i), dtype=float) * dt
-        if fixed_point_correction:
-            state = DriverState(t=times[i], x=x_paths[i], y=y_new, z=z, mu=laws[i])
-            y_new = cont + np.asarray(driver.value(state, a_i), dtype=float) * dt
         if not np.all(np.isfinite(y_new)):
             raise DivergenceError("value process became non-finite", node=i)
         Y[i] = y_new

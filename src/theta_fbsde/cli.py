@@ -167,6 +167,26 @@ def _solver_params(cfg: dict, args) -> dict:
     return params
 
 
+def _picard_options(params: dict) -> dict:
+    """The fixed-point options of :func:`picard_solve` among the solver parameters."""
+    return {name: params[name] for name in ("tol", "max_iter", "beta", "damping")}
+
+
+def _solve_configured(cfg: dict, args):
+    """Build the configured problem and solve it with every solver parameter.
+
+    Returns the problem, its time grid, the solver parameters, the solution
+    and the fixed-point report.
+    """
+    spec = build_problem(cfg["problem"])
+    params = _solver_params(cfg.get("solver", {}), args)
+    grid = TimeGrid(spec.horizon, params["steps"])
+    sol, report = picard_solve(
+        spec, grid, params["particles"], seed=params["seed"], **_picard_options(params)
+    )
+    return spec, grid, params, sol, report
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise UsageError("--config is required for this subcommand")
@@ -195,14 +215,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"problem", "solver"}, "config")
-    spec = build_problem(cfg["problem"])
-    params = _solver_params(cfg.get("solver", {}), args)
-    grid = TimeGrid(spec.horizon, params["steps"])
     t0 = time.perf_counter()
-    sol, report = picard_solve(
-        spec, grid, params["particles"], seed=params["seed"], tol=params["tol"],
-        max_iter=params["max_iter"], beta=params["beta"], damping=params["damping"],
-    )
+    _, _, params, sol, report = _solve_configured(cfg, args)
     wall = time.perf_counter() - t0
     out = _out_dir(args)
     write_paths_csv(out / "paths.csv", sol)
@@ -222,9 +236,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    report = run_counterexample(
-        args.lam, args.gamma, c=args.c, horizon=args.T, n_steps=args.steps or 1000
-    )
+    report = run_counterexample(args.lam, args.gamma, c=args.c, horizon=args.T, n_steps=args.steps)
     print(
         f"counterexample: gap={report.subadditivity_gap:+.6f} "
         f"e_plus={report.e_plus:.6f} e_minus={report.e_minus:.6f} "
@@ -239,16 +251,11 @@ def _cmd_counterexample(args) -> int:
 def _cmd_application(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"problem", "solver"}, "config")
-    problem = cfg["problem"]
-    spec = build_problem(problem)
+    spec = build_problem(cfg["problem"])
     params = _solver_params(cfg.get("solver", {}), args)
-    base = spec.ambiguity.realize_at(spec.ambiguity.theta_bounds[0])
     report = run_application(
-        C0=spec.drift.C0, C1=spec.drift.C1, sigma=spec.volatility.matrix,
-        kappa=spec.driver.kappa, w0=spec.driver.w0, f0=spec.driver.f0,
-        control_set=base, x0=spec.x0, horizon=spec.horizon,
-        n_particles=params["particles"], n_steps=params["steps"], seed=params["seed"],
-        terminal=spec.terminal, tol=params["tol"], max_iter=params["max_iter"],
+        spec, TimeGrid(spec.horizon, params["steps"]), params["particles"],
+        seed=params["seed"], **_picard_options(params),
     )
     out = _out_dir(args)
     write_paths_csv(out / "paths_nonconvex.csv", report.solution_nonconvex)
@@ -265,15 +272,9 @@ def _cmd_application(args) -> int:
 def _cmd_pde_check(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"problem", "solver", "pde"}, "config")
-    spec = build_problem(cfg["problem"])
-    params = _solver_params(cfg.get("solver", {}), args)
     pde_cfg = cfg.get("pde", {})
     _reject_unknown(pde_cfg, {"nx", "nt", "x_min", "x_max", "cfl"}, "pde")
-    grid = TimeGrid(spec.horizon, params["steps"])
-    sol, _ = picard_solve(
-        spec, grid, params["particles"], seed=params["seed"], tol=params["tol"],
-        max_iter=params["max_iter"],
-    )
+    spec, grid, _, sol, _ = _solve_configured(cfg, args)
     if {"nx", "nt", "x_min", "x_max"} <= set(pde_cfg):
         grid1d = Grid1D(
             _field(pde_cfg, "x_min", float, "pde"), _field(pde_cfg, "x_max", float, "pde"),
@@ -297,7 +298,6 @@ def _cmd_properties(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"counterexample", "problem", "solver"}, "config")
     results: dict[str, dict] = {}
-    failures = []
 
     if "counterexample" in cfg:
         ce = cfg["counterexample"]
@@ -328,13 +328,7 @@ def _cmd_properties(args) -> int:
         }
 
     if "problem" in cfg:
-        spec = build_problem(cfg["problem"])
-        params = _solver_params(cfg.get("solver", {}), args)
-        grid = TimeGrid(spec.horizon, params["steps"])
-        sol, _ = picard_solve(
-            spec, grid, params["particles"], seed=params["seed"], tol=params["tol"],
-            max_iter=params["max_iter"],
-        )
+        spec, grid, _, sol, _ = _solve_configured(cfg, args)
         mart = martingale_diagnostics(spec, grid, sol)
         results["martingale_zscores"] = {
             "within_three_fraction": mart.within_three_fraction,
@@ -371,12 +365,13 @@ def _build_parser() -> _Parser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_ce = sub.add_parser("counterexample", help="deterministic quartic diagnostics")
-    add_common(p_ce)
-    p_ce.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_ce.add_argument("--gamma", type=float, required=True)
-    p_ce.add_argument("--c", type=float, default=0.1)
-    p_ce.add_argument("--T", type=float, default=1.0)
-    p_ce.set_defaults(func=_cmd_counterexample, out=None)
+    p_ce.add_argument("--lambda", dest="lam", type=float, required=True, help="quartic lambda")
+    p_ce.add_argument("--gamma", type=float, required=True, help="quartic gamma (< lambda)")
+    p_ce.add_argument("--c", type=float, default=0.1, help="terminal split size (default 0.1)")
+    p_ce.add_argument("--T", type=float, default=1.0, help="horizon (default 1)")
+    p_ce.add_argument("--steps", type=int, default=1000, help="RK4 steps (default 1000)")
+    p_ce.add_argument("--out", type=str, default=None, help="directory for the JSON report")
+    p_ce.set_defaults(func=_cmd_counterexample)
 
     p_app = sub.add_parser("application", help="non-convex vs convexified comparison")
     add_common(p_app)
@@ -405,6 +400,10 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        # non-contraction and an exhausted budget carry the iterations run so far
+        report = getattr(exc, "report", None)
+        if report is not None and args.out is not None:
+            _write_json(_out_dir(args) / "picard_report.json", report.to_dict())
         return 2
 
 

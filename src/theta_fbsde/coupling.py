@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import solve_backward
+from .bsde import REGRESSION_DEGREE, solve_backward
 from .errors import NoConvergenceError, NonContractionError, UsageError
 from .measures import EmpiricalMeasure
 from .optimizer import DriverState, QuadraticPenaltyDriver, maximize_batch, maximize_over
@@ -128,8 +128,6 @@ def picard_solve(
     max_iter: int = 50,
     beta: float = 1.0,
     damping: float = 1.0,
-    *,
-    degree: int = 3,
 ) -> tuple[SolutionPaths, PicardReport]:
     """Iterate the three-stage sweep to a fixed point.
 
@@ -146,11 +144,10 @@ def picard_solve(
         raise UsageError("damping must lie in (0, 1]")
     if not beta > 0:
         raise UsageError("beta must be positive")
-    basis_size = math.comb(spec.state_dim + degree, degree)
+    basis_size = math.comb(spec.state_dim + REGRESSION_DEGREE, REGRESSION_DEGREE)
     if n_particles < basis_size:
         raise UsageError(
-            f"need at least {basis_size} particles for the degree-{degree} regression basis, "
-            f"got {n_particles}"
+            f"need at least {basis_size} particles for the regression basis, got {n_particles}"
         )
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
@@ -161,7 +158,7 @@ def picard_solve(
         laws = _node_laws(Y)
         A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
         report.tie_events += ties
-        Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments, degree=degree)
+        Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments)
         X_new = simulate_forward(spec, grid, A, laws, increments)
 
         X_next = X + damping * (X_new - X)
@@ -195,7 +192,7 @@ def picard_solve(
     # paths, then recompute laws and controls from the exact returned state.
     laws = _node_laws(Y)
     A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
-    Y, Z = solve_backward(spec, grid, X, A, laws, increments, degree=degree)
+    Y, Z = solve_backward(spec, grid, X, A, laws, increments)
     laws = _node_laws(Y)
     A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     sol = SolutionPaths(times=grid.times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
@@ -208,8 +205,6 @@ def fixed_point_residual(
     sol: SolutionPaths,
     seed: int,
     beta: float = 1.0,
-    *,
-    degree: int = 3,
 ) -> float:
     """Weighted-norm change of one extra sweep applied to a solution."""
     increments = brownian_increments(
@@ -217,6 +212,6 @@ def fixed_point_residual(
     )
     laws = list(sol.measures)
     A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
-    Y_new, Z_new = solve_backward(spec, grid, sol.X, A, laws, increments, degree=degree)
+    Y_new, Z_new = solve_backward(spec, grid, sol.X, A, laws, increments)
     X_new = simulate_forward(spec, grid, A, laws, increments)
     return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, beta, grid.dt)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import _node_regression, solve_deterministic_ode
+from .bsde import REGRESSION_DEGREE, _node_regression, solve_deterministic_ode
 from .coupling import picard_solve
 from .errors import ParameterError, UsageError
 from .optimizer import DriverState, QuarticDriver, driver_sup
@@ -69,7 +69,6 @@ def theta_expectation(
     max_iter: int = 50,
     damping: float = 1.0,
     beta: float = 1.0,
-    degree: int = 3,
 ):
     """Value of the nonlinear expectation at time zero, with its solution.
 
@@ -95,7 +94,7 @@ def theta_expectation(
         spec = replace(spec, terminal=terminal)
     sol, _report = picard_solve(
         spec, grid, n_particles, seed=seed, tol=tol, max_iter=max_iter,
-        beta=beta, damping=damping, degree=degree,
+        beta=beta, damping=damping,
     )
     return sol.y0, sol
 
@@ -108,7 +107,6 @@ def check_dynamic_consistency(
     *,
     n_particles: int = 10_000,
     seed: int = 0,
-    degree: int = 3,
 ) -> float:
     """Discrepancy of valuing in one pass versus composing at ``t_split``.
 
@@ -128,13 +126,11 @@ def check_dynamic_consistency(
         _, head = solve_deterministic_ode(g, float(tail[0]), t_split, n_head)
         return abs(float(head[0]) - float(direct[0]))
 
-    y_direct, sol = theta_expectation(
-        spec, grid, n_particles, seed=seed, xi=xi, degree=degree
-    )
+    y_direct, sol = theta_expectation(spec, grid, n_particles, seed=seed, xi=xi)
     node = round(t_split / grid.dt)
     node = min(max(node, 1), grid.n_steps - 1)
     t_node = grid.times[node]
-    fitted = _node_regression(sol.X[node], sol.Y[node][:, None], degree)
+    fitted = _node_regression(sol.X[node], sol.Y[node][:, None], REGRESSION_DEGREE)
     coeffs_x = sol.X[node]
     coeffs_y = fitted[:, 0]
 
@@ -150,9 +146,7 @@ def check_dynamic_consistency(
 
     sub_spec = replace(spec, horizon=float(t_node), terminal=CallableTerminal(terminal_fn))
     sub_grid = TimeGrid(float(t_node), node)
-    y_composed, _ = theta_expectation(
-        sub_spec, sub_grid, n_particles, seed=seed, degree=degree
-    )
+    y_composed, _ = theta_expectation(sub_spec, sub_grid, n_particles, seed=seed)
     return abs(y_composed - y_direct)
 
 

@@ -9,7 +9,7 @@ how the valuation reacts to the set geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,48 +164,29 @@ def build_application_spec(
 
 
 def run_application(
-    C0,
-    C1,
-    sigma,
-    kappa: float,
-    w0: float,
-    f0,
-    control_set: IntervalUnion | AmbiguityMap,
-    x0,
-    horizon: float,
-    n_particles: int = 10_000,
-    n_steps: int = 100,
-    seed: int = 0,
-    *,
-    terminal=None,
-    tol: float = 1e-6,
-    max_iter: int = 50,
+    spec: ProblemSpec, grid: TimeGrid, n_particles: int, seed: int = 0, **solver
 ) -> ApplicationReport:
-    """Solve the system on the given set and on its convex hull, and compare.
+    """Solve the system on its set and on the set's convex hull, and compare.
 
-    The hull comparison is defined for static ambiguity; a law-dependent map
-    has no single convexification.
+    ``solver`` holds the keyword arguments of :func:`picard_solve` (``tol``,
+    ``max_iter``, ``beta``, ``damping``) and reaches both solves.  The hull
+    comparison is defined for static ambiguity; a law-dependent map has no
+    single convexification.  The reported drift multipliers ``1 + 3 w`` take
+    the control rule of the quadratic penalty driver.
     """
-    if isinstance(control_set, AmbiguityMap):
-        if not control_set.is_static:
-            raise UsageError("the convexified comparison needs a static set")
-        ambiguity = control_set
-        base = control_set.realize_at(control_set.theta_bounds[0])
-    else:
-        ambiguity = static_set(control_set.intervals)
-        base = control_set
-    hull_ambiguity = static_set(base.convex_hull().intervals)
+    if not spec.ambiguity.is_static:
+        raise UsageError("the convexified comparison needs a static set")
+    if not isinstance(spec.driver, QuadraticPenaltyDriver):
+        raise UsageError("the convexified comparison needs the quadratic penalty driver")
+    base = spec.ambiguity.realize_at(spec.ambiguity.theta_bounds[0])
+    hull = base.convex_hull()
+    spec_hull = replace(spec, ambiguity=static_set(hull.intervals))
+    sol, rep = picard_solve(spec, grid, n_particles, seed=seed, **solver)
+    sol_h, rep_h = picard_solve(spec_hull, grid, n_particles, seed=seed, **solver)
 
-    spec = build_application_spec(C0, C1, sigma, kappa, w0, f0, ambiguity, x0, horizon, terminal)
-    spec_hull = build_application_spec(
-        C0, C1, sigma, kappa, w0, f0, hull_ambiguity, x0, horizon, terminal
-    )
-    grid = TimeGrid(horizon, n_steps)
-    sol, rep = picard_solve(spec, grid, n_particles, seed=seed, tol=tol, max_iter=max_iter)
-    sol_h, rep_h = picard_solve(spec_hull, grid, n_particles, seed=seed, tol=tol, max_iter=max_iter)
-
+    w0 = spec.driver.w0
     w_star = base.project(w0)
-    w_hull = base.convex_hull().project(w0)
+    w_hull = hull.project(w0)
     xt = sol.X[-1].ravel() if sol.X.shape[2] == 1 else np.linalg.norm(sol.X[-1], axis=1)
     xt_h = sol_h.X[-1].ravel() if sol_h.X.shape[2] == 1 else np.linalg.norm(sol_h.X[-1], axis=1)
     return ApplicationReport(

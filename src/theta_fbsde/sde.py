@@ -202,6 +202,10 @@ class ProblemSpec:
         object.__setattr__(self, "noise_dim", int(d))
         if isinstance(self.drift, AffineControlDrift) and self.drift.C0.size != x0.size:
             raise ConfigurationError("drift dimension does not match x0")
+        if isinstance(self.terminal, LinearTerminal) and self.terminal.coeffs.size != x0.size:
+            raise ConfigurationError(
+                f"terminal coeffs have {self.terminal.coeffs.size} entries, x0 has {x0.size}"
+            )
 
     @property
     def state_dim(self) -> int:

@@ -3,7 +3,6 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
-    CallableTerminal,
     ConstantVolatility,
     DivergenceError,
     EmpiricalMeasure,
@@ -13,7 +12,6 @@ from theta_fbsde import (
     QuadraticTerminal,
     RegressionBasisError,
     TimeGrid,
-    UsageError,
     brownian_increments,
     simulate_forward,
     solve_backward,
@@ -89,54 +87,28 @@ class TestBackwardRegression:
         assert np.mean(np.abs(z) <= 3.0) >= 0.95
 
     def test_rank_deficiency_raises(self):
+        # three particles cannot fit the four columns of the cubic basis
         spec = zero_driver_spec(1.0, LinearTerminal(np.array([1.0])), x0=0.0)
         grid = TimeGrid(1.0, 3)
-        n = 4
+        n = 3
         increments = brownian_increments(1, n, grid.n_steps, 1, grid.dt)
         controls = np.zeros((grid.n_nodes, n))
         laws = [EmpiricalMeasure(np.zeros(n))] * grid.n_nodes
         xs = simulate_forward(spec, grid, controls, laws, increments)
         with pytest.raises(RegressionBasisError):
-            solve_backward(spec, grid, xs, controls, laws, increments, degree=5)
+            solve_backward(spec, grid, xs, controls, laws, increments)
 
-    def test_degree_bounds(self):
-        spec = zero_driver_spec(1.0, LinearTerminal(np.array([1.0])))
+    def test_two_point_cloud_raises(self):
+        # enough rows, but two distinct states span only two of the four columns
+        spec = zero_driver_spec(1.0, LinearTerminal(np.array([1.0])), x0=0.0)
         grid = TimeGrid(1.0, 2)
-        xs = np.zeros((3, 8, 1))
-        controls = np.zeros((3, 8))
-        laws = [EmpiricalMeasure(np.zeros(8))] * 3
-        increments = np.zeros((2, 8, 1))
-        with pytest.raises(UsageError):
-            solve_backward(spec, grid, xs, controls, laws, increments, degree=7)
-
-
-class TestFixedPointCorrection:
-    def test_correction_sharpens_linear_growth(self):
-        # frozen state, linear driver in y: the recursion has a closed form,
-        # (1 + s dt) per step explicit, (1 + s dt + (s dt)^2) with correction
-        from theta_fbsde import LinearF0, static_set
-
-        spec = ProblemSpec(
-            horizon=1.0,
-            x0=np.array([0.0]),
-            drift=zero_drift(),
-            volatility=ConstantVolatility(np.array([[0.0]])),
-            driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.0, f0=LinearF0(0.5)),
-            terminal=CallableTerminal(lambda x: np.full(x.shape[0], 1.0)),
-            ambiguity=static_set([(0.0, 0.0)]),
-        )
-        grid = TimeGrid(1.0, 20)
-        n = 16
-        increments = np.zeros((grid.n_steps, n, 1))
+        n = 50
+        xs = np.tile(np.arange(n) % 2, (grid.n_nodes, 1))[:, :, None].astype(float)
+        increments = brownian_increments(1, n, grid.n_steps, 1, grid.dt)
         controls = np.zeros((grid.n_nodes, n))
         laws = [EmpiricalMeasure(np.zeros(n))] * grid.n_nodes
-        xs = simulate_forward(spec, grid, controls, laws, increments)
-        plain, _ = solve_backward(spec, grid, xs, controls, laws, increments)
-        refined, _ = solve_backward(
-            spec, grid, xs, controls, laws, increments, fixed_point_correction=True
-        )
-        target = np.exp(0.5)
-        assert abs(refined[0, 0] - target) < abs(plain[0, 0] - target)
+        with pytest.raises(RegressionBasisError, match="condition number"):
+            solve_backward(spec, grid, xs, controls, laws, increments)
 
 
 class TestDeterministicIntegrator:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,9 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+        partial = json.loads((tmp_path / "o" / "picard_report.json").read_text())
+        assert partial["iterations"] == 1
+        assert partial["converged"] is False
 
 
 MALFORMED = [
@@ -91,6 +95,7 @@ MALFORMED = [
     (("solver",), "threads", 2),
     (("problem", "ambiguity"), "intervals", [[1.0]]),
     (("problem",), "C0", "abc"),
+    (("problem", "terminal"), "coeffs", [1.0, 2.0]),
 ]
 
 
@@ -120,6 +125,24 @@ class TestMalformedInputs:
         self.assert_one_line_usage_error(code, err)
         assert key in err or "particles" in err
 
+    @pytest.mark.parametrize("command", ["solve", "pde-check", "properties", "application"])
+    def test_solver_damping_reaches_every_solve(self, command, tmp_path, capsys):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        cfg["solver"]["damping"] = float("nan")
+        cfg_path = tmp_path / "nan_damping.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "damping" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--steps", "0"], ["--particles", "7"]], ids=["steps=0", "particles=7"]
+    )
+    def test_counterexample_flag(self, flags, capsys):
+        code = main(["counterexample", "--lambda", "2", "--gamma", "1", *flags])
+        self.assert_one_line_usage_error(code, capsys.readouterr().err)
+
     def test_removed_threads_flag(self, app_config, tmp_path, capsys):
         code = main(
             ["solve", "--config", str(app_config), "--out", str(tmp_path / "o"), "--threads", "2"]
@@ -130,6 +153,12 @@ class TestMalformedInputs:
 
 
 class TestCounterexampleCommand:
+    def test_help_lists_only_read_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["counterexample", "--help"])
+        flags = set(re.findall(r"--\w[\w-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--lambda", "--gamma", "--c", "--T", "--steps", "--out"}
+
     def test_prints_gap(self, capsys):
         code = main(["counterexample", "--lambda", "2", "--gamma", "1", "--c", "0.1", "--T", "1"])
         assert code == 0

@@ -12,7 +12,9 @@ from theta_fbsde import (
     ProblemSpec,
     QuadraticPenaltyDriver,
     TimeGrid,
+    UsageError,
     brownian_increments,
+    build_application_spec,
     picard_solve,
     run_application,
     run_counterexample,
@@ -23,6 +25,13 @@ from theta_fbsde import (
 )
 
 TWO_REGIME = IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
+
+
+def application_spec(w0, intervals=TWO_REGIME.intervals):
+    return build_application_spec(
+        C0=[0.0], C1=[[0.25]], sigma=[[0.3]], kappa=1.0, w0=w0, f0=LinearF0(0.5),
+        ambiguity=static_set(intervals), x0=[1.0], horizon=1.0,
+    )
 
 
 class TestCounterexampleScenario:
@@ -47,11 +56,7 @@ class TestCounterexampleScenario:
 
 class TestApplicationScenario:
     def test_regime_snap_and_multipliers(self):
-        report = run_application(
-            C0=[0.0], C1=[[0.25]], sigma=[[0.3]], kappa=1.0, w0=0.6, f0=LinearF0(0.5),
-            control_set=TWO_REGIME, x0=[1.0], horizon=1.0,
-            n_particles=800, n_steps=50, seed=0,
-        )
+        report = run_application(application_spec(0.6), TimeGrid(1.0, 50), 800, seed=0)
         assert report.control_nonconvex == 1.0
         assert report.control_hull == 0.6
         assert report.multiplier_nonconvex == 4.0
@@ -60,21 +65,13 @@ class TestApplicationScenario:
         assert report.x_terminal_mean_hull > report.x_terminal_mean_nonconvex
 
     def test_reference_inside_set_collapses_the_comparison(self):
-        report = run_application(
-            C0=[0.0], C1=[[0.25]], sigma=[[0.3]], kappa=1.0, w0=1.5, f0=LinearF0(0.5),
-            control_set=TWO_REGIME, x0=[1.0], horizon=1.0,
-            n_particles=600, n_steps=40, seed=3,
-        )
+        report = run_application(application_spec(1.5), TimeGrid(1.0, 40), 600, seed=3)
         assert report.control_nonconvex == report.control_hull == 1.5
         assert report.y0_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_singleton_set_equals_fixed_control_solve(self):
         w = 1.3
-        report = run_application(
-            C0=[0.0], C1=[[0.25]], sigma=[[0.3]], kappa=1.0, w0=w, f0=LinearF0(0.5),
-            control_set=IntervalUnion(((w, w),)), x0=[1.0], horizon=1.0,
-            n_particles=700, n_steps=40, seed=9,
-        )
+        report = run_application(application_spec(w, [(w, w)]), TimeGrid(1.0, 40), 700, seed=9)
         spec = ProblemSpec(
             horizon=1.0,
             x0=np.array([1.0]),
@@ -93,12 +90,26 @@ class TestApplicationScenario:
         ys, _ = solve_backward(spec, grid, xs, controls, laws, increments)
         assert abs(report.y0_nonconvex - float(np.mean(ys[0]))) <= 1e-10
 
+    def test_rejects_law_dependent_set_and_other_drivers(self):
+        from dataclasses import replace
+
+        from theta_fbsde import QuarticDriver, mean_feedback_ambiguity
+
+        grid = TimeGrid(1.0, 10)
+        feedback = mean_feedback_ambiguity(
+            IntervalUnion(((1.0, 2.0),)), sensitivity=0.5, theta_lo=-0.4, theta_hi=0.4
+        )
+        with pytest.raises(UsageError, match="static"):
+            run_application(replace(application_spec(0.6), ambiguity=feedback), grid, 100)
+        quartic = replace(application_spec(0.6), driver=QuarticDriver(2.0, 1.0))
+        with pytest.raises(UsageError, match="quadratic penalty"):
+            run_application(quartic, grid, 100)
+
 
 class TestMeanFeedbackVariant:
     def test_closes_the_law_loop(self):
         from theta_fbsde import TimeGrid, mean_feedback_ambiguity, picard_solve
-        from theta_fbsde.scenarios import build_application_spec
-
+        
         ambiguity = mean_feedback_ambiguity(
             IntervalUnion(((1.0, 2.0),)), sensitivity=0.5, theta_lo=-0.4, theta_hi=0.4
         )
