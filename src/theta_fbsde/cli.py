@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .coupling import picard_solve
 from .errors import NumericalError, UsageError
 from .optimizer import LinearF0, QuarticDriver, TableF0, ZeroF0, unconstrained_interval
@@ -207,7 +208,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -219,13 +220,16 @@ def _cmd_solve(args) -> int:
     _, _, params, sol, report = _solve_configured(cfg, args)
     wall = time.perf_counter() - t0
     out = _out_dir(args)
+    t0 = time.perf_counter()
     write_paths_csv(out / "paths.csv", sol)
+    write_time = time.perf_counter() - t0
     _write_json(out / "summary.json", {
         "Y0": sol.y0,
         "iterations": report.iterations,
         "converged": report.converged,
         "seed": params["seed"],
         "wall_time_s": wall,
+        "write_time_s": write_time,
     })
     _write_json(out / "picard_report.json", report.to_dict())
     print(

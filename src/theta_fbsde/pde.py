@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import GridError, UsageError
 from .measures import EmpiricalMeasure
 from .optimizer import DriverState, maximize_batch, maximize_over
@@ -175,15 +176,19 @@ def solve_hjb(
 
 
 def write_surface_csv(path, grid1d: Grid1D, horizon: float, surface: np.ndarray) -> None:
-    """Dump the value surface as CSV rows (t, x, v) at 17 significant digits."""
-    xs = grid1d.xs
+    """Dump the value surface as CSV rows (t, x, v) at 17 significant digits.
+
+    The x column is formatted once and each time layer is filled by one ``%``
+    pass (``%.17g`` prints a float exactly as the format spec ``.17g`` does).
+    The file is written atomically.
+    """
+    rows = [f"{x:.17g},%.17g\n" for x in grid1d.xs]
     dt = grid1d.dt(horizon)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("t,x,v\n")
         for i in range(surface.shape[0]):
-            t = i * dt
-            for j in range(grid1d.nx):
-                fh.write(f"{t:.17g},{xs[j]:.17g},{surface[i, j]:.17g}\n")
+            prefix = f"{i * dt:.17g},"
+            fh.write((prefix + prefix.join(rows)) % tuple(surface[i].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

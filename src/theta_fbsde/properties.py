@@ -64,11 +64,6 @@ def theta_expectation(
     n_particles: int = 10_000,
     seed: int = 0,
     xi=None,
-    *,
-    tol: float = 1e-6,
-    max_iter: int = 50,
-    damping: float = 1.0,
-    beta: float = 1.0,
 ):
     """Value of the nonlinear expectation at time zero, with its solution.
 
@@ -92,10 +87,7 @@ def theta_expectation(
     if xi is not None:
         terminal = ConstantTerminal(float(xi)) if np.isscalar(xi) else xi
         spec = replace(spec, terminal=terminal)
-    sol, _report = picard_solve(
-        spec, grid, n_particles, seed=seed, tol=tol, max_iter=max_iter,
-        beta=beta, damping=damping,
-    )
+    sol, _report = picard_solve(spec, grid, n_particles, seed=seed)
     return sol.y0, sol
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import ConfigurationError, DivergenceError, UsageError
 from .measures import EmpiricalMeasure
 from .uncertainty import AmbiguityMap
@@ -335,7 +336,10 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
     """Dump paths as CSV with columns t, particle, X_1..X_k, Y, Z_1..Z_d, A.
 
     Formatting is fixed at 17 significant digits so identical runs produce
-    byte-identical files.
+    byte-identical files.  Each node is formatted as one block: the particle
+    columns are fixed text, the time is formatted once, and one ``%`` pass
+    fills the node's values (``%.17g`` prints a float exactly as the format
+    spec ``.17g`` does).  The file is written atomically.
     """
     k = sol.X.shape[2]
     d = sol.Z.shape[2]
@@ -346,13 +350,11 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
         + [f"Z_{j + 1}" for j in range(d)]
         + ["A"]
     )
-    with open(path, "w", encoding="utf-8") as fh:
+    values = ",".join(["%.17g"] * (k + d + 2)) + "\n"
+    rows = [f"{p}," + values for p in range(sol.n_particles)]
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         for i, t in enumerate(sol.times):
-            for p in range(sol.n_particles):
-                row = [f"{t:.17g}", str(p)]
-                row += [f"{v:.17g}" for v in sol.X[i, p]]
-                row.append(f"{sol.Y[i, p]:.17g}")
-                row += [f"{v:.17g}" for v in sol.Z[i, p]]
-                row.append(f"{sol.A[i, p]:.17g}")
-                fh.write(",".join(row) + "\n")
+            prefix = f"{t:.17g},"
+            cells = np.column_stack([sol.X[i], sol.Y[i], sol.Z[i], sol.A[i]])
+            fh.write((prefix + prefix.join(rows)) % tuple(cells.ravel().tolist()))

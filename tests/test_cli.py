@@ -1,9 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from theta_fbsde.cli import main
+from theta_fbsde import EmpiricalMeasure, Grid1D, SolutionPaths, write_paths_csv, write_surface_csv
+from theta_fbsde.cli import _write_json, main
 
 APP_CONFIG = {
     "problem": {
@@ -174,7 +176,11 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(app_config), "--out", str(out_dir)])
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
-        assert set(summary) == {"Y0", "iterations", "converged", "seed", "wall_time_s"}
+        assert set(summary) == {
+            "Y0", "iterations", "converged", "seed", "wall_time_s", "write_time_s",
+        }
+        assert isinstance(summary["write_time_s"], float)
+        assert summary["write_time_s"] >= 0.0
         assert summary["converged"] is True
         assert summary["seed"] == 5
         header = (out_dir / "paths.csv").read_text().splitlines()[0]
@@ -285,9 +291,11 @@ class TestPropertiesCommand:
         }
         path = tmp_path / "weak.json"
         path.write_text(json.dumps(cfg))
-        code = main(["properties", "--config", str(path)])
+        out_dir = tmp_path / "weak_out"
+        code = main(["properties", "--config", str(path), "--out", str(out_dir)])
         assert code == 3
         assert "FAILED" in capsys.readouterr().out
+        assert json.loads((out_dir / "property_report.json").read_text())["failures"]
 
 
 class TestPdeSurfaceDump:
@@ -310,3 +318,120 @@ class TestPdeSurfaceDump:
         lines = (out_dir / "value_surface.csv").read_text().splitlines()
         assert lines[0] == "t,x,v"
         assert len(lines) > 1000
+
+
+# Every column of the golden inputs sees each of these: signed zero, the
+# smallest subnormal, a 17-digit integer, inexact decimals, integral and
+# negative floats, and the non-finite values.
+SPECIAL = np.array([
+    -0.0, 5e-324, 1e16, 0.1, 3.0, -2.5, -1e-300, 1 / 3, -7.0, 2.0**60, 1e-5,
+    123456.789, float("nan"), float("inf"), -float("inf"),
+])
+
+
+def reference_paths_csv(path, sol):
+    """The per-cell writer that the block writer replaced, kept as the byte reference."""
+    k = sol.X.shape[2]
+    d = sol.Z.shape[2]
+    header = (
+        ["t", "particle"]
+        + [f"X_{j + 1}" for j in range(k)]
+        + ["Y"]
+        + [f"Z_{j + 1}" for j in range(d)]
+        + ["A"]
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, t in enumerate(sol.times):
+            for p in range(sol.n_particles):
+                row = [f"{t:.17g}", str(p)]
+                row += [f"{v:.17g}" for v in sol.X[i, p]]
+                row.append(f"{sol.Y[i, p]:.17g}")
+                row += [f"{v:.17g}" for v in sol.Z[i, p]]
+                row.append(f"{sol.A[i, p]:.17g}")
+                fh.write(",".join(row) + "\n")
+
+
+def reference_surface_csv(path, grid1d, horizon, surface):
+    """The per-cell surface writer that the block writer replaced."""
+    xs = grid1d.xs
+    dt = grid1d.dt(horizon)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,v\n")
+        for i in range(surface.shape[0]):
+            t = i * dt
+            for j in range(grid1d.nx):
+                fh.write(f"{t:.17g},{xs[j]:.17g},{surface[i, j]:.17g}\n")
+
+
+def golden_solution(a_dtype=float):
+    """Three nodes of SPECIAL.size particles with k = 2 and d = 2."""
+    n_nodes = 3
+    cols = np.array([
+        [np.roll(SPECIAL, 3 * i + c) for c in range(6)] for i in range(n_nodes)
+    ]).transpose(0, 2, 1)
+    return SolutionPaths(
+        times=np.array([-0.0, 0.1, 1 / 3]),
+        X=cols[:, :, 0:2],
+        Y=cols[:, :, 2],
+        Z=cols[:, :, 3:5],
+        A=cols[:, :, 5].astype(a_dtype),
+        measures=(EmpiricalMeasure(np.zeros(1)),) * n_nodes,
+    )
+
+
+GOLDEN_GRID = Grid1D(-2.5, 0.1, SPECIAL.size, 3)
+
+
+def golden_surface(dtype=float):
+    return np.array([np.roll(SPECIAL, 2 * i) for i in range(GOLDEN_GRID.nt + 1)], dtype=dtype)
+
+
+class TestArtifactWriters:
+    def test_paths_csv_matches_reference_bytes(self, tmp_path):
+        sol = golden_solution()
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        reference_paths_csv(ref, sol)
+        new.write_text("stale longer content\n" * 500)
+        write_paths_csv(new, sol)
+        assert new.read_bytes() == ref.read_bytes()
+        assert new.stat().st_mode == ref.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+
+    def test_surface_csv_matches_reference_bytes(self, tmp_path):
+        surface = golden_surface()
+        ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+        reference_surface_csv(ref, GOLDEN_GRID, 1 / 3, surface)
+        new.write_text("stale longer content\n" * 500)
+        write_surface_csv(new, GOLDEN_GRID, 1 / 3, surface)
+        assert new.read_bytes() == ref.read_bytes()
+        assert new.stat().st_mode == ref.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "ref.csv"]
+
+    def test_golden_inputs_cover_every_column(self, tmp_path):
+        write_paths_csv(tmp_path / "paths.csv", golden_solution())
+        rows = [line.split(",") for line in (tmp_path / "paths.csv").read_text().splitlines()]
+        assert rows[0] == ["t", "particle", "X_1", "X_2", "Y", "Z_1", "Z_2", "A"]
+        for col in range(2, 8):
+            cells = {row[col] for row in rows[1:]}
+            assert {"-0", "4.9406564584124654e-324", "10000000000000000", "0.10000000000000001"} <= cells
+            assert {"3", "-2.5", "1.152921504606847e+18", "nan", "inf", "-inf"} <= cells
+
+    @pytest.mark.parametrize("writer", ["paths", "surface", "json"])
+    def test_failed_write_keeps_previous_file(self, writer, tmp_path):
+        # the body raises after part of the new content has been written
+        target = tmp_path / "artifact"
+        target.write_bytes(b"previous run\n")
+        with pytest.raises(TypeError):
+            if writer == "paths":
+                sol = golden_solution(a_dtype=object)
+                sol.A[2, 4] = "not a number"
+                write_paths_csv(target, sol)
+            elif writer == "surface":
+                surface = golden_surface(dtype=object)
+                surface[3, 7] = "not a number"
+                write_surface_csv(target, GOLDEN_GRID, 1 / 3, surface)
+            else:
+                _write_json(target, {"a": list(range(1000)), "z": object()})
+        assert target.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
