@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,54 +24,98 @@ _CONDITION_LIMIT = 1e12
 _DEGENERATE_SPREAD = 1e-13
 
 
-def _monomial_exponents(k: int, degree: int) -> list[tuple[int, ...]]:
-    exps = []
-    for total in range(degree + 1):
+def _monomial_parents(k: int, degree: int) -> list[tuple[int, int]]:
+    """Recipe for the monomials up to the given total degree, graded order.
+
+    Entry ``c`` of the result is ``(parent, j)``: column ``c + 1`` of the basis
+    is column ``parent`` times coordinate ``j`` (column 0 is the constant).
+    """
+    index = {(): 0}
+    recipe = []
+    for total in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(range(k), total):
-            e = [0] * k
-            for idx in combo:
-                e[idx] += 1
-            exps.append(tuple(e))
-    return exps
+            recipe.append((index[combo[:-1]], combo[-1]))
+            index[combo] = len(index)
+    return recipe
 
 
 def polynomial_basis(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of the state components up to the given total degree."""
+    """Monomials of the state components up to the given total degree.
+
+    Each monomial is a lower-degree one times one coordinate, so the basis
+    costs one product per column.
+    """
     n, k = x.shape
-    cols = []
-    for exps in _monomial_exponents(k, degree):
-        col = np.ones(n)
-        for j, e in enumerate(exps):
-            if e:
-                col = col * x[:, j] ** e
-        cols.append(col)
-    return np.column_stack(cols)
+    recipe = _monomial_parents(k, degree)
+    phi = np.empty((n, 1 + len(recipe)), order="F")
+    phi[:, 0] = 1.0
+    for col, (parent, j) in enumerate(recipe, start=1):
+        np.multiply(phi[:, parent], x[:, j], out=phi[:, col])
+    return phi
 
 
-def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class NodeFit:
+    """Least-squares fit of target columns on the polynomial basis of the state.
+
+    ``active`` marks the coordinates that vary at the node; they are
+    standardized with ``mean`` and ``std`` before the basis is built.  With no
+    active coordinate the basis is the constant and ``coef`` holds the means.
+    ``values`` are the fitted values at the training states and ``cond`` the
+    condition number of the design matrix.
+    """
+
+    active: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    degree: int
+    coef: np.ndarray
+    values: np.ndarray
+    cond: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The fitted polynomial at new states ``x`` of shape (n, k)."""
+        xs = (np.asarray(x, dtype=float)[:, self.active] - self.mean) / self.std
+        return polynomial_basis(xs, self.degree) @ self.coef
+
+
+def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit:
     """Fitted conditional expectations of each target column given the state.
 
     The state is standardized per node and frozen coordinates are dropped, so
-    a fully degenerate cloud reduces to plain means.  A condition number above
-    1e12 on the design matrix aborts the sweep.
+    a fully degenerate cloud reduces to plain means.  One reduced QR of the
+    design matrix gives the fitted values ``Q (Q^T T)``, the coefficients from
+    ``R c = Q^T T`` and the condition number from the singular values of ``R``,
+    which are those of the design matrix.  Fewer rows than basis columns or a
+    condition number above 1e12 aborts the sweep.
     """
     scale = max(1.0, float(np.max(np.abs(x))))
     spread = np.max(x, axis=0) - np.min(x, axis=0)
     active = spread > _DEGENERATE_SPREAD * scale
     if not np.any(active):
         means = np.mean(targets, axis=0)
-        return np.broadcast_to(means, targets.shape).copy()
+        values = np.broadcast_to(means, targets.shape).copy()
+        empty = np.empty(0)
+        return NodeFit(active, empty, empty, degree, means[None, :], values, 1.0)
     xa = x[:, active]
-    xs = (xa - np.mean(xa, axis=0)) / np.std(xa, axis=0)
-    phi = polynomial_basis(xs, degree)
-    singular = np.linalg.svd(phi, compute_uv=False)
+    mean = np.mean(xa, axis=0)
+    std = np.std(xa, axis=0)
+    phi = polynomial_basis((xa - mean) / std, degree)
+    n, p = phi.shape
+    if n < p:
+        raise RegressionBasisError(
+            f"{n} particles cannot fit the {p} regression basis columns; use more particles"
+        )
+    q, r = np.linalg.qr(phi)
+    singular = np.linalg.svd(r, compute_uv=False)
     cond = singular[0] / singular[-1] if singular[-1] > 0 else math.inf
-    if phi.shape[0] < phi.shape[1] or not math.isfinite(cond) or cond > _CONDITION_LIMIT:
+    if not cond <= _CONDITION_LIMIT:
         raise RegressionBasisError(
             f"regression basis condition number {cond:.3e} exceeds 1e12; use more particles"
         )
-    coef, *_ = np.linalg.lstsq(phi, targets, rcond=None)
-    return phi @ coef
+    projected = q.T @ targets
+    coef = np.linalg.solve(r, projected)
+    return NodeFit(active, mean, std, degree, coef, q @ projected, float(cond))
 
 
 def solve_backward(
@@ -109,7 +154,7 @@ def solve_backward(
     driver = spec.driver
     for i in range(grid.n_steps - 1, -1, -1):
         targets = np.column_stack([Y[i + 1]] + [Y[i + 1] * increments[i, :, j] for j in range(d)])
-        fitted = _node_regression(x_paths[i], targets, REGRESSION_DEGREE)
+        fitted = _node_regression(x_paths[i], targets, REGRESSION_DEGREE).values
         cont = fitted[:, 0]
         z = fitted[:, 1:] / dt
         a_i = controls[i] if controls.shape[1] == n else np.full(n, controls[i, 0])

@@ -106,6 +106,8 @@ def check_dynamic_consistency(
     is bounded by the integrator tolerance.  Stochastic case: the value at the
     split node is regressed onto the state and reused as a terminal map for a
     solve on the front segment; the same seed reuses the same noise prefix.
+    The terminal map evaluates the fitted polynomial at the new states, so
+    its cost and memory are linear in the particle count.
     """
     if not 0.0 < t_split < spec.horizon:
         raise UsageError("the split time must lie strictly inside the horizon")
@@ -122,19 +124,10 @@ def check_dynamic_consistency(
     node = round(t_split / grid.dt)
     node = min(max(node, 1), grid.n_steps - 1)
     t_node = grid.times[node]
-    fitted = _node_regression(sol.X[node], sol.Y[node][:, None], REGRESSION_DEGREE)
-    coeffs_x = sol.X[node]
-    coeffs_y = fitted[:, 0]
+    fit = _node_regression(sol.X[node], sol.Y[node][:, None], REGRESSION_DEGREE)
 
-    def terminal_fn(x, _x_nodes=coeffs_x, _y_nodes=coeffs_y):
-        # nearest-neighbor lookup of the fitted values keeps the map cheap in 1-d
-        if _x_nodes.shape[1] == 1:
-            order = np.argsort(_x_nodes[:, 0])
-            return np.interp(x[:, 0], _x_nodes[order, 0], _y_nodes[order])
-        idx = np.argmin(
-            np.sum((x[:, None, :] - _x_nodes[None, :, :]) ** 2, axis=2), axis=1
-        )
-        return _y_nodes[idx]
+    def terminal_fn(x):
+        return fit(x)[:, 0]
 
     sub_spec = replace(spec, horizon=float(t_node), terminal=CallableTerminal(terminal_fn))
     sub_grid = TimeGrid(float(t_node), node)

@@ -232,10 +232,15 @@ def brownian_increments(
     if not 0 <= int(seed) < 2**64:
         raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
     out = np.empty((n_steps, n_particles, noise_dim))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    # a new Philox(key=(seed, p)) starts at a zero counter with an empty
+    # buffer; resetting one bit generator to that state per particle draws
+    # the same bits without building a generator per particle
+    fresh = bits.state
     for p in range(n_particles):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, p], dtype=np.uint64))
-        )
+        fresh["state"]["key"][1] = p
+        bits.state = fresh
         out[:, p, :] = gen.standard_normal((n_steps, noise_dim))
     out *= math.sqrt(dt)
     return out

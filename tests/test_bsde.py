@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from theta_fbsde import (
     AffineControlDrift,
@@ -17,6 +21,7 @@ from theta_fbsde import (
     solve_backward,
     solve_deterministic_ode,
 )
+from theta_fbsde.bsde import REGRESSION_DEGREE, _node_regression, polynomial_basis
 
 
 def zero_drift():
@@ -109,6 +114,112 @@ class TestBackwardRegression:
         laws = [EmpiricalMeasure(np.zeros(n))] * grid.n_nodes
         with pytest.raises(RegressionBasisError, match="condition number"):
             solve_backward(spec, grid, xs, controls, laws, increments)
+
+
+def reference_polynomial_basis(x, degree):
+    """The column-by-column basis the cumulative products replaced."""
+    n, k = x.shape
+    cols = []
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(k), total):
+            exps = [0] * k
+            for idx in combo:
+                exps[idx] += 1
+            col = np.ones(n)
+            for j, e in enumerate(exps):
+                if e:
+                    col = col * x[:, j] ** e
+            cols.append(col)
+    return np.column_stack(cols)
+
+
+def reference_node_regression(x, targets, degree):
+    """The SVD + lstsq fit the reduced QR replaced: (fitted values, condition number)."""
+    scale = max(1.0, float(np.max(np.abs(x))))
+    spread = np.max(x, axis=0) - np.min(x, axis=0)
+    active = spread > 1e-13 * scale
+    if not np.any(active):
+        means = np.mean(targets, axis=0)
+        return np.broadcast_to(means, targets.shape).copy(), 1.0
+    xa = x[:, active]
+    xs = (xa - np.mean(xa, axis=0)) / np.std(xa, axis=0)
+    phi = reference_polynomial_basis(xs, degree)
+    singular = np.linalg.svd(phi, compute_uv=False)
+    cond = singular[0] / singular[-1] if singular[-1] > 0 else math.inf
+    if phi.shape[0] < phi.shape[1] or not math.isfinite(cond) or cond > 1e12:
+        raise RegressionBasisError(f"regression basis condition number {cond:.3e} exceeds 1e12")
+    coef, *_ = np.linalg.lstsq(phi, targets, rcond=None)
+    return phi @ coef, cond
+
+
+def node_cloud(k, n, shift, scale, frozen_at, seed, noise_dim):
+    """States and targets of one node: a Gaussian cloud, optionally with one
+    frozen coordinate inserted, and the value plus its noise products."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, k))
+    x = shift + scale * z
+    if frozen_at is not None:
+        x = np.insert(x, frozen_at, shift, axis=1)
+    y = np.cos(z[:, 0]) + np.sum(z, axis=1) ** 2 + 0.1 * rng.standard_normal(n)
+    noise = rng.standard_normal((n, noise_dim))
+    return x, np.column_stack([y] + [y * noise[:, j] for j in range(noise_dim)])
+
+
+class TestNodeFit:
+    @given(
+        data=st.data(),
+        k=st.integers(1, 3),
+        shift=st.floats(-1e3, 1e3, allow_nan=False),
+        log_scale=st.floats(-2.0, 2.0, allow_nan=False),
+        frozen=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        noise_dim=st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_svd_reference(self, data, k, shift, log_scale, frozen, seed, noise_dim):
+        p = math.comb(k + REGRESSION_DEGREE, REGRESSION_DEGREE)
+        n = data.draw(st.integers(p, 5000), label="n")
+        frozen_at = data.draw(st.integers(0, k), label="frozen_at") if frozen else None
+        x, targets = node_cloud(k, n, shift, 10.0**log_scale, frozen_at, seed, noise_dim)
+        expected, expected_cond = reference_node_regression(x, targets, REGRESSION_DEGREE)
+        fit = _node_regression(x, targets, REGRESSION_DEGREE)
+        # fitted values through the SVD pseudo-inverse, and through the
+        # coefficients, carry rounding errors of order eps * cond; Q (Q^T T)
+        # does not (at n = p it returns the targets to a few eps)
+        size = max(1.0, float(np.max(np.abs(expected))))
+        slack = max(1e-12, 4 * np.finfo(float).eps * expected_cond) * size
+        assert np.max(np.abs(fit.values - expected)) <= slack
+        assert fit.cond == pytest.approx(expected_cond, rel=1e-8)
+        assert np.max(np.abs(fit(x) - fit.values)) <= slack
+
+    def test_basis_matches_reference(self):
+        x = np.random.default_rng(1).standard_normal((200, 3))
+        np.testing.assert_allclose(
+            polynomial_basis(x, REGRESSION_DEGREE),
+            reference_polynomial_basis(x, REGRESSION_DEGREE),
+            rtol=4 * np.finfo(float).eps,
+            atol=0.0,
+        )
+
+    def test_cubic_targets_are_reproduced_at_new_states(self):
+        rng = np.random.default_rng(2)
+        x = np.column_stack([1.0 + 0.5 * rng.standard_normal(500), np.full(500, 3.0),
+                             -2.0 + 2.0 * rng.standard_normal(500)])
+
+        def cubic(s):
+            return 0.5 - s[:, 0] + 2.0 * s[:, 0] ** 2 * s[:, 2] - 0.3 * s[:, 2] ** 3
+
+        fit = _node_regression(x, cubic(x)[:, None], REGRESSION_DEGREE)
+        assert fit.active.tolist() == [True, False, True]
+        new = np.column_stack([rng.uniform(-1, 3, 50), np.full(50, -7.0), rng.uniform(-5, 1, 50)])
+        np.testing.assert_allclose(fit(new)[:, 0], cubic(new), rtol=1e-9, atol=1e-9)
+
+    def test_frozen_cloud_fits_the_means(self):
+        x = np.full((40, 2), 0.25)
+        targets = np.column_stack([np.arange(40.0), np.linspace(-1.0, 1.0, 40)])
+        fit = _node_regression(x, targets, REGRESSION_DEGREE)
+        assert np.array_equal(fit.values, np.tile(np.mean(targets, axis=0), (40, 1)))
+        assert np.array_equal(fit(np.ones((3, 2))), np.tile(np.mean(targets, axis=0), (3, 1)))
 
 
 class TestDeterministicIntegrator:

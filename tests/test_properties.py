@@ -96,6 +96,21 @@ class TestDynamicConsistency:
         disc = check_dynamic_consistency(spec, grid, None, 0.5, n_particles=2000, seed=3)
         assert disc <= 5e-3
 
+    def test_stochastic_tower_in_two_dimensions(self):
+        # the split-node terminal map is the fitted polynomial, linear in memory
+        spec = ProblemSpec(
+            horizon=1.0,
+            x0=np.array([0.5, -0.2]),
+            drift=AffineControlDrift(np.zeros(2), np.zeros((2, 2))),
+            volatility=ConstantVolatility(np.array([[1.0, 0.0], [0.3, 0.8]])),
+            driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.0),
+            terminal=QuadraticTerminal(),
+            ambiguity=static_set([(0.0, 0.0)]),
+        )
+        grid = TimeGrid(1.0, 20)
+        disc = check_dynamic_consistency(spec, grid, None, 0.5, n_particles=2000, seed=4)
+        assert disc <= 5e-3
+
     def test_split_time_validated(self):
         with pytest.raises(UsageError):
             check_dynamic_consistency(quartic_spec(), TimeGrid(1.0, 10), 0.1, 1.5)

@@ -120,6 +120,18 @@ class TestNoiseStreams:
         b = brownian_increments(1, 4, 10, 1, 0.1)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, n, steps, dim", [(41, 10_000, 50, 1), (3, 2000, 100, 1), (2**64 - 1, 50, 7, 2)]
+    )
+    def test_same_bits_as_a_generator_per_particle(self, seed, n, steps, dim):
+        dt = 0.02
+        expected = np.empty((steps, n, dim))
+        for p in range(n):
+            gen = np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
+            expected[:, p, :] = gen.standard_normal((steps, dim))
+        expected *= np.sqrt(dt)
+        assert np.array_equal(brownian_increments(seed, n, steps, dim, dt), expected)
+
     def test_negative_seed_rejected(self):
         from theta_fbsde import UsageError
 
