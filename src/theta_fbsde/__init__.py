@@ -59,6 +59,7 @@ from .properties import (
     check_translation_invariance,
     martingale_diagnostics,
     theta_expectation,
+    translation_defect_gate,
     y0_standard_error,
 )
 from .scenarios import (

@@ -27,6 +27,7 @@ from .properties import (
     check_translation_invariance,
     martingale_diagnostics,
     theta_expectation,
+    translation_defect_gate,
 )
 from .scenarios import build_application_spec, run_application, run_counterexample
 from .sde import (
@@ -323,7 +324,8 @@ def _cmd_properties(args) -> int:
         sub = check_subadditivity(spec, c, grid)
         results["subadditivity_violation"] = {"gap": sub.gap, "passed": sub.violated}
         defect = check_translation_invariance(spec, 0.0, c, grid)
-        results["translation_defect"] = {"defect": defect, "passed": abs(defect) > 1e-6}
+        coarse = check_translation_invariance(spec, 0.0, c, TimeGrid(horizon, max(1, steps // 2)))
+        results["translation_defect"] = translation_defect_gate(spec, c, grid, defect, coarse)
         _, det_sol = theta_expectation(spec, grid, xi=c)
         mart = martingale_diagnostics(spec, grid, det_sol)
         results["martingale_drift"] = {

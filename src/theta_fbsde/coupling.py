@@ -55,9 +55,16 @@ def weighted_delta(
     Max over nodes of the particle mean of |dX|^2, plus beta times the same
     for |dY|^2 and the time sum of mean |dZ|^2 dt over the stepped nodes.
     """
-    x_part = float(np.max(np.mean(np.sum(dX * dX, axis=2), axis=1)))
-    y_part = float(np.max(np.mean(dY * dY, axis=1)))
-    z_part = float(np.sum(np.mean(np.sum(dZ[:-1] * dZ[:-1], axis=2), axis=1))) * dt
+    return _weighted_norm(dX * dX, dY * dY, dZ[:-1] * dZ[:-1], beta, dt)
+
+
+def _weighted_norm(
+    sqX: np.ndarray, sqY: np.ndarray, sqZ: np.ndarray, beta: float, dt: float
+) -> float:
+    """:func:`weighted_delta` from the squared differences; ``sqZ`` holds the stepped nodes."""
+    x_part = float(np.max(np.mean(np.sum(sqX, axis=2), axis=1)))
+    y_part = float(np.max(np.mean(sqY, axis=1)))
+    z_part = float(np.sum(np.mean(np.sum(sqZ, axis=2), axis=1))) * dt
     return math.sqrt(x_part + beta * (y_part + z_part))
 
 
@@ -161,16 +168,23 @@ def picard_solve(
         Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments)
         X_new = simulate_forward(spec, grid, A, laws, increments)
 
-        X_next = X + damping * (X_new - X)
-        Y_next = Y + damping * (Y_new - Y)
-        Z_next = Z + damping * (Z_new - Z)
-        delta = weighted_delta(X_next - X, Y_next - Y, Z_next - Z, beta, grid.dt)
+        # Damp in place.  The new arrays become the next iterates; the old
+        # ones, dead after the sweep (the laws hold sorted copies), become the
+        # squared steps.  These are the operations of cur + damping * (nxt - cur)
+        # and d * d with d = next - cur, in the same order, so no bit changes.
+        for cur, nxt in ((X, X_new), (Y, Y_new), (Z, Z_new)):
+            nxt -= cur
+            nxt *= damping
+            nxt += cur
+            np.subtract(nxt, cur, out=cur)
+            cur *= cur
+        delta = _weighted_norm(X, Y, Z[:-1], beta, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         if len(report.deltas) >= 2:
             prev = report.deltas[-2]
             report.ratios.append(delta / prev if prev > 0 else 0.0)
-        X, Y, Z = X_next, Y_next, Z_next
+        X, Y, Z = X_new, Y_new, Z_new
 
         if delta < tol:
             report.converged = True

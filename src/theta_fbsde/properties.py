@@ -9,6 +9,7 @@ defect, and the martingale structure of the driver-corrected value process.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -17,7 +18,7 @@ import numpy as np
 from .bsde import REGRESSION_DEGREE, _node_regression, solve_deterministic_ode
 from .coupling import picard_solve
 from .errors import ParameterError, UsageError
-from .optimizer import DriverState, QuarticDriver, driver_sup
+from .optimizer import DriverState, QuarticDriver, driver_sup, second_derivative_at_zero
 from .sde import CallableTerminal, ConstantTerminal, ProblemSpec, SolutionPaths, TimeGrid
 from .uncertainty import IntervalUnion
 
@@ -236,6 +237,38 @@ def check_translation_invariance(
         spec, grid, n_particles, seed=seed, xi=CallableTerminal(shifted)
     )
     return y_shift - (y_base + c)
+
+
+def translation_defect_gate(
+    spec: DeterministicSpec, c: float, grid: TimeGrid, defect: float, coarse_defect: float
+) -> dict:
+    """Scale-aware verdict on a quartic translation defect E[c] - (E[0] + c).
+
+    Near zero the optimized driver is g''(0) y^2 / 2 with g''(0) from
+    :func:`second_derivative_at_zero`, so the defect is g''(0) c^2 T / 2 to
+    leading order in c.  ``defect`` is measured on ``grid`` and
+    ``coarse_defect`` on half its steps.  The floor bounds the error of the
+    RK4 defect by three terms:
+    - truncation: the change between the two step counts, about 15 times
+      the truncation error at the full count;
+    - stepping: one rounding at the scale of |c| per step and two for the
+      differences;
+    - the driver: near zero the double-well term gamma/4 - gamma/4 (a^2-1)^2
+      cancels to the optimized value, which therefore carries an absolute
+      rounding error of about eps gamma/2; the floor counts eps gamma per
+      unit of time.
+    The check passes when the defect has the predicted sign, at least half
+    the predicted size and clears the floor, so a c too small to resolve
+    fails instead of passing vacuously.
+    """
+    expected = second_derivative_at_zero(spec.driver) * c * c * spec.horizon / 2.0
+    eps = sys.float_info.epsilon
+    stepping = (grid.n_steps + 2) * eps * (abs(c) + abs(defect))
+    floor = abs(defect - coarse_defect) + stepping + spec.horizon * eps * spec.driver.gamma
+    passed = (
+        defect * expected > 0.0 and abs(defect) >= 0.5 * abs(expected) and abs(defect) > floor
+    )
+    return {"defect": defect, "expected": expected, "floor": floor, "passed": passed}
 
 
 # ---------------------------------------------------------------------------

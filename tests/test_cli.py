@@ -278,12 +278,12 @@ class TestPropertiesCommand:
         assert main(["properties", "--config", str(path)]) == 1
 
     def test_failed_check_exits_three(self, tmp_path, capsys):
-        # a split too small for the defect threshold trips the check
+        # a split too small for the RK4 defect to resolve trips the check
         cfg = {
             "counterexample": {
                 "lambda": 2.0,
                 "gamma": 1.0,
-                "c": 1e-4,
+                "c": 1e-9,
                 "T": 1.0,
                 "steps": 400,
                 "split": 0.5,
@@ -295,7 +295,34 @@ class TestPropertiesCommand:
         code = main(["properties", "--config", str(path), "--out", str(out_dir)])
         assert code == 3
         assert "FAILED" in capsys.readouterr().out
-        assert json.loads((out_dir / "property_report.json").read_text())["failures"]
+        failures = json.loads((out_dir / "property_report.json").read_text())["failures"]
+        assert "translation_defect" in failures
+
+    @staticmethod
+    def translation_result(tmp_path, c):
+        cfg = {"counterexample": {"lambda": 2.0, "gamma": 1.0, "c": c, "T": 1.0, "steps": 400}}
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["properties", "--config", str(path), "--out", str(tmp_path / "o")])
+        report = json.loads((tmp_path / "o" / "property_report.json").read_text())
+        return code, report["results"]["translation_defect"]
+
+    @pytest.mark.parametrize("c", [0.1, 1e-3, 5e-4, 1e-4])
+    def test_translation_defect_gate_scales_with_c(self, tmp_path, c):
+        # the old absolute gate |defect| > 1e-6 failed every c below about 1e-3
+        code, result = self.translation_result(tmp_path, c)
+        assert code == 0
+        assert result["passed"]
+        # lam gamma / (lam - gamma) = 2, so the leading term is c^2 T
+        assert result["expected"] == pytest.approx(c * c, rel=1e-12)
+        assert 1.0 <= result["defect"] / result["expected"] <= 1.1
+        assert 0.0 < result["floor"] < 1e-3 * result["defect"]
+
+    def test_zero_split_has_no_defect_and_fails(self, tmp_path):
+        code, result = self.translation_result(tmp_path, 0.0)
+        assert code == 3
+        assert result["defect"] == 0.0
+        assert not result["passed"]
 
 
 class TestPdeSurfaceDump:

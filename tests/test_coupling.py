@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -26,8 +30,10 @@ from theta_fbsde import (
     simulate_forward,
     solve_backward,
     static_set,
+    weighted_delta,
     y0_standard_error,
 )
+from theta_fbsde.coupling import PicardReport, _controls_stage, _initial_state, _node_laws
 
 
 def application_spec(horizon=1.0, f0_slope=0.5):
@@ -57,6 +63,104 @@ def feedback_spec(horizon=0.5):
             theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-0.25, hi=0.25),
         ),
     )
+
+
+def quartic_spec():
+    """State-dependent argmax: the quartic driver anchors the control to Y."""
+    return ProblemSpec(
+        horizon=0.5,
+        x0=np.array([0.2]),
+        drift=AffineControlDrift(np.array([0.0]), np.array([[0.25]])),
+        volatility=ConstantVolatility(np.array([[0.5]])),
+        driver=QuarticDriver(2.0, 1.0),
+        terminal=LinearTerminal(np.array([1.0])),
+        ambiguity=static_set([(-2.0, -0.5), (0.5, 2.0)]),
+    )
+
+
+def two_dim_spec():
+    return ProblemSpec(
+        horizon=0.5,
+        x0=np.array([1.0, -0.5]),
+        drift=AffineControlDrift(np.zeros(2), np.array([[0.25, 0.05], [0.05, 0.2]])),
+        volatility=ConstantVolatility(np.array([[0.3, 0.0], [0.1, 0.2]])),
+        driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5)),
+        terminal=LinearTerminal(np.array([1.0, 0.5])),
+        ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
+    )
+
+
+def tie_spec():
+    """Reference halfway between the regimes: every control is a tie."""
+    return dataclasses.replace(application_spec(), driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.0))
+
+
+def amplifier_spec():
+    """Mean feedback in the drift strong enough that the sweeps never contract."""
+    amplifier = CallableDrift(
+        fn=lambda t, x, a, mu: 3.0 * float(np.mean(mu.samples)) + 0.0 * x,
+        lipschitz=3.0,
+    )
+    return ProblemSpec(
+        horizon=4.0,
+        x0=np.array([1.0]),
+        drift=amplifier,
+        volatility=ConstantVolatility(np.array([[0.1]])),
+        driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.0),
+        terminal=LinearTerminal(np.array([2.0])),
+        ambiguity=static_set([(0.0, 0.0)]),
+    )
+
+
+def reference_weighted_delta(dX, dY, dZ, beta, dt):
+    x_part = float(np.max(np.mean(np.sum(dX * dX, axis=2), axis=1)))
+    y_part = float(np.max(np.mean(dY * dY, axis=1)))
+    z_part = float(np.sum(np.mean(np.sum(dZ[:-1] * dZ[:-1], axis=2), axis=1))) * dt
+    return math.sqrt(x_part + beta * (y_part + z_part))
+
+
+def reference_picard_solve(
+    spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0, damping=1.0
+):
+    """The sweep loop with the out-of-place damped update the engine used to run.
+
+    Returns (X, Y, Z, A, report), or raises the engine's errors with the
+    report collected so far.
+    """
+    increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
+    X, Y, Z = _initial_state(spec, grid, n_particles, increments)
+    report = PicardReport(beta=beta)
+    for iteration in range(1, max_iter + 1):
+        laws = _node_laws(Y)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+        report.tie_events += ties
+        Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments)
+        X_new = simulate_forward(spec, grid, A, laws, increments)
+        X_next = X + damping * (X_new - X)
+        Y_next = Y + damping * (Y_new - Y)
+        Z_next = Z + damping * (Z_new - Z)
+        delta = reference_weighted_delta(X_next - X, Y_next - Y, Z_next - Z, beta, grid.dt)
+        report.iterations = iteration
+        report.deltas.append(delta)
+        if len(report.deltas) >= 2:
+            prev = report.deltas[-2]
+            report.ratios.append(delta / prev if prev > 0 else 0.0)
+        X, Y, Z = X_next, Y_next, Z_next
+        if delta < tol:
+            report.converged = True
+            break
+        if not math.isfinite(delta) or (
+            len(report.ratios) >= 3 and all(r >= 1.0 for r in report.ratios[-3:])
+        ):
+            raise NonContractionError("not contracting", report=report)
+    else:
+        raise NoConvergenceError("budget exhausted", report=report)
+    laws = _node_laws(Y)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
+    Y, Z = solve_backward(spec, grid, X, A, laws, increments)
+    laws = _node_laws(Y)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
+    return X, Y, Z, A, report
 
 
 def closed_form_application_y0(horizon=1.0):
@@ -183,15 +287,7 @@ class TestPicardSolve:
         assert np.all(sol.A == -1.0)  # ties resolve toward the smaller regime
 
     def test_batched_controls_equal_scalar_argmax(self):
-        spec = ProblemSpec(
-            horizon=0.5,
-            x0=np.array([0.2]),
-            drift=AffineControlDrift(np.array([0.0]), np.array([[0.25]])),
-            volatility=ConstantVolatility(np.array([[0.5]])),
-            driver=QuarticDriver(2.0, 1.0),
-            terminal=LinearTerminal(np.array([1.0])),
-            ambiguity=static_set([(-2.0, -0.5), (0.5, 2.0)]),
-        )
+        spec = quartic_spec()
         grid = TimeGrid(0.5, 8)
         sol, report = picard_solve(spec, grid, 300, seed=7)
         assert report.converged
@@ -209,22 +305,9 @@ class TestPicardSolve:
 
 class TestPicardFailures:
     def test_non_contraction_error(self):
-        amplifier = CallableDrift(
-            fn=lambda t, x, a, mu: 3.0 * float(np.mean(mu.samples)) + 0.0 * x,
-            lipschitz=3.0,
-        )
-        spec = ProblemSpec(
-            horizon=4.0,
-            x0=np.array([1.0]),
-            drift=amplifier,
-            volatility=ConstantVolatility(np.array([[0.1]])),
-            driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.0),
-            terminal=LinearTerminal(np.array([2.0])),
-            ambiguity=static_set([(0.0, 0.0)]),
-        )
         grid = TimeGrid(4.0, 40)
         with pytest.raises(NonContractionError) as err:
-            picard_solve(spec, grid, 200, seed=0, max_iter=50)
+            picard_solve(amplifier_spec(), grid, 200, seed=0, max_iter=50)
         assert err.value.report is not None
         assert len(err.value.report.deltas) >= 4
 
@@ -253,3 +336,96 @@ class TestPicardFailures:
             picard_solve(spec, grid, 3)
         with pytest.raises(UsageError, match="particles"):
             picard_solve(spec, grid, -5)
+
+
+GOLDEN_PROBLEMS = {
+    "readme": (application_spec, TimeGrid(1.0, 20), 400, 1),
+    "law_dependent": (feedback_spec, TimeGrid(0.5, 25), 400, 2),
+    "quartic": (quartic_spec, TimeGrid(0.5, 10), 200, 7),
+    "two_dim": (two_dim_spec, TimeGrid(0.5, 10), 400, 5),
+    "ties": (tie_spec, TimeGrid(1.0, 10), 300, 1),
+}
+
+
+class TestInPlaceUpdate:
+    """The in-place damped update against the out-of-place reference loop."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    @pytest.mark.parametrize("problem", sorted(GOLDEN_PROBLEMS))
+    def test_bit_identical_to_reference_loop(self, problem, damping):
+        make_spec, grid, n, seed = GOLDEN_PROBLEMS[problem]
+        spec = make_spec()
+        sol, report = picard_solve(spec, grid, n, seed=seed, tol=1e-9, damping=damping)
+        X, Y, Z, A, expected = reference_picard_solve(
+            spec, grid, n, seed=seed, tol=1e-9, damping=damping
+        )
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert np.array_equal(got, want)
+        assert report.iterations == expected.iterations >= 2
+        assert report.deltas == expected.deltas
+        assert report.ratios == expected.ratios
+        assert report.tie_events == expected.tie_events
+        assert (report.tie_events > 0) == (problem == "ties")
+        assert report.converged and expected.converged
+
+    @pytest.mark.parametrize(
+        "make_spec, grid, n, kwargs, error",
+        [
+            (amplifier_spec, TimeGrid(4.0, 40), 200, {"max_iter": 50}, NonContractionError),
+            (feedback_spec, TimeGrid(0.5, 25), 400, {"tol": 1e-16, "max_iter": 2},
+             NoConvergenceError),
+        ],
+        ids=["non_contraction", "no_convergence"],
+    )
+    def test_error_reports_match_reference_loop(self, make_spec, grid, n, kwargs, error):
+        with pytest.raises(error) as got:
+            picard_solve(make_spec(), grid, n, seed=0, **kwargs)
+        with pytest.raises(error) as want:
+            reference_picard_solve(make_spec(), grid, n, seed=0, **kwargs)
+        assert got.value.report.to_dict() == want.value.report.to_dict()
+
+    def test_returned_arrays_own_their_memory(self):
+        spec = feedback_spec()
+        grid = TimeGrid(0.5, 25)
+        sol, _ = picard_solve(spec, grid, 400, seed=2, damping=0.5)
+        arrays = {"X": sol.X, "Y": sol.Y, "Z": sol.Z, "A": sol.A}
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+        for i, mu in enumerate(sol.measures):
+            assert np.array_equal(mu.samples, np.sort(sol.Y[i]))
+            assert not np.shares_memory(mu.samples, sol.Y)
+
+    def test_same_seed_same_solution(self):
+        spec = quartic_spec()
+        grid = TimeGrid(0.5, 10)
+        sol_a, report_a = picard_solve(spec, grid, 200, seed=7, damping=0.5)
+        sol_b, report_b = picard_solve(spec, grid, 200, seed=7, damping=0.5)
+        for name in "XYZA":
+            assert np.array_equal(getattr(sol_a, name), getattr(sol_b, name))
+        assert report_a.to_dict() == report_b.to_dict()
+
+    def test_fixed_point_residual_equals_reference_sweep(self):
+        spec = quartic_spec()
+        grid = TimeGrid(0.5, 10)
+        sol, _ = picard_solve(spec, grid, 200, seed=7)
+        increments = brownian_increments(7, 200, grid.n_steps, 1, grid.dt)
+        laws = list(sol.measures)
+        A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
+        Y_new, Z_new = solve_backward(spec, grid, sol.X, A, laws, increments)
+        X_new = simulate_forward(spec, grid, A, laws, increments)
+        expected = reference_weighted_delta(
+            X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, 1.0, grid.dt
+        )
+        assert fixed_point_residual(spec, grid, sol, seed=7) == expected > 0.0
+
+
+class TestWeightedDelta:
+    def test_hand_computed_value(self):
+        # node means of |dX|^2: 5 and 1; of dY^2: 1 and 2; of |dZ|^2 on the
+        # one stepped node: 1, times dt = 0.5
+        dX = np.array([[[1.0, 0.0], [3.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]])
+        dY = np.array([[1.0, 1.0], [0.0, 2.0]])
+        dZ = np.array([[[1.0, 1.0], [0.0, 0.0]], [[9.0, 9.0], [9.0, 9.0]]])
+        assert weighted_delta(dX, dY, dZ, beta=2.0, dt=0.5) == math.sqrt(5.0 + 2.0 * (2.0 + 0.5))
+        assert weighted_delta(dX, dY, dZ, beta=1.0, dt=0.5) == math.sqrt(7.5)
+        assert weighted_delta(0 * dX, 0 * dY, dZ, beta=1.0, dt=0.5) == math.sqrt(0.5)

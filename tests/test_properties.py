@@ -22,6 +22,7 @@ from theta_fbsde import (
     picard_solve,
     static_set,
     theta_expectation,
+    translation_defect_gate,
     unconstrained_interval,
     y0_standard_error,
 )
@@ -201,6 +202,48 @@ class TestTranslationInvariance:
         spec = DeterministicSpec(driver, static_set([(-2.0, -1.0), (1.0, 2.0)]).base, 1.0)
         defect = check_translation_invariance(spec, 0.2, 0.1, TimeGrid(1.0, 500))
         assert abs(defect) <= 1e-8
+
+
+class TestTranslationDefectGate:
+    SPEC = quartic_spec()
+    GRID = TimeGrid(1.0, 400)
+    C = 1e-3
+    EXPECTED = 1e-6  # lam gamma / (lam - gamma) c^2 T / 2 with lam = 2, gamma = 1
+
+    def gate(self, defect, coarse=None):
+        return translation_defect_gate(
+            self.SPEC, self.C, self.GRID, defect, defect if coarse is None else coarse
+        )
+
+    def test_measured_defect_passes(self):
+        defect = check_translation_invariance(self.SPEC, 0.0, self.C, self.GRID)
+        coarse = check_translation_invariance(self.SPEC, 0.0, self.C, TimeGrid(1.0, 200))
+        result = self.gate(defect, coarse)
+        assert result["passed"]
+        assert result["expected"] == pytest.approx(self.EXPECTED, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "defect, passed",
+        [(1e-6, True), (0.5e-6, True), (0.49e-6, False), (-1e-6, False), (0.0, False)],
+        ids=["predicted", "half", "below_half", "wrong_sign", "zero"],
+    )
+    def test_sign_and_half_size(self, defect, passed):
+        assert self.gate(defect)["passed"] is passed
+
+    def test_step_doubling_change_sets_the_floor(self):
+        # a defect that moves by more than itself when the steps halve is unresolved
+        result = self.gate(1e-6, coarse=-1e-6)
+        assert result["floor"] > 2e-6
+        assert not result["passed"]
+
+    def test_unresolvable_split_fails(self):
+        c = 1e-9
+        grid = TimeGrid(1.0, 400)
+        defect = check_translation_invariance(self.SPEC, 0.0, c, grid)
+        coarse = check_translation_invariance(self.SPEC, 0.0, c, TimeGrid(1.0, 200))
+        result = translation_defect_gate(self.SPEC, c, grid, defect, coarse)
+        assert result["expected"] < result["floor"]
+        assert not result["passed"]
 
 
 class TestMartingaleDiagnostics:
