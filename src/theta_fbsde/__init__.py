@@ -58,6 +58,7 @@ from .properties import (
     check_subadditivity,
     check_translation_invariance,
     martingale_diagnostics,
+    subadditivity_gate,
     theta_expectation,
     translation_defect_gate,
     y0_standard_error,

@@ -168,6 +168,19 @@ def solve_backward(
     return Y, Z
 
 
+def _rk4_increment(g: Callable[[float], float], y: float, h: float, k1: float) -> float:
+    """Classical RK4 change of y over one step h of y' = g(y), given k1 = g(y).
+
+    Takes the first stage from the caller, so a caller that needs g at the
+    new point anyway evaluates g four times per step.  A negative h steps
+    the other way in time.
+    """
+    k2 = g(y + 0.5 * h * k1)
+    k3 = g(y + 0.5 * h * k2)
+    k4 = g(y + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def solve_deterministic_ode(
     optimized_driver: Callable[[float], float],
     terminal_value: float,
@@ -186,11 +199,7 @@ def solve_deterministic_ode(
     ys[-1] = float(terminal_value)
     y = float(terminal_value)
     for i in range(n_steps, 0, -1):
-        k1 = optimized_driver(y)
-        k2 = optimized_driver(y + 0.5 * h * k1)
-        k3 = optimized_driver(y + 0.5 * h * k2)
-        k4 = optimized_driver(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + _rk4_increment(optimized_driver, y, h, optimized_driver(y))
         if not math.isfinite(y):
             raise DivergenceError("deterministic value path became non-finite", node=i - 1)
         ys[i - 1] = y

@@ -26,6 +26,7 @@ from .properties import (
     check_subadditivity,
     check_translation_invariance,
     martingale_diagnostics,
+    subadditivity_gate,
     theta_expectation,
     translation_defect_gate,
 )
@@ -322,7 +323,7 @@ def _cmd_properties(args) -> int:
         mono = check_monotonicity(spec, grid, c, -c)
         results["monotonicity"] = {"margin": mono.margin, "passed": not mono.violated}
         sub = check_subadditivity(spec, c, grid)
-        results["subadditivity_violation"] = {"gap": sub.gap, "passed": sub.violated}
+        results["subadditivity_violation"] = subadditivity_gate(spec, c, grid, sub.gap)
         defect = check_translation_invariance(spec, 0.0, c, grid)
         coarse = check_translation_invariance(spec, 0.0, c, TimeGrid(horizon, max(1, steps // 2)))
         results["translation_defect"] = translation_defect_gate(spec, c, grid, defect, coarse)

@@ -5,12 +5,17 @@ value process, recomputes controls by pointwise maximization, solves the
 backward equation along the previous forward paths, and finally re-simulates
 the forward paths, always on the same noise.  Successive iterates are compared
 in a weighted norm whose decay diagnoses contraction.
+
+The engine remembers its last successful solve (weakly, see
+:func:`picard_solve`), so checks that re-solve the problem they were handed
+on the same noise reuse the solution their caller still holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +40,9 @@ class PicardReport:
     @property
     def final_delta(self) -> float:
         return self.deltas[-1] if self.deltas else math.inf
+
+    def copy(self) -> PicardReport:
+        return replace(self, deltas=list(self.deltas), ratios=list(self.ratios))
 
     def to_dict(self) -> dict:
         return {
@@ -126,6 +134,19 @@ def _initial_state(
     return X, Y, Z
 
 
+@dataclass(frozen=True, eq=False)
+class _LastSolve:
+    """The last successful solve: the problem and solution by weak reference."""
+
+    spec: weakref.ref
+    key: tuple
+    solution: weakref.ref
+    report: PicardReport
+
+
+_last_solve: _LastSolve | None = None
+
+
 def picard_solve(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -142,7 +163,17 @@ def picard_solve(
     or above one for three consecutive iterations (shorten the horizon or
     reduce the damping), and :class:`NoConvergenceError` when the iteration
     budget runs out; both carry the report collected so far.
+
+    The returned arrays (``times``, ``X``, ``Y``, ``Z``, ``A``) are read-only.
+    A call with the same ``spec`` object and equal remaining arguments as the
+    last successful solve returns that solve's :class:`SolutionPaths` object,
+    with a fresh copy of its report, as long as some caller still holds the
+    solution.  The memo holds the problem and the solution by weak reference,
+    so it keeps no solution alive; spec arrays are read-only and spec
+    callables must be pure, so the same spec object always poses the same
+    problem.
     """
+    global _last_solve
     if not tol > 0:
         raise UsageError("tol must be positive")
     if max_iter < 1:
@@ -156,6 +187,13 @@ def picard_solve(
         raise UsageError(
             f"need at least {basis_size} particles for the regression basis, got {n_particles}"
         )
+
+    key = (grid, n_particles, seed, tol, max_iter, beta, damping)
+    last = _last_solve
+    if last is not None and last.spec() is spec and last.key == key:
+        sol = last.solution()
+        if sol is not None:
+            return sol, last.report.copy()
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles, increments)
@@ -209,7 +247,11 @@ def picard_solve(
     Y, Z = solve_backward(spec, grid, X, A, laws, increments)
     laws = _node_laws(Y)
     A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
-    sol = SolutionPaths(times=grid.times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
+    times = grid.times
+    for arr in (times, X, Y, Z, A):
+        arr.flags.writeable = False
+    sol = SolutionPaths(times=times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
+    _last_solve = _LastSolve(weakref.ref(spec), key, weakref.ref(sol), report.copy())
     return sol, report
 
 

@@ -14,6 +14,13 @@ import numpy as np
 from .errors import UsageError
 
 
+def frozen_copy(value, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of ``value`` with at least ``ndmin`` dimensions."""
+    arr = np.array(value, dtype=float, ndmin=ndmin)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Uniform-weight sample cloud, sorted ascending at construction."""

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConcavityError, ParameterError, UsageError
-from .measures import EmpiricalMeasure, w2
+from .measures import EmpiricalMeasure, frozen_copy, w2
 from .uncertainty import AmbiguityMap, IntervalUnion
 
 
@@ -62,15 +62,15 @@ class TableF0:
     """Piecewise-linear interpolation of tabulated values, clamped outside.
 
     Clamped extrapolation keeps the map globally Lipschitz with constant equal
-    to the steepest table slope.
+    to the steepest table slope.  Both tables are stored as read-only copies.
     """
 
     ys: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        ys = np.asarray(self.ys, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        ys = frozen_copy(self.ys)
+        vals = frozen_copy(self.values)
         if ys.ndim != 1 or ys.size < 2 or vals.shape != ys.shape:
             raise ParameterError("table needs matching 1-d arrays with at least two knots")
         if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(vals))):

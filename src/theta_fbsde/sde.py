@@ -15,7 +15,7 @@ import numpy as np
 
 from ._atomic import atomic_write
 from .errors import ConfigurationError, DivergenceError, UsageError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, frozen_copy
 from .uncertainty import AmbiguityMap
 
 
@@ -47,6 +47,9 @@ class TimeGrid:
 
 # ---------------------------------------------------------------------------
 # coefficient descriptors
+#
+# Array fields are copied at construction and made read-only, so a spec never
+# changes after it is built (the fixed-point engine relies on that).
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +60,8 @@ class AffineControlDrift:
     C1: np.ndarray
 
     def __post_init__(self):
-        c0 = np.atleast_1d(np.asarray(self.C0, dtype=float))
-        c1 = np.atleast_2d(np.asarray(self.C1, dtype=float))
+        c0 = frozen_copy(self.C0, ndmin=1)
+        c1 = frozen_copy(self.C1, ndmin=2)
         if c0.ndim != 1 or c1.shape != (c0.size, c0.size):
             raise ConfigurationError("C0 must be a vector and C1 a matching square matrix")
         if not (np.all(np.isfinite(c0)) and np.all(np.isfinite(c1))):
@@ -95,7 +98,7 @@ class ConstantVolatility:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        m = frozen_copy(self.matrix, ndmin=2)
         if not np.all(np.isfinite(m)):
             raise ConfigurationError("volatility matrix must be finite")
         object.__setattr__(self, "matrix", m)
@@ -133,7 +136,7 @@ class LinearTerminal:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        c = frozen_copy(self.coeffs, ndmin=1)
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("terminal coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
@@ -187,7 +190,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        x0 = frozen_copy(self.x0, ndmin=1)
         if x0.ndim != 1 or not np.all(np.isfinite(x0)):
             raise ConfigurationError("x0 must be a finite vector")
         object.__setattr__(self, "x0", x0)

@@ -259,7 +259,10 @@ class TestPropertiesCommand:
         assert code == 0
         report = json.loads((out_dir / "property_report.json").read_text())
         assert report["failures"] == []
-        assert report["results"]["subadditivity_violation"]["passed"]
+        sub = report["results"]["subadditivity_violation"]
+        assert sub["passed"]
+        assert set(sub) == {"gap", "expected", "floor", "passed"}
+        assert sub["gap"] > 0.5 * sub["expected"] > 1e6 * sub["floor"]
 
     def test_stochastic_martingale_section(self, tmp_path):
         cfg = json.loads(json.dumps(APP_CONFIG))
@@ -295,8 +298,13 @@ class TestPropertiesCommand:
         code = main(["properties", "--config", str(path), "--out", str(out_dir)])
         assert code == 3
         assert "FAILED" in capsys.readouterr().out
-        failures = json.loads((out_dir / "property_report.json").read_text())["failures"]
-        assert "translation_defect" in failures
+        report = json.loads((out_dir / "property_report.json").read_text())
+        assert "translation_defect" in report["failures"]
+        # the gap 2 c^2 T = 2e-18 lies far below the rounding floor of about 4.4e-16
+        assert "subadditivity_violation" in report["failures"]
+        sub = report["results"]["subadditivity_violation"]
+        assert sub["expected"] == pytest.approx(2e-18, rel=1e-12)
+        assert abs(sub["gap"]) < sub["floor"] and sub["expected"] < sub["floor"]
 
     @staticmethod
     def translation_result(tmp_path, c):

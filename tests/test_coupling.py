@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from theta_fbsde import (
     TimeGrid,
     UsageError,
     brownian_increments,
+    check_translation_invariance,
     fixed_point_residual,
     maximize_over,
     picard_solve,
@@ -33,6 +35,7 @@ from theta_fbsde import (
     weighted_delta,
     y0_standard_error,
 )
+from theta_fbsde import coupling
 from theta_fbsde.coupling import PicardReport, _controls_stage, _initial_state, _node_laws
 
 
@@ -396,10 +399,11 @@ class TestInPlaceUpdate:
             assert not np.shares_memory(mu.samples, sol.Y)
 
     def test_same_seed_same_solution(self):
-        spec = quartic_spec()
+        # two spec objects, so the second call solves instead of recalling the first
         grid = TimeGrid(0.5, 10)
-        sol_a, report_a = picard_solve(spec, grid, 200, seed=7, damping=0.5)
-        sol_b, report_b = picard_solve(spec, grid, 200, seed=7, damping=0.5)
+        sol_a, report_a = picard_solve(quartic_spec(), grid, 200, seed=7, damping=0.5)
+        sol_b, report_b = picard_solve(quartic_spec(), grid, 200, seed=7, damping=0.5)
+        assert sol_a is not sol_b
         for name in "XYZA":
             assert np.array_equal(getattr(sol_a, name), getattr(sol_b, name))
         assert report_a.to_dict() == report_b.to_dict()
@@ -429,3 +433,113 @@ class TestWeightedDelta:
         assert weighted_delta(dX, dY, dZ, beta=2.0, dt=0.5) == math.sqrt(5.0 + 2.0 * (2.0 + 0.5))
         assert weighted_delta(dX, dY, dZ, beta=1.0, dt=0.5) == math.sqrt(7.5)
         assert weighted_delta(0 * dX, 0 * dY, dZ, beta=1.0, dt=0.5) == math.sqrt(0.5)
+
+
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """Arguments of every noise draw the engine makes: one per solve."""
+    calls = []
+    original = coupling.brownian_increments
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(coupling, "brownian_increments", counting)
+    return calls
+
+
+MEMO_GRID = TimeGrid(1.0, 10)
+MEMO_ARGS = {"seed": 1, "tol": 1e-6, "max_iter": 50, "beta": 1.0, "damping": 1.0}
+
+
+class TestSolveMemo:
+    """A same-arguments re-solve is served from the solution its caller holds."""
+
+    def test_hit_returns_same_solution_and_independent_report(self, noise_draws):
+        spec = application_spec()
+        sol, report = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        again, report_again = picard_solve(spec, TimeGrid(1.0, 10), 200, **MEMO_ARGS)
+        assert again is sol
+        assert len(noise_draws) == 1
+        expected = report.to_dict()
+        assert expected["iterations"] >= 2
+        assert report_again is not report
+        assert report_again.to_dict() == expected
+        # neither the first report nor a served one reaches the next hit
+        report_again.deltas.append(1.0)
+        report_again.ratios.append(1.0)
+        report_again.iterations = 99
+        report.deltas.clear()
+        third, report_third = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        assert third is sol
+        assert report_third.to_dict() == expected
+
+    def test_returned_arrays_are_read_only(self):
+        sol, _ = picard_solve(application_spec(), MEMO_GRID, 200, **MEMO_ARGS)
+        for name in ("times", "X", "Y", "Z", "A"):
+            arr = getattr(sol, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"spec": "second"},
+            {"spec": "copy"},
+            {"grid": TimeGrid(1.0, 11)},
+            {"n": 201},
+            {"seed": 2},
+            {"tol": 1e-7},
+            {"max_iter": 49},
+            {"beta": 2.0},
+            {"damping": 0.5},
+        ],
+        ids=["second_spec", "copied_spec", "grid", "n", "seed", "tol", "max_iter", "beta", "damping"],
+    )
+    def test_each_key_component_misses(self, noise_draws, change):
+        spec = application_spec()
+        sol, _ = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        args = {"spec": spec, "grid": MEMO_GRID, "n": 200, **MEMO_ARGS, **change}
+        if change.get("spec") == "second":
+            args["spec"] = application_spec()  # built identically, another object
+        elif change.get("spec") == "copy":
+            args["spec"] = dataclasses.replace(spec)  # equal, sharing every component
+        other, _ = picard_solve(args.pop("spec"), args.pop("grid"), args.pop("n"), **args)
+        assert other is not sol
+        assert len(noise_draws) == 2
+
+    def test_dropped_solution_solves_again(self, noise_draws):
+        spec = application_spec()
+        sol, _ = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        y0 = sol.y0
+        del sol
+        gc.collect()
+        again, _ = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        assert len(noise_draws) == 2
+        assert again.y0 == y0
+
+    def test_raising_solve_is_never_served(self, noise_draws):
+        spec = feedback_spec()
+        grid = TimeGrid(0.5, 25)
+        held, _ = picard_solve(spec, grid, 400, seed=2)
+        for _ in range(2):
+            with pytest.raises(NoConvergenceError):
+                picard_solve(spec, grid, 400, seed=2, tol=1e-16, max_iter=2)
+        assert len(noise_draws) == 3
+        # a failed solve leaves the last successful one in place
+        again, _ = picard_solve(spec, grid, 400, seed=2)
+        assert again is held
+        assert len(noise_draws) == 3
+
+    def test_translation_check_reuses_the_held_solve(self, noise_draws):
+        grid = TimeGrid(0.5, 25)
+        fresh = check_translation_invariance(feedback_spec(), None, 0.1, grid, n_particles=400, seed=2)
+        assert len(noise_draws) == 2
+        spec = feedback_spec()
+        held, _ = picard_solve(spec, grid, 400, seed=2)  # held: the solution stays alive
+        defect = check_translation_invariance(spec, None, 0.1, grid, n_particles=400, seed=2)
+        assert len(noise_draws) == 4  # the base solve is served, only the shifted one draws
+        assert defect.hex() == fresh.hex()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from theta_fbsde import properties
+
 from theta_fbsde import (
     AffineControlDrift,
     ConstantVolatility,
@@ -21,11 +23,13 @@ from theta_fbsde import (
     martingale_diagnostics,
     picard_solve,
     static_set,
+    subadditivity_gate,
     theta_expectation,
     translation_defect_gate,
     unconstrained_interval,
     y0_standard_error,
 )
+from theta_fbsde.properties import optimized_driver_fn
 
 
 def quartic_spec(lam=2.0, gamma=1.0, horizon=1.0):
@@ -185,6 +189,38 @@ class TestSubadditivity:
             check_subadditivity(linear_driver_spec(0.5), 0.1, TimeGrid(1.0, 100))
 
 
+class TestSubadditivityGate:
+    SPEC = quartic_spec()
+    GRID = TimeGrid(1.0, 1000)
+
+    def measured(self, c):
+        gap = check_subadditivity(self.SPEC, c, self.GRID).gap
+        return subadditivity_gate(self.SPEC, c, self.GRID, gap)
+
+    # lam gamma / (lam - gamma) = 2, so the gap is 2 c^2 T and the floor about
+    # 2 eps: the boundary falls at c = sqrt(eps), about 1.5e-8
+    @pytest.mark.parametrize("c", [0.1, 1e-3, 1e-4, 1e-6, 2e-8, -0.1])
+    def test_resolvable_gaps_pass(self, c):
+        result = self.measured(c)
+        assert result["passed"]
+        assert result["expected"] == pytest.approx(2.0 * c * c, rel=1e-12)
+        assert 0.9 <= result["gap"] / result["expected"] <= 1.1
+
+    @pytest.mark.parametrize("c", [1.5e-8, 1e-9, 0.0])
+    def test_unresolvable_gaps_fail(self, c):
+        result = self.measured(c)
+        assert not result["passed"]
+        assert abs(result["gap"]) < result["floor"] < 5e-16
+
+    @pytest.mark.parametrize(
+        "gap, passed",
+        [(2e-6, True), (1e-6, True), (0.99e-6, False), (-2e-6, False), (0.0, False)],
+        ids=["predicted", "half", "below_half", "wrong_sign", "zero"],
+    )
+    def test_sign_and_half_size(self, gap, passed):
+        assert subadditivity_gate(self.SPEC, 1e-3, self.GRID, gap)["passed"] is passed
+
+
 class TestTranslationInvariance:
     def test_quartic_defect(self):
         defect = check_translation_invariance(quartic_spec(), 0.0, 0.1, TimeGrid(1.0, 1000))
@@ -244,6 +280,58 @@ class TestTranslationDefectGate:
         result = translation_defect_gate(self.SPEC, c, grid, defect, coarse)
         assert result["expected"] < result["floor"]
         assert not result["passed"]
+
+
+def reference_martingale_drift(spec, sol):
+    """The paired RK4 loop that martingale_diagnostics ran before sharing the stepper."""
+    g = optimized_driver_fn(spec)
+    n_steps = sol.times.size - 1
+    h = spec.horizon / n_steps
+    y = float(sol.values[0])
+    integral = 0.0
+    max_driver = abs(g(y))
+    drift = 0.0
+    m0 = y
+    for _ in range(n_steps):
+        k1y, k1i = -g(y), g(y)
+        k2y, k2i = -g(y + 0.5 * h * k1y), g(y + 0.5 * h * k1y)
+        k3y, k3i = -g(y + 0.5 * h * k2y), g(y + 0.5 * h * k2y)
+        k4y, k4i = -g(y + h * k3y), g(y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        integral = integral + (h / 6.0) * (k1i + 2 * k2i + 2 * k3i + k4i)
+        max_driver = max(max_driver, abs(g(y)))
+        drift = max(drift, abs(y + integral - m0))
+    return max_driver, drift
+
+
+class TestSharedRK4Stepper:
+    @pytest.mark.parametrize(
+        "lam, gamma, xi, steps",
+        [(2.0, 1.0, 0.1, 1000), (2.0, 1.0, -0.3, 37), (3.0, 1.0, 0.05, 400), (2.0, 1.0, 0.0, 10)],
+    )
+    def test_martingale_report_equals_reference_loop(self, lam, gamma, xi, steps):
+        spec = quartic_spec(lam, gamma)
+        grid = TimeGrid(1.0, steps)
+        _, sol = theta_expectation(spec, grid, xi=xi)
+        report = martingale_diagnostics(spec, grid, sol)
+        max_driver, drift = reference_martingale_drift(spec, sol)
+        assert report.max_abs_driver.hex() == max_driver.hex()
+        assert report.martingale_drift.hex() == drift.hex()
+
+    def test_four_driver_calls_per_step(self, monkeypatch):
+        spec = quartic_spec()
+        grid = TimeGrid(1.0, 50)
+        _, sol = theta_expectation(spec, grid, xi=0.1)
+        calls = []
+        original = properties.driver_sup
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(properties, "driver_sup", counting)
+        martingale_diagnostics(spec, grid, sol)
+        assert len(calls) == 4 * grid.n_steps + 1
 
 
 class TestMartingaleDiagnostics:

@@ -10,6 +10,7 @@ from theta_fbsde import (
     LinearTerminal,
     ProblemSpec,
     QuadraticPenaltyDriver,
+    TableF0,
     TimeGrid,
     brownian_increments,
     simulate_forward,
@@ -137,3 +138,41 @@ class TestNoiseStreams:
 
         with pytest.raises(UsageError):
             brownian_increments(-1, 4, 10, 1, 0.1)
+
+
+def _spec_arrays():
+    """(name, the caller's array, the array the built object stores) per spec array."""
+    c0, c1, sigma, coeffs, x0 = (
+        np.array([0.5]), np.array([[0.25]]), np.array([[0.3]]), np.array([1.0]), np.array([1.0])
+    )
+    drift = AffineControlDrift(c0, c1)
+    vol = ConstantVolatility(sigma)
+    terminal = LinearTerminal(coeffs)
+    spec = ProblemSpec(
+        horizon=1.0, x0=x0, drift=drift, volatility=vol,
+        driver=QuadraticPenaltyDriver(kappa=1.0, w0=1.0), terminal=terminal,
+        ambiguity=static_set([(1.0, 1.0)]),
+    )
+    ys, values = np.array([0.0, 1.0]), np.array([0.0, 2.0])
+    table = TableF0(ys, values)
+    return [
+        ("x0", x0, spec.x0),
+        ("C0", c0, drift.C0),
+        ("C1", c1, drift.C1),
+        ("sigma", sigma, vol.matrix),
+        ("coeffs", coeffs, terminal.coeffs),
+        ("ys", ys, table.ys),
+        ("values", values, table.values),
+    ]
+
+
+class TestFrozenSpecArrays:
+    @pytest.mark.parametrize("index", range(7), ids=[name for name, *_ in _spec_arrays()])
+    def test_stored_arrays_are_read_only_copies(self, index):
+        _, original, stored = _spec_arrays()[index]
+        before = stored.copy()
+        assert not np.shares_memory(stored, original)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[...] = 7.0
+        original[...] = 7.0
+        assert np.array_equal(stored, before)
