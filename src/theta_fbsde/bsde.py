@@ -164,7 +164,7 @@ def solve_backward(
             raise DivergenceError("value process became non-finite", node=i)
         Y[i] = y_new
         Z[i] = z
-    Z[-1] = Z[-2] if grid.n_steps >= 1 else Z[-1]
+    Z[-1] = Z[-2]
     return Y, Z
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -59,6 +60,13 @@ def _integer(value) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
 
 
 def _array(value) -> np.ndarray:
@@ -310,7 +318,7 @@ def _cmd_properties(args) -> int:
         _reject_unknown(ce, {"lambda", "gamma", "c", "T", "steps", "split"}, "counterexample")
         lam = _field(ce, "lambda", float, "counterexample")
         gamma = _field(ce, "gamma", float, "counterexample")
-        c = _field(ce, "c", float, "counterexample", 0.1)
+        c = _field(ce, "c", _finite, "counterexample", 0.1)
         horizon = _field(ce, "T", float, "counterexample", 1.0)
         steps = _field(ce, "steps", _integer, "counterexample", 1000)
         split = _field(ce, "split", float, "counterexample", horizon / 2)

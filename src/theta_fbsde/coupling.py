@@ -1,10 +1,11 @@
-"""Fixed-point engine coupling the control, backward, and forward stages.
+"""Fixed-point engine coupling the control, forward and backward stages.
 
 Each sweep realizes the per-node feasible sets from the current law of the
-value process, recomputes controls by pointwise maximization, solves the
-backward equation along the previous forward paths, and finally re-simulates
-the forward paths, always on the same noise.  Successive iterates are compared
-in a weighted norm whose decay diagnoses contraction.
+value process, recomputes controls by pointwise maximization, simulates the
+forward paths under them and then solves the backward equation along those
+new paths, always on the same noise.  So the value and volatility of every
+sweep are solved on the paths of the same sweep.  Successive iterates are
+compared in a weighted norm whose decay diagnoses contraction.
 
 The engine remembers its last successful solve (weakly, see
 :func:`picard_solve`), so checks that re-solve the problem they were handed
@@ -22,7 +23,7 @@ import numpy as np
 from .bsde import REGRESSION_DEGREE, solve_backward
 from .errors import NoConvergenceError, NonContractionError, UsageError
 from .measures import EmpiricalMeasure
-from .optimizer import DriverState, QuadraticPenaltyDriver, maximize_batch, maximize_over
+from .optimizer import DriverState, maximize_batch, maximize_over
 from .sde import ProblemSpec, SolutionPaths, TimeGrid, brownian_increments, simulate_forward
 
 
@@ -62,17 +63,13 @@ def weighted_delta(
 
     Max over nodes of the particle mean of |dX|^2, plus beta times the same
     for |dY|^2 and the time sum of mean |dZ|^2 dt over the stepped nodes.
+    The squares are summed per node by ``einsum``, so no array of the
+    iterates' size is allocated.
     """
-    return _weighted_norm(dX * dX, dY * dY, dZ[:-1] * dZ[:-1], beta, dt)
-
-
-def _weighted_norm(
-    sqX: np.ndarray, sqY: np.ndarray, sqZ: np.ndarray, beta: float, dt: float
-) -> float:
-    """:func:`weighted_delta` from the squared differences; ``sqZ`` holds the stepped nodes."""
-    x_part = float(np.max(np.mean(np.sum(sqX, axis=2), axis=1)))
-    y_part = float(np.max(np.mean(sqY, axis=1)))
-    z_part = float(np.sum(np.mean(np.sum(sqZ, axis=2), axis=1))) * dt
+    n = dY.shape[1]
+    x_part = float(np.max(np.einsum("ink,ink->i", dX, dX))) / n
+    y_part = float(np.max(np.einsum("in,in->i", dY, dY))) / n
+    z_part = float(np.sum(np.einsum("ink,ink->i", dZ[:-1], dZ[:-1]))) / n * dt
     return math.sqrt(x_part + beta * (y_part + z_part))
 
 
@@ -109,29 +106,36 @@ def _controls_stage(
 
 
 def _initial_state(
-    spec: ProblemSpec, grid: TimeGrid, n_particles: int, increments: np.ndarray
+    spec: ProblemSpec, grid: TimeGrid, n_particles: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Starting iterate: terminal values propagated along a frozen control.
+    """Constant starting iterate: X = x0, Y = the terminal payoff at x0, Z = 0.
 
-    The control is frozen at the nearest feasible point to the quadratic
-    reference (its projection) or at the middle of the set, the forward paths
-    are simulated once, and the value guess is the terminal payoff held
-    constant in time with zero volatility.
+    The first sweep's own argmax picks the first controls from it.
     """
-    theta_lo, theta_hi = spec.ambiguity.theta_bounds
-    base_set = spec.ambiguity.realize_at(0.5 * (theta_lo + theta_hi))
-    if isinstance(spec.driver, QuadraticPenaltyDriver):
-        a0 = base_set.project(spec.driver.w0)
-    else:
-        a0 = base_set.midpoint()
-    controls = np.full((grid.n_nodes, 1), a0)
-    seed_law = EmpiricalMeasure(np.full(n_particles, spec.terminal_at_start()))
-    laws0 = [seed_law] * grid.n_nodes
-    X = simulate_forward(spec, grid, controls, laws0, increments)
-    terminal = np.asarray(spec.terminal(X[-1]), dtype=float)
-    Y = np.tile(terminal, (grid.n_nodes, 1))
+    X = np.tile(spec.x0, (grid.n_nodes, n_particles, 1))
+    Y = np.full((grid.n_nodes, n_particles), spec.terminal_at_start())
     Z = np.zeros((grid.n_nodes, n_particles, spec.noise_dim))
     return X, Y, Z
+
+
+def _sweep(
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    X: np.ndarray,
+    Y: np.ndarray,
+    Z: np.ndarray,
+    increments: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One sweep from an iterate: laws, controls, forward paths, then backward.
+
+    The backward solve runs on the forward paths just simulated.  Returns the
+    new X, Y and Z and the number of tied controls.
+    """
+    laws = _node_laws(Y)
+    A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+    X_new = simulate_forward(spec, grid, A, laws, increments)
+    Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
+    return X_new, Y_new, Z_new, ties
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +178,14 @@ def picard_solve(
     problem.
     """
     global _last_solve
-    if not tol > 0:
-        raise UsageError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be a finite positive number, got {tol}")
     if max_iter < 1:
         raise UsageError("max_iter must be at least 1")
     if not 0.0 < damping <= 1.0:
         raise UsageError("damping must lie in (0, 1]")
-    if not beta > 0:
-        raise UsageError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise UsageError(f"beta must be a finite positive number, got {beta}")
     basis_size = math.comb(spec.state_dim + REGRESSION_DEGREE, REGRESSION_DEGREE)
     if n_particles < basis_size:
         raise UsageError(
@@ -196,35 +200,26 @@ def picard_solve(
             return sol, last.report.copy()
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
-    X, Y, Z = _initial_state(spec, grid, n_particles, increments)
+    X, Y, Z = _initial_state(spec, grid, n_particles)
     report = PicardReport(beta=beta)
 
     for iteration in range(1, max_iter + 1):
-        laws = _node_laws(Y)
-        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+        *new, ties = _sweep(spec, grid, X, Y, Z, increments)
         report.tie_events += ties
-        Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments)
-        X_new = simulate_forward(spec, grid, A, laws, increments)
-
-        # Damp in place.  The new arrays become the next iterates; the old
-        # ones, dead after the sweep (the laws hold sorted copies), become the
-        # squared steps.  These are the operations of cur + damping * (nxt - cur)
-        # and d * d with d = next - cur, in the same order, so no bit changes.
-        for cur, nxt in ((X, X_new), (Y, Y_new), (Z, Z_new)):
-            nxt -= cur
-            nxt *= damping
-            nxt += cur
-            np.subtract(nxt, cur, out=cur)
-            cur *= cur
-        delta = _weighted_norm(X, Y, Z[:-1], beta, grid.dt)
+        # The old iterates are dead after the sweep (the laws hold sorted
+        # copies), so they become the undamped steps.
+        for step, nxt in zip((X, Y, Z), new):
+            np.subtract(nxt, step, out=step)
+        delta = damping * weighted_delta(X, Y, Z, beta, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         if len(report.deltas) >= 2:
             prev = report.deltas[-2]
             report.ratios.append(delta / prev if prev > 0 else 0.0)
-        X, Y, Z = X_new, Y_new, Z_new
 
         if delta < tol:
+            # the sweep's undamped outputs: Y and Z are solved on the returned X
+            X, Y, Z = new
             report.converged = True
             break
         diverged = not math.isfinite(delta)
@@ -234,17 +229,19 @@ def picard_solve(
                 "shorten the horizon or reduce the damping",
                 report=report,
             )
+        # the damped iterate nxt - (1 - damping) * step, in place; at damping 1
+        # the new arrays pass through unchanged
+        for step, nxt in zip((X, Y, Z), new):
+            step *= 1.0 - damping
+            nxt -= step
+        X, Y, Z = new
     else:
         raise NoConvergenceError(
             f"no convergence within {max_iter} iterations (last delta {report.final_delta:.3e})",
             report=report,
         )
 
-    # Consistency pass: align the terminal values with the final forward
-    # paths, then recompute laws and controls from the exact returned state.
-    laws = _node_laws(Y)
-    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
-    Y, Z = solve_backward(spec, grid, X, A, laws, increments)
+    # laws and controls of the returned state
     laws = _node_laws(Y)
     A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     times = grid.times
@@ -266,8 +263,5 @@ def fixed_point_residual(
     increments = brownian_increments(
         seed, sol.n_particles, grid.n_steps, spec.noise_dim, grid.dt
     )
-    laws = list(sol.measures)
-    A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
-    Y_new, Z_new = solve_backward(spec, grid, sol.X, A, laws, increments)
-    X_new = simulate_forward(spec, grid, A, laws, increments)
+    X_new, Y_new, Z_new, _ = _sweep(spec, grid, sol.X, sol.Y, sol.Z, increments)
     return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, beta, grid.dt)

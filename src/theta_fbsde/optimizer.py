@@ -49,6 +49,10 @@ class LinearF0:
 
     slope: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.slope):
+            raise ParameterError(f"slope must be finite, got {self.slope}")
+
     @property
     def lipschitz(self) -> float:
         return abs(self.slope)
@@ -107,8 +111,10 @@ class QuadraticPenaltyDriver:
     state_free_argmax = True
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ParameterError(f"kappa must be positive, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ParameterError(f"kappa must be finite and positive, got {self.kappa}")
+        if not math.isfinite(self.w0):
+            raise ParameterError(f"w0 must be finite, got {self.w0}")
 
     def value(self, state: DriverState, a):
         return self.f0(state.y) - 0.5 * self.kappa * (a - self.w0) ** 2
@@ -136,9 +142,9 @@ class QuarticDriver:
     state_free_argmax = False
 
     def __post_init__(self):
-        if not (self.lam > self.gamma > 0.0):
+        if not (math.isfinite(self.lam) and self.lam > self.gamma > 0.0):
             raise ParameterError(
-                f"need lam > gamma > 0, got lam={self.lam}, gamma={self.gamma}"
+                f"need finite lam > gamma > 0, got lam={self.lam}, gamma={self.gamma}"
             )
 
     @property
@@ -174,8 +180,10 @@ class GenericDriver:
     state_free_argmax: bool = False
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ParameterError(f"declared concavity modulus must be positive, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ParameterError(
+                f"declared concavity modulus must be finite and positive, got {self.kappa}"
+            )
 
     def value(self, state: DriverState, a):
         return self.value_fn(state, a)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import picard_solve
-from .errors import UsageError
+from .errors import ParameterError, UsageError
 from .optimizer import (
     QuadraticPenaltyDriver,
     QuarticDriver,
@@ -66,6 +66,8 @@ def run_counterexample(
     lam: float, gamma: float, c: float = 0.1, horizon: float = 1.0, n_steps: int = 1000
 ) -> CounterexampleReport:
     """Deterministic quartic system: curvature and additivity diagnostics."""
+    if not math.isfinite(c):
+        raise ParameterError(f"c must be finite, got {c}")
     driver = QuarticDriver(lam, gamma)
     control_set = unconstrained_interval(driver, 1.0 + abs(c))
     spec = DeterministicSpec(driver, control_set, horizon)

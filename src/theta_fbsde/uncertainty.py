@@ -82,10 +82,6 @@ class IntervalUnion:
         """Single interval spanning the set."""
         return IntervalUnion(((self.lower, self.upper),))
 
-    def midpoint(self) -> float:
-        """Member of the set nearest to the hull midpoint."""
-        return self.project(0.5 * (self.lower + self.upper))
-
 
 def hausdorff(a: IntervalUnion, b: IntervalUnion) -> float:
     """Exact Hausdorff distance between two interval unions.
@@ -136,6 +132,10 @@ class AffineTheta:
     hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ConfigurationError(
+                f"theta rule weights must be finite, got alpha={self.alpha}, beta={self.beta}"
+            )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ConfigurationError("theta bounds must be finite")
         if self.lo > self.hi:

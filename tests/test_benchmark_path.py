@@ -1,14 +1,19 @@
-"""The benchmark's ``coupled_checks`` body, at smoke size, in the tier-1 suite.
+"""Every benchmark workload body, at smoke size, in the tier-1 suite.
 
 ``perfbench/run.py`` generates the config and ``perfbench/workloads.py`` holds
-the workload; both are compiled from their files and never imported as
-modules, so nothing is written next to them.  The run passes its gates and
-draws noise twice: the translation check's base solve is served from the
-solution the workload holds, and only the shifted solve draws again.
+the workloads; both are compiled from their files and never imported as
+modules, so nothing is written next to them.  Each run passes its gates,
+which puts the state-free (``solve_csv``), law-dependent (``coupled_checks``)
+and state-dependent (``quartic_grid``) paths of the engine under test.
+``coupled_checks`` draws noise twice: the translation check's base solve is
+served from the solution the workload holds, and only the shifted solve
+draws again.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 from theta_fbsde import coupling
 
@@ -22,9 +27,10 @@ def _load(name: str) -> dict:
     return namespace
 
 
-def test_coupled_checks_smoke_passes_its_gates_with_two_noise_draws(tmp_path, monkeypatch):
-    config = _load("run.py")["make_config"]("coupled_checks", 5, smoke=True)
-    config_path = tmp_path / "coupled_checks.json"
+@pytest.mark.parametrize("workload", ["solve_csv", "coupled_checks", "quartic_grid"])
+def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
+    config = _load("run.py")["make_config"](workload, 5, smoke=True)
+    config_path = tmp_path / f"{workload}.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
@@ -36,9 +42,10 @@ def test_coupled_checks_smoke_passes_its_gates_with_two_noise_draws(tmp_path, mo
         return original(*args)
 
     monkeypatch.setattr(coupling, "brownian_increments", counting)
-    workload = _load("workloads.py")["CoupledChecks"](config_path, out)
-    workload.run()
-    _, gates = workload.check()
+    body = _load("workloads.py")["WORKLOADS"][workload](config_path, out)
+    body.run()
+    _, gates = body.check()
     assert gates and all(gate["passed"] for gate in gates.values()), gates
-    assert len(draws) == 2
-    assert (out / "value_surface.csv").exists()
+    if workload == "coupled_checks":
+        assert len(draws) == 2
+        assert (out / "value_surface.csv").exists()

@@ -94,6 +94,13 @@ MALFORMED = [
     (("solver",), "particles", -5),
     (("solver",), "particles", 1),
     (("solver",), "tol", float("nan")),
+    (("solver",), "tol", float("inf")),
+    (("solver",), "beta", float("inf")),
+    (("problem",), "w0", float("nan")),
+    (("problem",), "w0", float("inf")),
+    (("problem",), "w0", float("-inf")),
+    (("problem",), "kappa", float("inf")),
+    (("problem", "f0"), "slope", float("nan")),
     (("solver",), "threads", 2),
     (("problem", "ambiguity"), "intervals", [[1.0]]),
     (("problem",), "C0", "abc"),
@@ -139,11 +146,22 @@ class TestMalformedInputs:
         assert "damping" in err
 
     @pytest.mark.parametrize(
-        "flags", [["--steps", "0"], ["--particles", "7"]], ids=["steps=0", "particles=7"]
+        "flags",
+        [["--steps", "0"], ["--particles", "7"], ["--c", "nan"], ["--c", "inf"], ["--lambda", "inf"]],
+        ids=["steps=0", "particles=7", "c=nan", "c=inf", "lambda=inf"],
     )
     def test_counterexample_flag(self, flags, capsys):
         code = main(["counterexample", "--lambda", "2", "--gamma", "1", *flags])
         self.assert_one_line_usage_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("-inf")])
+    def test_properties_counterexample_split(self, c, tmp_path, capsys):
+        cfg_path = tmp_path / "props.json"
+        cfg_path.write_text(json.dumps({"counterexample": {"lambda": 2.0, "gamma": 1.0, "c": c}}))
+        code = main(["properties", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "'c'" in err
 
     def test_removed_threads_flag(self, app_config, tmp_path, capsys):
         code = main(

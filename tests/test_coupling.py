@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from theta_fbsde import (
     y0_standard_error,
 )
 from theta_fbsde import coupling
-from theta_fbsde.coupling import PicardReport, _controls_stage, _initial_state, _node_laws
+from theta_fbsde.coupling import PicardReport, _controls_stage, _node_laws
 
 
 def application_spec(horizon=1.0, f0_slope=0.5):
@@ -125,13 +126,77 @@ def reference_weighted_delta(dX, dY, dZ, beta, dt):
 def reference_picard_solve(
     spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0, damping=1.0
 ):
-    """The sweep loop with the out-of-place damped update the engine used to run.
+    """The engine's sweep loop with an out-of-place damped update.
 
-    Returns (X, Y, Z, A, report), or raises the engine's errors with the
-    report collected so far.
+    Each sweep runs laws, controls, forward and then backward on the new
+    paths; on convergence the sweep's undamped outputs are returned.  Returns
+    (X, Y, Z, A, report), or raises the engine's errors with the report
+    collected so far.
     """
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
-    X, Y, Z = _initial_state(spec, grid, n_particles, increments)
+    # the constant start: x0 at every node, the terminal payoff at x0, zero volatility
+    X = np.tile(spec.x0, (grid.n_nodes, n_particles, 1))
+    Y = np.full((grid.n_nodes, n_particles), spec.terminal_at_start())
+    Z = np.zeros((grid.n_nodes, n_particles, spec.noise_dim))
+    report = PicardReport(beta=beta)
+    for iteration in range(1, max_iter + 1):
+        laws = _node_laws(Y)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+        report.tie_events += ties
+        X_new = simulate_forward(spec, grid, A, laws, increments)
+        Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
+        dX, dY, dZ = X_new - X, Y_new - Y, Z_new - Z
+        delta = damping * weighted_delta(dX, dY, dZ, beta, grid.dt)
+        report.iterations = iteration
+        report.deltas.append(delta)
+        if len(report.deltas) >= 2:
+            prev = report.deltas[-2]
+            report.ratios.append(delta / prev if prev > 0 else 0.0)
+        if delta < tol:
+            X, Y, Z = X_new, Y_new, Z_new
+            report.converged = True
+            break
+        if not math.isfinite(delta) or (
+            len(report.ratios) >= 3 and all(r >= 1.0 for r in report.ratios[-3:])
+        ):
+            raise NonContractionError("not contracting", report=report)
+        X = X_new - (1.0 - damping) * dX
+        Y = Y_new - (1.0 - damping) * dY
+        Z = Z_new - (1.0 - damping) * dZ
+    else:
+        raise NoConvergenceError("budget exhausted", report=report)
+    laws = _node_laws(Y)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
+    return X, Y, Z, A, report
+
+
+def jacobi_initial_state(spec, grid, n_particles, increments):
+    """The engine's former start: terminal values along one frozen-control forward pass."""
+    theta_lo, theta_hi = spec.ambiguity.theta_bounds
+    base_set = spec.ambiguity.realize_at(0.5 * (theta_lo + theta_hi))
+    if isinstance(spec.driver, QuadraticPenaltyDriver):
+        a0 = base_set.project(spec.driver.w0)
+    else:
+        a0 = base_set.project(0.5 * (base_set.lower + base_set.upper))
+    controls = np.full((grid.n_nodes, 1), a0)
+    seed_law = EmpiricalMeasure(np.full(n_particles, spec.terminal_at_start()))
+    X = simulate_forward(spec, grid, controls, [seed_law] * grid.n_nodes, increments)
+    Y = np.tile(np.asarray(spec.terminal(X[-1]), dtype=float), (grid.n_nodes, 1))
+    Z = np.zeros((grid.n_nodes, n_particles, spec.noise_dim))
+    return X, Y, Z
+
+
+def jacobi_reference_solve(
+    spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0, damping=1.0
+):
+    """The engine's former loop: controls, backward on the previous paths, then forward.
+
+    After convergence a consistency pass solves the backward equation once
+    more on the final paths and recomputes laws and controls.  Returns
+    (X, Y, Z, A, report).
+    """
+    increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
+    X, Y, Z = jacobi_initial_state(spec, grid, n_particles, increments)
     report = PicardReport(beta=beta)
     for iteration in range(1, max_iter + 1):
         laws = _node_laws(Y)
@@ -145,17 +210,10 @@ def reference_picard_solve(
         delta = reference_weighted_delta(X_next - X, Y_next - Y, Z_next - Z, beta, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
-        if len(report.deltas) >= 2:
-            prev = report.deltas[-2]
-            report.ratios.append(delta / prev if prev > 0 else 0.0)
         X, Y, Z = X_next, Y_next, Z_next
         if delta < tol:
             report.converged = True
             break
-        if not math.isfinite(delta) or (
-            len(report.ratios) >= 3 and all(r >= 1.0 for r in report.ratios[-3:])
-        ):
-            raise NonContractionError("not contracting", report=report)
     else:
         raise NoConvergenceError("budget exhausted", report=report)
     laws = _node_laws(Y)
@@ -164,6 +222,16 @@ def reference_picard_solve(
     laws = _node_laws(Y)
     A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     return X, Y, Z, A, report
+
+
+def jacobi_residual(spec, grid, X, Y, Z, seed, beta=1.0):
+    """Weighted-norm change of one sweep in the former order applied to a state."""
+    increments = brownian_increments(seed, X.shape[1], grid.n_steps, spec.noise_dim, grid.dt)
+    laws = _node_laws(Y)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
+    Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments)
+    X_new = simulate_forward(spec, grid, A, laws, increments)
+    return reference_weighted_delta(X_new - X, Y_new - Y, Z_new - Z, beta, grid.dt)
 
 
 def closed_form_application_y0(horizon=1.0):
@@ -318,8 +386,8 @@ class TestPicardFailures:
         spec = feedback_spec()
         grid = TimeGrid(0.5, 25)
         with pytest.raises(NoConvergenceError) as err:
-            picard_solve(spec, grid, 400, seed=2, tol=1e-16, max_iter=2)
-        assert err.value.report.iterations == 2
+            picard_solve(spec, grid, 400, seed=2, tol=1e-16, max_iter=1)
+        assert err.value.report.iterations == 1
 
     def test_parameter_validation(self):
         spec = feedback_spec()
@@ -375,10 +443,12 @@ class TestInPlaceUpdate:
         "make_spec, grid, n, kwargs, error",
         [
             (amplifier_spec, TimeGrid(4.0, 40), 200, {"max_iter": 50}, NonContractionError),
-            (feedback_spec, TimeGrid(0.5, 25), 400, {"tol": 1e-16, "max_iter": 2},
+            (feedback_spec, TimeGrid(0.5, 25), 400, {"tol": 1e-16, "max_iter": 1},
+             NoConvergenceError),
+            (quartic_spec, TimeGrid(0.5, 10), 200, {"tol": 1e-16, "max_iter": 3, "damping": 0.5},
              NoConvergenceError),
         ],
-        ids=["non_contraction", "no_convergence"],
+        ids=["non_contraction", "no_convergence", "no_convergence_damped"],
     )
     def test_error_reports_match_reference_loop(self, make_spec, grid, n, kwargs, error):
         with pytest.raises(error) as got:
@@ -413,14 +483,38 @@ class TestInPlaceUpdate:
         grid = TimeGrid(0.5, 10)
         sol, _ = picard_solve(spec, grid, 200, seed=7)
         increments = brownian_increments(7, 200, grid.n_steps, 1, grid.dt)
-        laws = list(sol.measures)
+        laws = _node_laws(sol.Y)
         A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
-        Y_new, Z_new = solve_backward(spec, grid, sol.X, A, laws, increments)
         X_new = simulate_forward(spec, grid, A, laws, increments)
-        expected = reference_weighted_delta(
-            X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, 1.0, grid.dt
-        )
+        Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
+        expected = weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, 1.0, grid.dt)
         assert fixed_point_residual(spec, grid, sol, seed=7) == expected > 0.0
+
+
+class TestSweepOrder:
+    """Forward then backward reaches the fixed point of the former order."""
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    @pytest.mark.parametrize("problem", sorted(GOLDEN_PROBLEMS))
+    def test_same_fixed_point_as_former_order(self, problem, damping):
+        make_spec, grid, n, seed = GOLDEN_PROBLEMS[problem]
+        tol = 1e-9
+        sol, report = picard_solve(make_spec(), grid, n, seed=seed, tol=tol, damping=damping)
+        X, Y, Z, A, former = jacobi_reference_solve(
+            make_spec(), grid, n, seed=seed, tol=tol, damping=damping
+        )
+        assert report.converged and former.converged
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert np.max(np.abs(got - want)) <= 100 * tol
+
+    @pytest.mark.parametrize("problem", sorted(GOLDEN_PROBLEMS))
+    def test_former_order_residual_no_larger(self, problem):
+        make_spec, grid, n, seed = GOLDEN_PROBLEMS[problem]
+        spec = make_spec()
+        sol, _ = picard_solve(spec, grid, n, seed=seed)
+        X, Y, Z, _, _ = jacobi_reference_solve(spec, grid, n, seed=seed)
+        got = jacobi_residual(spec, grid, sol.X, sol.Y, sol.Z, seed)
+        assert got <= jacobi_residual(spec, grid, X, Y, Z, seed)
 
 
 class TestWeightedDelta:
@@ -433,6 +527,26 @@ class TestWeightedDelta:
         assert weighted_delta(dX, dY, dZ, beta=2.0, dt=0.5) == math.sqrt(5.0 + 2.0 * (2.0 + 0.5))
         assert weighted_delta(dX, dY, dZ, beta=1.0, dt=0.5) == math.sqrt(7.5)
         assert weighted_delta(0 * dX, 0 * dY, dZ, beta=1.0, dt=0.5) == math.sqrt(0.5)
+
+    def test_matches_reference_on_random_steps(self):
+        rng = np.random.default_rng(3)
+        dX = rng.normal(size=(11, 300, 2))
+        dY = rng.normal(size=(11, 300))
+        dZ = rng.normal(size=(11, 300, 3))
+        expected = reference_weighted_delta(dX, dY, dZ, 0.7, 0.1)
+        assert weighted_delta(dX, dY, dZ, 0.7, 0.1) == pytest.approx(expected, rel=1e-13)
+
+    def test_allocates_nothing_the_size_of_the_steps(self):
+        dX = np.full((51, 20_000, 1), 0.5)
+        dY = np.full((51, 20_000), 0.25)
+        dZ = np.ones((51, 20_000, 1))
+        tracemalloc.start()
+        try:
+            weighted_delta(dX, dY, dZ, 1.0, 0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dY.nbytes / 20
 
 
 @pytest.fixture
@@ -527,7 +641,7 @@ class TestSolveMemo:
         held, _ = picard_solve(spec, grid, 400, seed=2)
         for _ in range(2):
             with pytest.raises(NoConvergenceError):
-                picard_solve(spec, grid, 400, seed=2, tol=1e-16, max_iter=2)
+                picard_solve(spec, grid, 400, seed=2, tol=1e-16, max_iter=1)
         assert len(noise_draws) == 3
         # a failed solve leaves the last successful one in place
         again, _ = picard_solve(spec, grid, 400, seed=2)

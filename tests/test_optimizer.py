@@ -330,6 +330,41 @@ class TestSecondDerivative:
             QuarticDriver(1.0, 2.0)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+class TestNonFiniteParameters:
+    """Non-finite driver parameters are rejected where they enter."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QuadraticPenaltyDriver(kappa=INF, w0=0.0),
+            lambda: QuadraticPenaltyDriver(kappa=NAN, w0=0.0),
+            lambda: QuadraticPenaltyDriver(kappa=1.0, w0=NAN),
+            lambda: QuadraticPenaltyDriver(kappa=1.0, w0=INF),
+            lambda: QuadraticPenaltyDriver(kappa=1.0, w0=-INF),
+            lambda: QuarticDriver(INF, 1.0),
+            lambda: QuarticDriver(INF, INF),
+            lambda: QuarticDriver(NAN, 1.0),
+            lambda: QuarticDriver(2.0, NAN),
+            lambda: GenericDriver(None, None, None, kappa=INF),
+            lambda: GenericDriver(None, None, None, kappa=NAN),
+            lambda: LinearF0(NAN),
+            lambda: LinearF0(INF),
+            lambda: LinearF0(-INF),
+        ],
+        ids=[
+            "quadratic_kappa_inf", "quadratic_kappa_nan", "w0_nan", "w0_inf", "w0_-inf",
+            "quartic_lam_inf", "quartic_both_inf", "quartic_lam_nan", "quartic_gamma_nan",
+            "generic_kappa_inf", "generic_kappa_nan", "slope_nan", "slope_inf", "slope_-inf",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ParameterError):
+            build()
+
+
 class TestConcavityAudit:
     def test_quadratic_exact_modulus(self):
         audit = concavity_audit(QuadraticPenaltyDriver(kappa=1.0, w0=0.0))

@@ -53,6 +53,11 @@ class TestCounterexampleScenario:
         with pytest.raises(ParameterError):
             run_counterexample(1.0, 2.0)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_split_rejected(self, c):
+        with pytest.raises(ParameterError, match="c must be finite"):
+            run_counterexample(2.0, 1.0, c=c)
+
 
 class TestApplicationScenario:
     def test_regime_snap_and_multipliers(self):

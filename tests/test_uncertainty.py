@@ -227,6 +227,13 @@ class TestAmbiguityMap:
                 theta_rule=ConstantTheta(2.0),
             )
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan), (0.0, -np.inf)]
+    )
+    def test_non_finite_theta_weights_rejected(self, alpha, beta):
+        with pytest.raises(ConfigurationError, match="weights must be finite"):
+            AffineTheta(alpha=alpha, beta=beta, lo=-1.0, hi=1.0)
+
     def test_wrong_shift_count_rejected(self):
         with pytest.raises(ConfigurationError):
             AmbiguityMap(
