@@ -190,7 +190,9 @@ def solve_deterministic_ode(
     """Backward value path of y' = -g(y) with y(horizon) given, classical RK4.
 
     Returns (times, values) on the uniform grid, values[0] being the value at
-    time zero.
+    time zero.  A non-finite value, or an ``OverflowError`` from the driver
+    (Python float powers raise one), raises :class:`DivergenceError` with the
+    node being computed.
     """
     if n_steps < 1:
         raise UsageError("need at least one step")
@@ -198,10 +200,15 @@ def solve_deterministic_ode(
     ys = np.empty(n_steps + 1)
     ys[-1] = float(terminal_value)
     y = float(terminal_value)
-    for i in range(n_steps, 0, -1):
-        y = y + _rk4_increment(optimized_driver, y, h, optimized_driver(y))
-        if not math.isfinite(y):
-            raise DivergenceError("deterministic value path became non-finite", node=i - 1)
-        ys[i - 1] = y
+    try:
+        for i in range(n_steps, 0, -1):
+            y = y + _rk4_increment(optimized_driver, y, h, optimized_driver(y))
+            if not math.isfinite(y):
+                raise DivergenceError("deterministic value path became non-finite", node=i - 1)
+            ys[i - 1] = y
+    except OverflowError as exc:
+        raise DivergenceError(
+            f"deterministic value path overflowed the driver near y = {y:.3e}", node=i - 1
+        ) from exc
     times = np.linspace(0.0, horizon, n_steps + 1)
     return times, ys

@@ -183,19 +183,18 @@ def _picard_options(params: dict) -> dict:
     return {name: params[name] for name in ("tol", "max_iter", "beta", "damping")}
 
 
-def _solve_configured(cfg: dict, args):
-    """Build the configured problem and solve it with every solver parameter.
-
-    Returns the problem, its time grid, the solver parameters, the solution
-    and the fixed-point report.
-    """
+def _configured(cfg: dict, args):
+    """The configured problem, its time grid and the solver parameters."""
     spec = build_problem(cfg["problem"])
     params = _solver_params(cfg.get("solver", {}), args)
-    grid = TimeGrid(spec.horizon, params["steps"])
-    sol, report = picard_solve(
+    return spec, TimeGrid(spec.horizon, params["steps"]), params
+
+
+def _solve(spec: ProblemSpec, grid: TimeGrid, params: dict):
+    """Solve with every solver parameter; returns the solution and the report."""
+    return picard_solve(
         spec, grid, params["particles"], seed=params["seed"], **_picard_options(params)
     )
-    return spec, grid, params, sol, report
 
 
 def _load_config(path: str | None) -> dict:
@@ -227,7 +226,8 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"problem", "solver"}, "config")
     t0 = time.perf_counter()
-    _, _, params, sol, report = _solve_configured(cfg, args)
+    spec, grid, params = _configured(cfg, args)
+    sol, report = _solve(spec, grid, params)
     wall = time.perf_counter() - t0
     out = _out_dir(args)
     t0 = time.perf_counter()
@@ -265,11 +265,9 @@ def _cmd_counterexample(args) -> int:
 def _cmd_application(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"problem", "solver"}, "config")
-    spec = build_problem(cfg["problem"])
-    params = _solver_params(cfg.get("solver", {}), args)
+    spec, grid, params = _configured(cfg, args)
     report = run_application(
-        spec, TimeGrid(spec.horizon, params["steps"]), params["particles"],
-        seed=params["seed"], **_picard_options(params),
+        spec, grid, params["particles"], seed=params["seed"], **_picard_options(params)
     )
     out = _out_dir(args)
     write_paths_csv(out / "paths_nonconvex.csv", report.solution_nonconvex)
@@ -288,7 +286,7 @@ def _cmd_pde_check(args) -> int:
     _reject_unknown(cfg, {"problem", "solver", "pde"}, "config")
     pde_cfg = cfg.get("pde", {})
     _reject_unknown(pde_cfg, {"nx", "nt", "x_min", "x_max", "cfl"}, "pde")
-    spec, grid, _, sol, _ = _solve_configured(cfg, args)
+    spec, grid, params = _configured(cfg, args)
     if {"nx", "nt", "x_min", "x_max"} <= set(pde_cfg):
         grid1d = Grid1D(
             _field(pde_cfg, "x_min", float, "pde"), _field(pde_cfg, "x_max", float, "pde"),
@@ -297,6 +295,7 @@ def _cmd_pde_check(args) -> int:
     else:
         nx = _field(pde_cfg, "nx", _integer, "pde", 201)
         grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", float, "pde", 0.45))
+    sol, _ = _solve(spec, grid, params)
     report = feynman_kac_check(spec, grid1d, grid, sol)
     out = _out_dir(args)
     _write_json(out / "feynman_kac_report.json", report.to_dict())
@@ -343,7 +342,8 @@ def _cmd_properties(args) -> int:
         }
 
     if "problem" in cfg:
-        spec, grid, _, sol, _ = _solve_configured(cfg, args)
+        spec, grid, params = _configured(cfg, args)
+        sol, _ = _solve(spec, grid, params)
         mart = martingale_diagnostics(spec, grid, sol)
         results["martingale_zscores"] = {
             "within_three_fraction": mart.within_three_fraction,

@@ -34,8 +34,9 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise GridError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        finite = math.isfinite(self.x_min) and math.isfinite(self.x_max)
+        if not (finite and self.x_min < self.x_max):
+            raise GridError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.nx < 3:
             raise GridError("need at least three space nodes")
         if self.nt < 1:
@@ -87,8 +88,13 @@ def default_grid(
 
     The domain is widened to include the drift's stationary means at the
     extreme controls, and the step count is chosen so both the diffusion and
-    the advection stability ratios stay below ``cfl``.
+    the advection stability ratios stay below ``cfl``.  Needs ``nx >= 3`` and
+    a finite positive ``cfl``.
     """
+    if nx < 3:
+        raise GridError("need at least three space nodes")
+    if not (math.isfinite(cfl) and cfl > 0):
+        raise GridError(f"cfl must be a finite positive number, got {cfl}")
     sigma, c0, c1 = _problem_pieces(spec)
     x0 = float(spec.x0[0])
     if half_width is None:

@@ -1,9 +1,11 @@
-"""Accuracy ledger, particle half: the Monte Carlo error of Y0 falls as n^-1/2.
+"""Accuracy ledger: error rates in particles and in time steps.
 
 On the README problem the solver's time-discrete target is known in closed
 form (``euler_y0`` in ``perfbench/workloads.py``, compiled from its file and
 never imported as a module), so the particle error can be measured apart
-from the time-stepping bias.
+from the time-stepping bias, and that bias against the continuous-time closed
+form (``CLOSED_FORM_Y0``) is first order in dt.  The deterministic quartic
+reduction integrates with RK4, fourth order in the step.
 """
 
 import math
@@ -14,22 +16,31 @@ import numpy as np
 from theta_fbsde import (
     AffineControlDrift,
     ConstantVolatility,
+    DeterministicSpec,
     LinearF0,
     LinearTerminal,
     ProblemSpec,
     QuadraticPenaltyDriver,
+    QuarticDriver,
     TimeGrid,
     picard_solve,
     static_set,
+    theta_expectation,
+    unconstrained_interval,
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def _euler_y0():
+def _workloads():
     namespace = {"__name__": "perfbench_workloads", "__file__": str(WORKLOADS)}
     exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), namespace)
-    return namespace["euler_y0"]
+    return namespace
+
+
+def _slope(steps, errors) -> float:
+    """Least-squares slope of log error against log dt = log(1 / steps)."""
+    return np.polyfit(-np.log(steps), np.log(errors), 1)[0]
 
 
 def readme_spec():
@@ -54,7 +65,7 @@ def test_particle_error_rate_is_one_half():
     """
     steps = 20
     grid = TimeGrid(1.0, steps)
-    target = _euler_y0()(steps)
+    target = _workloads()["euler_y0"](steps)
     counts = np.array([500, 2000, 8000])
     rms = []
     for n in counts:
@@ -63,3 +74,38 @@ def test_particle_error_rate_is_one_half():
         rms.append(math.sqrt(float(np.mean(np.square(errors)))))
     slope = np.polyfit(np.log(counts), np.log(rms), 1)[0]
     assert -0.75 <= slope <= -0.25, (slope, rms)
+
+
+def test_time_step_error_rate_is_one():
+    """|euler_y0(steps) - CLOSED_FORM_Y0| at steps 25, 50, 100 and 200.
+
+    The time-discrete target of the particle solver differs from the
+    continuous-time value by O(dt): the least-squares slope of log error
+    against log dt must lie in [0.9, 1.1]; it read 1.004 when written.
+    """
+    workloads = _workloads()
+    steps = np.array([25, 50, 100, 200])
+    errors = [abs(workloads["euler_y0"](int(n)) - workloads["CLOSED_FORM_Y0"]) for n in steps]
+    slope = _slope(steps, errors)
+    assert 0.9 <= slope <= 1.1, (slope, errors)
+
+
+def test_quartic_rk4_error_rate_is_four():
+    """E[0.1] of the quartic reduction at 8, 16 and 32 RK4 steps against 4096.
+
+    lambda = 2, gamma = 1, T = 1 on ``unconstrained_interval(driver, 1.0)``.
+    The slope of log error against log h must lie in [3.5, 4.5] and each
+    halving of h must cut the error by a factor in [12, 20]; they read 3.996
+    and 15.95 when written.  At 64 steps the error (3e-15) nears rounding, so
+    the fit stops at 32.
+    """
+    driver = QuarticDriver(2.0, 1.0)
+    spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), 1.0)
+    reference, _ = theta_expectation(spec, TimeGrid(1.0, 4096), xi=0.1)
+    steps = np.array([8, 16, 32])
+    errors = [abs(theta_expectation(spec, TimeGrid(1.0, int(n)), xi=0.1)[0] - reference)
+              for n in steps]
+    slope = _slope(steps, errors)
+    assert 3.5 <= slope <= 4.5, (slope, errors)
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(12.0 <= r <= 20.0 for r in ratios), ratios

@@ -7,7 +7,9 @@ which puts the state-free (``solve_csv``), law-dependent (``coupled_checks``)
 and state-dependent (``quartic_grid``) paths of the engine under test.
 ``coupled_checks`` draws noise twice: the translation check's base solve is
 served from the solution the workload holds, and only the shifted solve
-draws again.
+draws again.  ``quartic_grid`` integrates 10 deterministic valuations: the
+property suite and the counterexample ask for 18, and the repeats of one
+spec, terminal value and step count are served from the valuation memo.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from theta_fbsde import coupling
+from theta_fbsde import coupling, properties
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,14 +36,23 @@ def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
-    draws = []
-    original = coupling.brownian_increments
+    draws, integrations = [], []
 
-    def counting(*args):
-        draws.append(args)
-        return original(*args)
+    def counting(calls, original):
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-    monkeypatch.setattr(coupling, "brownian_increments", counting)
+        return counted
+
+    monkeypatch.setattr(
+        coupling, "brownian_increments", counting(draws, coupling.brownian_increments)
+    )
+    monkeypatch.setattr(
+        properties,
+        "solve_deterministic_ode",
+        counting(integrations, properties.solve_deterministic_ode),
+    )
     body = _load("workloads.py")["WORKLOADS"][workload](config_path, out)
     body.run()
     _, gates = body.check()
@@ -49,3 +60,5 @@ def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
     if workload == "coupled_checks":
         assert len(draws) == 2
         assert (out / "value_surface.csv").exists()
+    if workload == "quartic_grid":
+        assert len(integrations) == 10

@@ -264,3 +264,13 @@ class TestDeterministicIntegrator:
 
         with pytest.raises(DivergenceError):
             solve_deterministic_ode(g, 2.0, 1.0, 100)
+
+    def test_driver_overflow_is_divergence(self):
+        # a Python float power raises OverflowError before the value turns non-finite
+        def g(y):
+            return y ** 2
+
+        with pytest.raises(DivergenceError) as info:
+            solve_deterministic_ode(g, 1e200, 1.0, 10)
+        assert info.value.node == 9
+        assert isinstance(info.value.__cause__, OverflowError)

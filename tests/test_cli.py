@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from theta_fbsde import EmpiricalMeasure, Grid1D, SolutionPaths, write_paths_csv, write_surface_csv
+from theta_fbsde import cli
 from theta_fbsde.cli import _write_json, main
 
 APP_CONFIG = {
@@ -109,12 +110,20 @@ MALFORMED = [
 
 
 class TestMalformedInputs:
-    """Bad inputs end with exit 1 and one ``error:`` line, never a traceback."""
+    """Bad inputs end with exit 1 and one ``error:`` line, never a traceback.
+
+    Inputs that make the numerics diverge end with exit 2 and one
+    ``numerical failure:`` line.
+    """
 
     @staticmethod
     def assert_one_line_usage_error(code, err):
-        assert code == 1
-        assert err.startswith("error: ")
+        TestMalformedInputs.assert_one_line_failure(code, err, 1)
+
+    @staticmethod
+    def assert_one_line_failure(code, err, expected):
+        assert code == expected
+        assert err.startswith({1: "error: ", 2: "numerical failure: "}[expected])
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
@@ -146,13 +155,21 @@ class TestMalformedInputs:
         assert "damping" in err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--steps", "0"], ["--particles", "7"], ["--c", "nan"], ["--c", "inf"], ["--lambda", "inf"]],
-        ids=["steps=0", "particles=7", "c=nan", "c=inf", "lambda=inf"],
+        "flags, expected",
+        [
+            (["--steps", "0"], 1), (["--particles", "7"], 1), (["--c", "nan"], 1),
+            (["--c", "inf"], 1), (["--lambda", "inf"], 1),
+            # the value path overflows the quartic driver: a numerical failure
+            (["--c", "5"], 2), (["--c", "1e200"], 2), (["--T", "1e6", "--steps", "10"], 2),
+        ],
+        ids=[
+            "steps=0", "particles=7", "c=nan", "c=inf", "lambda=inf",
+            "c=5", "c=1e200", "T=1e6,steps=10",
+        ],
     )
-    def test_counterexample_flag(self, flags, capsys):
+    def test_counterexample_flag(self, flags, expected, capsys):
         code = main(["counterexample", "--lambda", "2", "--gamma", "1", *flags])
-        self.assert_one_line_usage_error(code, capsys.readouterr().err)
+        self.assert_one_line_failure(code, capsys.readouterr().err, expected)
 
     @pytest.mark.parametrize("c", [float("nan"), float("-inf")])
     def test_properties_counterexample_split(self, c, tmp_path, capsys):
@@ -162,6 +179,32 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         self.assert_one_line_usage_error(code, err)
         assert "'c'" in err
+
+    def test_properties_counterexample_divergence(self, tmp_path, capsys):
+        cfg_path = tmp_path / "props.json"
+        cfg_path.write_text(json.dumps({"counterexample": {"lambda": 2.0, "gamma": 1.0, "c": 3.0}}))
+        code = main(["properties", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        self.assert_one_line_failure(code, capsys.readouterr().err, 2)
+
+    @pytest.mark.parametrize(
+        "pde",
+        [
+            {"cfl": float("nan")}, {"cfl": 0}, {"cfl": -0.3}, {"cfl": float("inf")},
+            {"nx": 0}, {"nx": 1}, {"nx": 2},
+            {"nx": 3, "nt": 10, "x_min": 0.0, "x_max": float("inf")},
+        ],
+        ids=["cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "nx=0", "nx=1", "nx=2", "x_max=inf"],
+    )
+    def test_pde_grid_rejected_before_the_solve(self, pde, tmp_path, monkeypatch, capsys):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        cfg["pde"] = pde
+        cfg_path = tmp_path / "pde.json"
+        cfg_path.write_text(json.dumps(cfg))
+        solves = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *args, **kwargs: solves.append(args))
+        code = main(["pde-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        self.assert_one_line_usage_error(code, capsys.readouterr().err)
+        assert solves == []
 
     def test_removed_threads_flag(self, app_config, tmp_path, capsys):
         code = main(

@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from theta_fbsde import (
     AffineControlDrift,
     ConstantVolatility,
     DeterministicSpec,
+    DivergenceError,
     LinearF0,
     LinearTerminal,
     ParameterError,
@@ -76,6 +81,91 @@ class TestThetaExpectation:
     def test_deterministic_requires_numeric_terminal(self):
         with pytest.raises(UsageError):
             theta_expectation(quartic_spec(), TimeGrid(1.0, 10))
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """The argument tuples of every ODE integration the property layer runs."""
+    calls = []
+    original = properties.solve_deterministic_ode
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(properties, "solve_deterministic_ode", counting)
+    return calls
+
+
+class TestValuationMemo:
+    """Repeated deterministic valuations of one spec object are integrated once."""
+
+    def test_hit_returns_the_same_solution(self, integrations):
+        spec = quartic_spec()
+        y1, sol1 = theta_expectation(spec, TimeGrid(1.0, 100), xi=0.1)
+        y2, sol2 = theta_expectation(spec, TimeGrid(1.0, 100), xi=np.float64(0.1))
+        assert sol2 is sol1 and y2 == y1
+        assert len(integrations) == 1
+
+    def test_equal_but_distinct_spec_misses(self, integrations):
+        spec_a, spec_b = quartic_spec(), quartic_spec()
+        assert spec_a == spec_b and spec_a is not spec_b
+        grid = TimeGrid(1.0, 100)
+        _, sol_a = theta_expectation(spec_a, grid, xi=0.1)
+        _, sol_b = theta_expectation(spec_b, grid, xi=0.1)
+        assert sol_b is not sol_a
+        assert np.array_equal(sol_a.values, sol_b.values)
+        assert len(integrations) == 2
+
+    def test_other_step_count_misses(self, integrations):
+        spec = quartic_spec()
+        _, coarse = theta_expectation(spec, TimeGrid(1.0, 50), xi=0.1)
+        _, fine = theta_expectation(spec, TimeGrid(1.0, 100), xi=0.1)
+        assert coarse.values.size == 51 and fine.values.size == 101
+        assert len(integrations) == 2
+
+    def test_negative_zero_after_zero_misses(self, integrations):
+        spec, grid = quartic_spec(), TimeGrid(1.0, 20)
+        _, plus = theta_expectation(spec, grid, xi=0.0)
+        _, minus = theta_expectation(spec, grid, xi=-0.0)
+        assert minus is not plus
+        assert math.copysign(1.0, plus.values[-1]) == 1.0
+        assert math.copysign(1.0, minus.values[-1]) == -1.0
+        assert len(integrations) == 2
+
+    def test_arrays_are_read_only(self):
+        _, sol = theta_expectation(quartic_spec(), TimeGrid(1.0, 20), xi=0.1)
+        for array in (sol.times, sol.values):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_raising_valuation_is_never_stored(self, integrations):
+        spec, grid = quartic_spec(), TimeGrid(1.0, 100)
+        for _ in range(2):
+            with pytest.raises(DivergenceError):
+                theta_expectation(spec, grid, xi=-5.0)
+        assert len(integrations) == 2
+
+    def test_oldest_entry_dropped_at_the_bound(self, integrations):
+        spec, grid = quartic_spec(), TimeGrid(1.0, 10)
+        kept = properties._VALUATIONS_KEPT
+        assert kept >= 5  # the CLI property suite values 5 distinct terminals
+        xis = [0.01 * k for k in range(kept + 1)]
+        for xi in xis:
+            theta_expectation(spec, grid, xi=xi)
+        for xi in reversed(xis[1:]):
+            theta_expectation(spec, grid, xi=xi)
+        assert len(integrations) == kept + 1
+        theta_expectation(spec, grid, xi=xis[0])
+        assert len(integrations) == kept + 2
+
+    def test_nothing_held_once_the_spec_is_collected(self):
+        spec = quartic_spec()
+        _, sol = theta_expectation(spec, TimeGrid(1.0, 20), xi=0.1)
+        spec_ref, sol_ref = weakref.ref(spec), weakref.ref(sol)
+        del spec, sol
+        gc.collect()
+        assert spec_ref() is None and sol_ref() is None
 
 
 class TestDynamicConsistency:
