@@ -40,6 +40,7 @@ from .optimizer import (
 from .pde import (
     FeynmanKacReport,
     Grid1D,
+    check_stability,
     constant_flow,
     default_grid,
     feynman_kac_check,

@@ -19,7 +19,7 @@ from ._atomic import atomic_write
 from .coupling import picard_solve
 from .errors import NumericalError, UsageError
 from .optimizer import LinearF0, QuarticDriver, TableF0, ZeroF0, unconstrained_interval
-from .pde import Grid1D, default_grid, feynman_kac_check, write_surface_csv
+from .pde import Grid1D, check_stability, default_grid, feynman_kac_check, write_surface_csv
 from .properties import (
     DeterministicSpec,
     check_dynamic_consistency,
@@ -281,13 +281,20 @@ def _cmd_application(args) -> int:
     return 0
 
 
-def _cmd_pde_check(args) -> int:
-    cfg = _load_config(args.config)
-    _reject_unknown(cfg, {"problem", "solver", "pde"}, "config")
-    pde_cfg = cfg.get("pde", {})
-    _reject_unknown(pde_cfg, {"nx", "nt", "x_min", "x_max", "cfl"}, "pde")
-    spec, grid, params = _configured(cfg, args)
-    if {"nx", "nt", "x_min", "x_max"} <= set(pde_cfg):
+def _pde_grid(spec: ProblemSpec, pde_cfg: dict) -> Grid1D:
+    """The grid of a ``"pde"`` section, checked for stability before any solve.
+
+    ``nt``, ``x_min`` and ``x_max`` come together with ``nx`` (an explicit
+    grid) or not at all (the default grid, built from ``nx`` and ``cfl``).
+    """
+    if {"nt", "x_min", "x_max"} & set(pde_cfg):
+        missing = sorted({"nx", "nt", "x_min", "x_max"} - set(pde_cfg))
+        if missing:
+            raise UsageError(
+                f"an explicit pde grid needs nx, nt, x_min and x_max; missing {', '.join(missing)}"
+            )
+        if "cfl" in pde_cfg:
+            raise UsageError("cfl sets the default pde grid only; drop it or nt, x_min and x_max")
         grid1d = Grid1D(
             _field(pde_cfg, "x_min", float, "pde"), _field(pde_cfg, "x_max", float, "pde"),
             _field(pde_cfg, "nx", _integer, "pde"), _field(pde_cfg, "nt", _integer, "pde"),
@@ -295,6 +302,17 @@ def _cmd_pde_check(args) -> int:
     else:
         nx = _field(pde_cfg, "nx", _integer, "pde", 201)
         grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", float, "pde", 0.45))
+    check_stability(spec, grid1d)
+    return grid1d
+
+
+def _cmd_pde_check(args) -> int:
+    cfg = _load_config(args.config)
+    _reject_unknown(cfg, {"problem", "solver", "pde"}, "config")
+    pde_cfg = cfg.get("pde", {})
+    _reject_unknown(pde_cfg, {"nx", "nt", "x_min", "x_max", "cfl"}, "pde")
+    spec, grid, params = _configured(cfg, args)
+    grid1d = _pde_grid(spec, pde_cfg)
     sol, _ = _solve(spec, grid, params)
     report = feynman_kac_check(spec, grid1d, grid, sol)
     out = _out_dir(args)

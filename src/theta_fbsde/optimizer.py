@@ -2,8 +2,16 @@
 
 Under the declared concavity modulus the control derivative of the objective
 is strictly decreasing, so each interval holds at most one stationary point.
-A Newton iteration bracketed by bisection finds it without tuning; endpoint
-derivative signs decide clamping before any iteration starts.
+A driver that knows its unconstrained maximizer in closed form exposes it as
+``stationary_control(state)``; the maximizer on an interval is then that point
+clipped to the interval.  Both built-in families do: ``w0`` for the
+quadratic penalty, and for the quartic the one real root of its stationarity
+cubic (hyperbolic cubic formula plus one Newton step, within
+``2 * _DERIV_TOL / (lam - gamma)`` of the bracketed Newton root).  Any other
+driver, :class:`GenericDriver` among them, runs a Newton iteration bracketed
+by bisection, with endpoint derivative signs deciding clamping before any
+iteration starts; it checks the second derivative's sign at every step.
+Either way the per-interval candidates go through one comparison and tie rule.
 """
 
 from __future__ import annotations
@@ -125,6 +133,10 @@ class QuadraticPenaltyDriver:
     def d2_da2(self, state: DriverState, a):
         return -self.kappa + 0.0 * a
 
+    def stationary_control(self, state: DriverState):
+        """Unconstrained maximizer: ``w0`` at every state."""
+        return self.w0
+
 
 @dataclass(frozen=True)
 class QuarticDriver:
@@ -160,6 +172,23 @@ class QuarticDriver:
 
     def d2_da2(self, state: DriverState, a):
         return -self.gamma * (3.0 * a * a - 1.0) - self.lam
+
+    def stationary_control(self, state: DriverState):
+        """Unconstrained maximizer: the real root of gamma a^3 + (lam - gamma) a = lam y.
+
+        With p = (lam - gamma) / gamma > 0 the cubic has one real root,
+        2 sqrt(p/3) sinh(asinh(3 lam y / (2 gamma p) sqrt(3/p)) / 3), followed
+        here by one Newton step.  numpy's ``arcsinh`` and ``sinh`` serve a
+        scalar ``y`` too (``math.asinh`` and ``math.sinh`` round differently
+        on some inputs), so a float gets the bits of the same array element;
+        the rest of the scalar path stays in Python floats.
+        """
+        p = (self.lam - self.gamma) / self.gamma
+        r = math.sqrt(p / 3.0)
+        s = 2.0 * r * np.sinh(np.arcsinh(1.5 * self.lam / (self.gamma * p * r) * state.y) / 3.0)
+        if s.ndim == 0:
+            s = float(s)
+        return s - self.d_da(state, s) / self.d2_da2(state, s)
 
 
 @dataclass(frozen=True)
@@ -255,19 +284,33 @@ def _argmax_on_interval(driver, state, lo, hi):
     return a, "interior", g
 
 
+def _clipped(s, lo, hi):
+    """The concave maximizer on [lo, hi] given the unconstrained one ``s``."""
+    if s <= lo:
+        return lo, "lower"
+    if s >= hi:
+        return hi, "upper"
+    return s, "interior"
+
+
 def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerResult:
     """Constrained argmax of the driver at one state point.
 
     Per-interval candidates are compared with an absolute tie tolerance; ties
     resolve toward the smaller control and raise the tie flag.
     """
+    stationary = getattr(driver, "stationary_control", None)
+    s = None if stationary is None else stationary(state)
     best: OptimizerResult | None = None
     tie = False
     for idx, (lo, hi) in enumerate(uset.intervals):
         if lo == hi:
             a, boundary, resid = lo, "point", 0.0
-        else:
+        elif s is None:
             a, boundary, resid = _argmax_on_interval(driver, state, lo, hi)
+        else:
+            a, boundary = _clipped(s, lo, hi)
+            resid = driver.d_da(state, a)
         val = float(driver.value(state, a))
         if best is None or val > best.value + _TIE_TOL:
             best = OptimizerResult(a, val, boundary, False, idx, abs(resid))
@@ -283,14 +326,8 @@ def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerR
     return best
 
 
-def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise :func:`maximize_over` on one set: arrays ``(a_star, tie_flag)``.
-
-    The batch has the shape of ``state.y``; ``x`` and ``z`` carry it as leading
-    axes.  Each element runs the scalar path's floating-point operations under
-    an active mask, so controls and tie flags equal the scalar ones bit for bit.
-    """
-    shape = np.shape(state.y)
+def _newton_batch(driver, state: DriverState, shape, lo, hi) -> np.ndarray:
+    """Element-wise :func:`_argmax_on_interval` on ``lo < hi``, under an active mask."""
 
     def grad(a, mask):
         g2 = np.broadcast_to(driver.d2_da2(state, a), shape)
@@ -302,28 +339,47 @@ def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.
             raise ConcavityError(msg, witness=(state._replace(x=x, y=y, z=z), float(a[k])))
         return driver.d_da(state, a), g2
 
+    a = np.full(shape, lo)
+    active = grad(a, np.ones(shape, bool))[0] > 0.0
+    a_lo, a_hi = a, np.full(shape, hi)
+    upper = active & (grad(a_hi, active)[0] >= 0.0)
+    active &= ~upper
+    a = np.where(upper, hi, np.where(active, 0.5 * (lo + hi), lo))
+    for _ in range(_MAX_ITER):
+        if not active.any():
+            break
+        g, g2 = grad(a, active)
+        active &= ~(np.abs(g) <= _DERIV_TOL)
+        a_lo = np.where(active & (g > 0.0), a, a_lo)
+        a_hi = np.where(active & ~(g > 0.0), a, a_hi)
+        ulp4 = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(a_lo), np.abs(a_hi)), 1.0))
+        active &= ~(a_hi - a_lo <= ulp4)
+        with np.errstate(all="ignore"):
+            step = a - g / g2
+        inside = (a_lo < step) & (step < a_hi) & np.isfinite(step)
+        a = np.where(active, np.where(inside, step, 0.5 * (a_lo + a_hi)), a)
+    return a
+
+
+def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise :func:`maximize_over` on one set: arrays ``(a_star, tie_flag)``.
+
+    The batch has the shape of ``state.y``; ``x`` and ``z`` carry it as leading
+    axes.  Each element runs the scalar path's floating-point operations (the
+    clip of the stationary control, or Newton under an active mask), so
+    controls and tie flags equal the scalar ones bit for bit.
+    """
+    shape = np.shape(state.y)
+    stationary = getattr(driver, "stationary_control", None)
+    s = None if stationary is None else np.broadcast_to(stationary(state), shape)
     best_a = best_val = tie = None
     for lo, hi in uset.intervals:
-        a = np.full(shape, lo)
-        if lo != hi:
-            active = grad(a, np.ones(shape, bool))[0] > 0.0
-            a_lo, a_hi = a, np.full(shape, hi)
-            upper = active & (grad(a_hi, active)[0] >= 0.0)
-            active &= ~upper
-            a = np.where(upper, hi, np.where(active, 0.5 * (lo + hi), lo))
-            for _ in range(_MAX_ITER):
-                if not active.any():
-                    break
-                g, g2 = grad(a, active)
-                active &= ~(np.abs(g) <= _DERIV_TOL)
-                a_lo = np.where(active & (g > 0.0), a, a_lo)
-                a_hi = np.where(active & ~(g > 0.0), a, a_hi)
-                ulp4 = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(a_lo), np.abs(a_hi)), 1.0))
-                active &= ~(a_hi - a_lo <= ulp4)
-                with np.errstate(all="ignore"):
-                    step = a - g / g2
-                inside = (a_lo < step) & (step < a_hi) & np.isfinite(step)
-                a = np.where(active, np.where(inside, step, 0.5 * (a_lo + a_hi)), a)
+        if lo == hi:
+            a = np.full(shape, lo)
+        elif s is None:
+            a = _newton_batch(driver, state, shape, lo, hi)
+        else:
+            a = np.where(s <= lo, lo, np.where(s >= hi, hi, s))
         val = np.broadcast_to(driver.value(state, a), shape)
         if best_a is None:
             best_a, best_val, tie = a, val, np.zeros(shape, bool)

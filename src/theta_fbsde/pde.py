@@ -119,6 +119,20 @@ def default_grid(
     return Grid1D(lo, hi, nx, nt)
 
 
+def check_stability(spec: ProblemSpec, grid1d: Grid1D) -> None:
+    """Raise :class:`GridError` unless the explicit scheme's ``sigma^2 dt / dx^2 <= 0.5``.
+
+    The ratio needs only the problem and the grid, so callers can check it
+    before any other work.
+    """
+    sigma = _problem_pieces(spec)[0]
+    ratio = sigma * sigma * grid1d.dt(spec.horizon) / (grid1d.dx * grid1d.dx)
+    if ratio > 0.5 + 1e-12:
+        raise GridError(
+            f"stability ratio sigma^2 dt / dx^2 = {ratio:.4f} exceeds 0.5; refine time"
+        )
+
+
 def solve_hjb(
     spec: ProblemSpec, grid1d: Grid1D, measure_flow: MeasureFlow | None = None
 ) -> np.ndarray:
@@ -131,14 +145,10 @@ def solve_hjb(
     second derivative is extrapolated to zero and the missing one-sided slopes
     are extrapolated as constants.
     """
+    check_stability(spec, grid1d)
     sigma, c0, c1 = _problem_pieces(spec)
     dt = grid1d.dt(spec.horizon)
     dx = grid1d.dx
-    ratio = sigma * sigma * dt / (dx * dx)
-    if ratio > 0.5 + 1e-12:
-        raise GridError(
-            f"stability ratio sigma^2 dt / dx^2 = {ratio:.4f} exceeds 0.5; refine time"
-        )
     if measure_flow is None:
         measure_flow = constant_flow(EmpiricalMeasure(np.array([spec.terminal_at_start()])))
 

@@ -4,8 +4,9 @@ On the README problem the solver's time-discrete target is known in closed
 form (``euler_y0`` in ``perfbench/workloads.py``, compiled from its file and
 never imported as a module), so the particle error can be measured apart
 from the time-stepping bias, and that bias against the continuous-time closed
-form (``CLOSED_FORM_Y0``) is first order in dt.  The deterministic quartic
-reduction integrates with RK4, fourth order in the step.
+form (``CLOSED_FORM_Y0``) is first order in dt.  The explicit grid solver
+on the same problem is first order in its time step too.  The deterministic
+quartic reduction integrates with RK4, fourth order in the step.
 """
 
 import math
@@ -23,7 +24,9 @@ from theta_fbsde import (
     QuadraticPenaltyDriver,
     QuarticDriver,
     TimeGrid,
+    default_grid,
     picard_solve,
+    solve_hjb,
     static_set,
     theta_expectation,
     unconstrained_interval,
@@ -88,6 +91,29 @@ def test_time_step_error_rate_is_one():
     errors = [abs(workloads["euler_y0"](int(n)) - workloads["CLOSED_FORM_Y0"]) for n in steps]
     slope = _slope(steps, errors)
     assert 0.9 <= slope <= 1.1, (slope, errors)
+
+
+def test_grid_solver_error_rate_is_one():
+    """|v(0, x0) - CLOSED_FORM_Y0| of ``solve_hjb`` on ``default_grid`` at nx 51 to 401.
+
+    The README problem's set is static, so the grid solve needs no measure
+    flow and carries no Monte Carlo noise.  The monotone explicit scheme
+    converges at first order (Barles-Souganidis 1991), and here its error is
+    set by the time step: about 0.043 dt on every grid.  The least-squares
+    slope of log error against log dt must lie in [0.9, 1.1]; it read 1.002
+    when written.  A change that trades grid accuracy for speed bends it.
+    """
+    spec = readme_spec()
+    target = _workloads()["CLOSED_FORM_Y0"]
+    steps, errors = [], []
+    for nx in (51, 101, 201, 401):
+        grid1d = default_grid(spec, nx=nx)
+        v0 = float(np.interp(1.0, grid1d.xs, solve_hjb(spec, grid1d)[0]))
+        steps.append(grid1d.nt)
+        errors.append(abs(v0 - target))
+    slope = _slope(np.array(steps), errors)
+    assert 0.9 <= slope <= 1.1, (slope, steps, errors)
+    assert all(0.02 <= e * n <= 0.08 for e, n in zip(errors, steps)), (steps, errors)
 
 
 def test_quartic_rk4_error_rate_is_four():

@@ -192,8 +192,18 @@ class TestMalformedInputs:
             {"cfl": float("nan")}, {"cfl": 0}, {"cfl": -0.3}, {"cfl": float("inf")},
             {"nx": 0}, {"nx": 1}, {"nx": 2},
             {"nx": 3, "nt": 10, "x_min": 0.0, "x_max": float("inf")},
+            # the explicit scheme's stability ratio, checked where the grid is built
+            {"cfl": 0.9},
+            {"nx": 201, "nt": 10, "x_min": -1.0, "x_max": 3.0},
+            # settings the chosen grid would not use
+            {"nt": 1}, {"x_min": 0.0}, {"nx": 51, "nt": 400, "x_min": 0.0},
+            {"nx": 51, "nt": 400, "x_min": 0.0, "x_max": 2.0, "cfl": 0.4},
         ],
-        ids=["cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "nx=0", "nx=1", "nx=2", "x_max=inf"],
+        ids=[
+            "cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "nx=0", "nx=1", "nx=2", "x_max=inf",
+            "cfl=0.9", "explicit_nt_too_small", "partial_nt", "partial_x_min",
+            "partial_no_x_max", "cfl_with_explicit_grid",
+        ],
     )
     def test_pde_grid_rejected_before_the_solve(self, pde, tmp_path, monkeypatch, capsys):
         cfg = json.loads(json.dumps(APP_CONFIG))

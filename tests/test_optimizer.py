@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from theta_fbsde import optimizer
 from theta_fbsde import (
     AffineTheta,
     AmbiguityMap,
@@ -247,6 +248,91 @@ class TestMaximizeBatch:
         with pytest.raises(ConcavityError) as scalar_err:
             maximize_over(WIDE, driver, point)
         assert scalar_err.value.witness[1] == a
+
+
+def newton_oracle(driver):
+    """The same objective without a closed form, so the argmax runs bracketed Newton."""
+    return GenericDriver(
+        value_fn=driver.value, d_da_fn=driver.d_da, d2_da2_fn=driver.d2_da2, kappa=driver.kappa
+    )
+
+
+class TestClosedFormArgmax:
+    # (lam, gamma): lam - gamma = 0.1 is the near-degenerate pair, where the
+    # Newton root's own tolerance 1e-12 / (lam - gamma) is loosest
+    PAIRS = [(2.0, 1.0), (1.1, 1.0), (3.1, 3.0), (6.0, 0.5), (0.35, 0.25)]
+    SETS = [
+        WIDE, TWO_REGIME, POINTED,
+        IntervalUnion(((-2.0, -0.5), (0.5, 2.0))),
+        IntervalUnion(((-1.0, -1.0), (-0.25, 0.1), (0.3, 0.3), (0.9, 4.0))),
+    ]
+
+    @pytest.mark.parametrize("lam,gamma", PAIRS)
+    def test_quartic_matches_newton(self, lam, gamma):
+        driver = QuarticDriver(lam, gamma)
+        oracle = newton_oracle(driver)
+        bound = 2.0 * optimizer._DERIV_TOL / (lam - gamma)
+        for uset in self.SETS:
+            # a y whose stationary control sits at each gap midpoint, and the midpoints as y
+            mids = np.array(gap_midpoints(uset))
+            ys = np.concatenate((
+                np.linspace(-6.0, 6.0, 2401),
+                mids,
+                (gamma * mids**3 + (lam - gamma) * mids) / lam,
+            ))
+            state = DriverState(y=ys)
+            a, tie = maximize_batch(uset, driver, state)
+            a_ref, tie_ref = maximize_batch(uset, oracle, state)
+            assert np.array_equal(tie, tie_ref)
+            assert np.max(np.abs(a - a_ref)) <= bound
+
+    @pytest.mark.parametrize("lam,gamma", PAIRS)
+    def test_quartic_stationary_point_on_an_endpoint(self, lam, gamma):
+        driver = QuarticDriver(lam, gamma)
+        oracle = newton_oracle(driver)
+        bound = 2.0 * optimizer._DERIV_TOL / (lam - gamma)
+        for y in np.linspace(-6.0, 6.0, 49):
+            state = DriverState(y=float(y))
+            s = driver.stationary_control(state)
+            assert abs(driver.d_da(state, s)) <= 1e-12 * max(1.0, lam * abs(y))
+            for uset in (IntervalUnion(((s, s + 1.0),)), IntervalUnion(((s - 1.0, s),)),
+                         IntervalUnion(((s - 2.0, s - 1.0), (s, s + 1.0)))):
+                res = maximize_over(uset, driver, state)
+                ref = maximize_over(uset, oracle, state)
+                assert res.a_star == s
+                assert res.active_boundary in ("lower", "upper")
+                assert res.tie_flag == ref.tie_flag
+                assert res.interval_index == ref.interval_index
+                assert abs(res.a_star - ref.a_star) <= bound
+
+    def test_boundary_labels_and_residual(self):
+        driver = QuadraticPenaltyDriver(kappa=2.0, w0=0.25)
+        state = DriverState()
+        for uset, boundary, a in [
+            (IntervalUnion(((0.25, 1.0),)), "lower", 0.25),
+            (IntervalUnion(((-1.0, 0.25),)), "upper", 0.25),
+            (IntervalUnion(((-1.0, 1.0),)), "interior", 0.25),
+            (IntervalUnion(((0.5, 1.0),)), "lower", 0.5),
+            (IntervalUnion(((0.25, 0.25),)), "point", 0.25),
+        ]:
+            res = maximize_over(uset, driver, state)
+            assert (res.a_star, res.active_boundary) == (a, boundary)
+            assert res.derivative_residual == abs(driver.d_da(state, a))
+
+    def test_built_in_families_never_run_newton(self, monkeypatch):
+        def newton(*args):
+            raise AssertionError("Newton ran for a driver with a closed-form stationary point")
+
+        monkeypatch.setattr(optimizer, "_argmax_on_interval", newton)
+        monkeypatch.setattr(optimizer, "_newton_batch", newton)
+        ys = np.linspace(-3.0, 3.0, 25)
+        for driver in (QuarticDriver(2.0, 1.0), QuadraticPenaltyDriver(kappa=1.0, w0=0.6)):
+            for uset in self.SETS:
+                maximize_batch(uset, driver, DriverState(y=ys))
+                for y in ys:
+                    maximize_over(uset, driver, DriverState(y=float(y)))
+        with pytest.raises(AssertionError, match="Newton ran"):
+            maximize_over(WIDE, newton_oracle(QuarticDriver(2.0, 1.0)), DriverState(y=0.5))
 
 
 class TestTableF0:
