@@ -26,7 +26,6 @@ from .optimizer import (
     QuadraticPenaltyDriver,
     QuarticDriver,
     TableF0,
-    ZeroF0,
     concavity_audit,
     driver_sup,
     envelope_derivative,

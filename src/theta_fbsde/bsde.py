@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DivergenceError, RegressionBasisError, UsageError
 from .measures import EmpiricalMeasure
 from .optimizer import DriverState
-from .sde import ProblemSpec, TimeGrid
+from .sde import ProblemSpec, TimeGrid, _node_controls
 
 REGRESSION_DEGREE = 3
 _CONDITION_LIMIT = 1e12
@@ -133,7 +133,8 @@ def solve_backward(
     regression of Y_{i+1}, and the driver is evaluated explicitly at the
     continuation value.  The terminal volatility row repeats the last
     estimated one; no fresh information arrives at the horizon.  The basis
-    holds the monomials up to total degree ``REGRESSION_DEGREE``.
+    holds the monomials up to total degree ``REGRESSION_DEGREE``.  ``controls``
+    has shape (n_nodes, n), one control per node and particle.
     """
     n_nodes = grid.n_nodes
     n = x_paths.shape[1]
@@ -142,9 +143,7 @@ def solve_backward(
         raise UsageError("forward paths must cover every grid node")
     if increments.shape != (grid.n_steps, n, d):
         raise UsageError("increments must match the forward paths that used them")
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = controls[:, None]
+    controls = _node_controls(controls, grid, n)
 
     times = grid.times
     dt = grid.dt
@@ -157,9 +156,8 @@ def solve_backward(
         fitted = _node_regression(x_paths[i], targets, REGRESSION_DEGREE).values
         cont = fitted[:, 0]
         z = fitted[:, 1:] / dt
-        a_i = controls[i] if controls.shape[1] == n else np.full(n, controls[i, 0])
         state = DriverState(t=times[i], x=x_paths[i], y=cont, z=z, mu=laws[i])
-        y_new = cont + np.asarray(driver.value(state, a_i), dtype=float) * dt
+        y_new = cont + np.asarray(driver.value(state, controls[i]), dtype=float) * dt
         if not np.all(np.isfinite(y_new)):
             raise DivergenceError("value process became non-finite", node=i)
         Y[i] = y_new

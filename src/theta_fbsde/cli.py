@@ -18,7 +18,7 @@ import numpy as np
 from ._atomic import atomic_write
 from .coupling import picard_solve
 from .errors import NumericalError, UsageError
-from .optimizer import LinearF0, QuarticDriver, TableF0, ZeroF0, unconstrained_interval
+from .optimizer import LinearF0, QuarticDriver, TableF0, unconstrained_interval
 from .pde import Grid1D, check_stability, default_grid, feynman_kac_check, write_surface_csv
 from .properties import (
     DeterministicSpec,
@@ -119,7 +119,7 @@ def _build_f0(cfg: dict):
     _reject_unknown(cfg, {"kind", "slope", "ys", "values"}, "f0")
     kind = cfg.get("kind", "zero")
     if kind == "zero":
-        return ZeroF0()
+        return LinearF0(0.0)
     if kind == "linear":
         return LinearF0(_field(cfg, "slope", float, "f0"))
     if kind == "table":
@@ -160,6 +160,10 @@ def build_problem(cfg: dict) -> ProblemSpec:
     )
 
 
+# The solver settings that a command-line flag can override.
+_SOLVER_FLAGS = ("particles", "steps", "seed", "tol", "max_iter")
+
+
 def _solver_params(cfg: dict, args) -> dict:
     defaults = {
         "particles": (_integer, 10_000), "steps": (_integer, 100), "seed": (_integer, 0),
@@ -171,7 +175,7 @@ def _solver_params(cfg: dict, args) -> dict:
         name: _field(cfg, name, convert, "solver", default)
         for name, (convert, default) in defaults.items()
     }
-    for name in ("particles", "steps", "seed", "tol", "max_iter"):
+    for name in _SOLVER_FLAGS:
         flag = getattr(args, name, None)
         if flag is not None:
             params[name] = flag
@@ -328,6 +332,15 @@ def _cmd_pde_check(args) -> int:
 def _cmd_properties(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"counterexample", "problem", "solver"}, "config")
+    if "problem" not in cfg:
+        unused = ["a 'solver' section"] if "solver" in cfg else []
+        unused += [
+            f"--{name.replace('_', '-')}" for name in _SOLVER_FLAGS if getattr(args, name) is not None
+        ]
+        if unused:
+            raise UsageError(
+                f"{', '.join(unused)} set the solve of a 'problem' section, and the config has none"
+            )
     results: dict[str, dict] = {}
 
     if "counterexample" in cfg:

@@ -17,7 +17,7 @@ Either way the per-interval candidates go through one comparison and tie rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,16 +39,6 @@ class DriverState(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # f0 term of the quadratic-penalty family
-
-
-@dataclass(frozen=True)
-class ZeroF0:
-    """f0 = 0."""
-
-    lipschitz = 0.0
-
-    def __call__(self, y):
-        return 0.0 * y
 
 
 @dataclass(frozen=True)
@@ -114,7 +104,7 @@ class QuadraticPenaltyDriver:
 
     kappa: float
     w0: float
-    f0: ZeroF0 | LinearF0 | TableF0 = field(default_factory=ZeroF0)
+    f0: LinearF0 | TableF0 = LinearF0(0.0)
 
     state_free_argmax = True
 
@@ -150,8 +140,6 @@ class QuarticDriver:
 
     lam: float
     gamma: float
-
-    state_free_argmax = False
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > self.gamma > 0.0):
@@ -206,7 +194,6 @@ class GenericDriver:
     d_da_fn: Callable
     d2_da2_fn: Callable
     kappa: float
-    state_free_argmax: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
@@ -404,18 +391,16 @@ def unconstrained_interval(driver: "QuarticDriver", y: float) -> IntervalUnion:
     return IntervalUnion(((-r, r),))
 
 
-def envelope_derivative(driver, y: float, control_set: IntervalUnion | None = None) -> float:
+def envelope_derivative(driver, y: float) -> float:
     """d/dy of the optimized quartic driver.
 
     Differentiating through the maximizer leaves only the explicit y
-    dependence of the anchor term: lam * (a*(y) - y).
+    dependence of the anchor term: lam * (a*(y) - y).  The maximizer is taken
+    over :func:`unconstrained_interval`, where it is interior.
     """
     if not isinstance(driver, QuarticDriver):
         raise UsageError("the envelope derivative is available for the quartic family only")
-    uset = control_set if control_set is not None else unconstrained_interval(driver, y)
-    res = maximize_over(uset, driver, DriverState(y=y))
-    if res.active_boundary != "interior":
-        raise UsageError("envelope derivative needs an interior maximizer; widen the control set")
+    res = maximize_over(unconstrained_interval(driver, y), driver, DriverState(y=y))
     return driver.lam * (res.a_star - y)
 
 
@@ -432,19 +417,17 @@ def second_derivative_at_zero(driver) -> float:
     return driver.lam * driver.gamma / (driver.lam - driver.gamma)
 
 
-def numeric_second_derivative(
-    driver, uset: IntervalUnion | None = None, y: float = 0.0, h: float = 1e-3
-) -> float:
-    """Central second difference of the optimized driver in y."""
-    if uset is None:
-        if not isinstance(driver, QuarticDriver):
-            raise UsageError("pass a control set for non-quartic families")
-        uset = unconstrained_interval(driver, abs(y) + h)
+def numeric_second_derivative(driver) -> float:
+    """Central second difference of the optimized quartic driver at y = 0, step 1e-3."""
+    if not isinstance(driver, QuarticDriver):
+        raise UsageError("the numeric curvature is available for the quartic family only")
+    h = 1e-3
+    uset = unconstrained_interval(driver, h)
 
-    def g(yy: float) -> float:
-        return driver_sup(uset, driver, DriverState(y=yy))
+    def g(y: float) -> float:
+        return driver_sup(uset, driver, DriverState(y=y))
 
-    return (g(y + h) - 2.0 * g(y) + g(y - h)) / (h * h)
+    return (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +442,19 @@ class ConcavityAudit:
 
 
 def concavity_audit(
-    driver,
-    n_samples: int = 1000,
-    *,
-    control_range: tuple[float, float] = (-5.0, 5.0),
-    y_range: tuple[float, float] = (-5.0, 5.0),
-    seed: int = 0,
+    driver, *, control_range: tuple[float, float] = (-5.0, 5.0)
 ) -> ConcavityAudit:
     """Sample states and controls and verify the declared concavity modulus.
 
-    The control sample always includes 0 and the range endpoints, where the
-    quartic family attains its modulus.
+    Draws 1000 controls from ``control_range`` and 1000 values y from
+    [-5, 5] with seed 0.  The control sample always includes 0 and the range
+    endpoints, where the quartic family attains its modulus.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     controls = np.concatenate(
-        ([0.0, control_range[0], control_range[1]], rng.uniform(*control_range, n_samples))
+        ([0.0, control_range[0], control_range[1]], rng.uniform(*control_range, 1000))
     )
-    ys = np.concatenate(([0.0, y_range[0], y_range[1]], rng.uniform(*y_range, n_samples)))
+    ys = np.concatenate(([0.0, -5.0, 5.0], rng.uniform(-5.0, 5.0, 1000)))
     min_modulus = math.inf
     witness = None
     for a, y in zip(controls, ys):

@@ -16,9 +16,9 @@ import numpy as np
 from .coupling import picard_solve
 from .errors import ParameterError, UsageError
 from .optimizer import (
+    LinearF0,
     QuadraticPenaltyDriver,
     QuarticDriver,
-    ZeroF0,
     concavity_audit,
     numeric_second_derivative,
     second_derivative_at_zero,
@@ -151,7 +151,7 @@ def build_application_spec(
     """Problem bundle for the ambiguous dynamical system."""
     drift = AffineControlDrift(np.asarray(C0, float), np.asarray(C1, float))
     vol = ConstantVolatility(np.asarray(sigma, float))
-    driver = QuadraticPenaltyDriver(kappa=kappa, w0=w0, f0=f0 if f0 is not None else ZeroF0())
+    driver = QuadraticPenaltyDriver(kappa=kappa, w0=w0, f0=f0 if f0 is not None else LinearF0(0.0))
     if terminal is None:
         terminal = LinearTerminal(np.ones(drift.C0.size))
     return ProblemSpec(

@@ -1,7 +1,7 @@
 """Forward particle simulation of the controlled state equation.
 
 The state follows an Euler scheme driven by Gaussian increments from
-counter-based per-particle streams, so parallel and serial runs, and runs over
+counter-based per-particle streams, so any particle batching, and runs over
 nested horizons, see bit-identical noise.
 """
 
@@ -170,6 +170,10 @@ class CallableTerminal:
 class ConstantTerminal:
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigurationError(f"constant terminal value must be finite, got {self.value}")
+
     def __call__(self, x):
         return np.full(x.shape[:-1], float(self.value))
 
@@ -194,6 +198,13 @@ class ProblemSpec:
         if x0.ndim != 1 or not np.all(np.isfinite(x0)):
             raise ConfigurationError("x0 must be a finite vector")
         object.__setattr__(self, "x0", x0)
+        if isinstance(self.volatility, ConstantVolatility):
+            shape = self.volatility.matrix.shape
+            if len(shape) != 2 or shape[0] != x0.size or shape[1] < 1:
+                raise ConfigurationError(
+                    f"volatility matrix sigma must be (state_dim, d) = ({x0.size}, d) with d >= 1,"
+                    f" got shape {shape}"
+                )
         d = self.noise_dim
         if hasattr(self.volatility, "noise_dim"):
             if d is not None and d != self.volatility.noise_dim:
@@ -249,43 +260,42 @@ def brownian_increments(
     return out
 
 
+def _node_controls(controls, grid: TimeGrid, n: int) -> np.ndarray:
+    """``controls`` as a float array, checked to hold one control per node and particle."""
+    controls = np.asarray(controls, dtype=float)
+    if controls.shape != (grid.n_nodes, n):
+        raise UsageError(
+            f"controls must be (n_nodes, n) = ({grid.n_nodes}, {n}), got {controls.shape}"
+        )
+    return controls
+
+
 def simulate_forward(
     spec: ProblemSpec,
     grid: TimeGrid,
     controls: np.ndarray,
     laws: Sequence[EmpiricalMeasure | None],
-    noise: int | np.ndarray,
+    increments: np.ndarray,
 ) -> np.ndarray:
     """Euler paths of the state under given controls and measure flow.
 
-    ``controls`` has shape (n_nodes, n) or (n_nodes,) for state-free controls;
-    the terminal row is unused.  ``noise`` is either an integer seed or a
-    precomputed increment array of shape (n_steps, n, noise_dim) already
-    scaled by sqrt(dt).  Returns an (n_nodes, n, k) array.
+    ``increments`` has shape (n_steps, n, noise_dim) and is already scaled by
+    sqrt(dt), as :func:`brownian_increments` draws it; ``controls`` has shape
+    (n_nodes, n), and its terminal row is unused.  Returns an (n_nodes, n, k)
+    array.
     """
     if abs(grid.horizon - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
         raise UsageError(
             f"grid horizon {grid.horizon} does not match the problem horizon {spec.horizon}"
         )
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 1:
-        controls = controls[:, None]
-    if controls.shape[0] != grid.n_nodes:
-        raise UsageError("controls must be given at every grid node")
-    if isinstance(noise, (int, np.integer)):
-        n = controls.shape[1]
-        increments = brownian_increments(int(noise), n, grid.n_steps, spec.noise_dim, grid.dt)
-    else:
-        increments = np.asarray(noise, dtype=float)
-        if increments.ndim != 3 or increments.shape[0] != grid.n_steps or increments.shape[2] != spec.noise_dim:
-            raise UsageError(
-                f"noise increments must be (n_steps, n, noise_dim), got {increments.shape}"
-            )
-        n = increments.shape[1]
-    if controls.shape[1] not in (1, n):
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 3 or increments.shape[::2] != (grid.n_steps, spec.noise_dim):
         raise UsageError(
-            f"controls are for {controls.shape[1]} particles but the noise carries {n}"
+            f"noise increments must be (n_steps, n, noise_dim) = ({grid.n_steps}, n,"
+            f" {spec.noise_dim}), got {increments.shape}"
         )
+    n = increments.shape[1]
+    controls = _node_controls(controls, grid, n)
 
     k = spec.state_dim
     xs = np.empty((grid.n_nodes, n, k))
@@ -293,9 +303,8 @@ def simulate_forward(
     xs[0] = x
     times = grid.times
     for i in range(grid.n_steps):
-        a_i = controls[i] if controls.shape[1] == n else np.full(n, controls[i, 0])
-        b = spec.drift(times[i], x, a_i, laws[i])
-        s = spec.volatility(times[i], x, a_i, laws[i])
+        b = spec.drift(times[i], x, controls[i], laws[i])
+        s = spec.volatility(times[i], x, controls[i], laws[i])
         if np.ndim(s) == 2:
             diffusion = increments[i] @ np.asarray(s).T
         else:

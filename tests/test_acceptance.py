@@ -101,7 +101,7 @@ def test_criterion_2_counterexample_derivatives():
         ) / (2.0 * h)
         assert abs(slope) <= 1e-6
         assert abs(slope - fd) <= 1e-6
-        curvature = numeric_second_derivative(driver, h=1e-3)
+        curvature = numeric_second_derivative(driver)
         assert curvature == pytest.approx(second_derivative_at_zero(driver), rel=1e-4)
         assert second_derivative_at_zero(driver) == pytest.approx(2.0)
         assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,35 @@ class TestMalformedInputs:
         self.assert_one_line_usage_error(code, capsys.readouterr().err)
         assert solves == []
 
+    @pytest.mark.parametrize(
+        "problem, named",
+        [
+            ({"sigma": [[0.3, 0.1], [0.2, 0.1]]}, "sigma"),
+            (
+                {
+                    "x0": [1.0, 1.0], "C0": [0.0, 0.0], "C1": [[0.25, 0.0], [0.0, 0.25]],
+                    "terminal": {"kind": "linear", "coeffs": [1.0, 1.0]}, "sigma": [[0.3]],
+                },
+                "sigma",
+            ),
+            ({"sigma": []}, "sigma"),
+            ({"terminal": {"kind": "constant", "value": float("nan")}}, "terminal value"),
+        ],
+        ids=["sigma_2x2_for_1d_state", "sigma_1x1_for_2d_state", "sigma_empty", "terminal_nan"],
+    )
+    def test_problem_rejected_when_built(self, problem, named, tmp_path, monkeypatch, capsys):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        cfg["problem"].update(problem)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        solves = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *args, **kwargs: solves.append(args))
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert named in err
+        assert solves == []
+
     def test_removed_threads_flag(self, app_config, tmp_path, capsys):
         code = main(
             ["solve", "--config", str(app_config), "--out", str(tmp_path / "o"), "--threads", "2"]
@@ -272,6 +302,27 @@ class TestSolveCommand:
         other = json.loads((out_b / "summary.json").read_text())
         assert (out_a / "paths.csv").read_bytes() != (out_b / "paths.csv").read_bytes()
         assert other["seed"] == 5
+
+
+def readme_config():
+    """The JSON block under "A problem config looks like:" in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tail = readme.split("A problem config looks like:", 1)[1]
+    block = re.search(r"```json\n(.*?)```", tail, re.S)
+    return json.loads(block.group(1))
+
+
+class TestReadmeExample:
+    def test_problem_config_solves(self, tmp_path, capsys):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(readme_config()))
+        out_dir = tmp_path / "o"
+        code = main([
+            "solve", "--config", str(path), "--particles", "200", "--steps", "10",
+            "--out", str(out_dir),
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads((out_dir / "summary.json").read_text())["converged"]
 
 
 class TestApplicationCommand:
@@ -350,6 +401,27 @@ class TestPropertiesCommand:
         path = tmp_path / "empty.json"
         path.write_text("{}")
         assert main(["properties", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, solver",
+        [
+            (["--particles", "3"], None), (["--seed", "7"], None), (["--tol", "-5"], None),
+            (["--steps", "1"], None), (["--max-iter", "2"], None),
+            (["--particles", "3", "--seed", "7", "--tol", "-5", "--steps", "1"], None),
+            ([], {"particles": 400}),
+        ],
+        ids=["particles", "seed", "tol", "steps", "max_iter", "four_flags", "solver_section"],
+    )
+    def test_solver_settings_need_a_problem_section(self, flags, solver, tmp_path, capsys):
+        cfg = {"counterexample": {"lambda": 2.0, "gamma": 1.0, "steps": 50}}
+        if solver is not None:
+            cfg["solver"] = solver
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "o"
+        code = main(["properties", "--config", str(path), "--out", str(out_dir), *flags])
+        TestMalformedInputs.assert_one_line_usage_error(code, capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_failed_check_exits_three(self, tmp_path, capsys):
         # a split too small for the RK4 defect to resolve trips the check

@@ -178,7 +178,7 @@ def jacobi_initial_state(spec, grid, n_particles, increments):
         a0 = base_set.project(spec.driver.w0)
     else:
         a0 = base_set.project(0.5 * (base_set.lower + base_set.upper))
-    controls = np.full((grid.n_nodes, 1), a0)
+    controls = np.full((grid.n_nodes, n_particles), a0)
     seed_law = EmpiricalMeasure(np.full(n_particles, spec.terminal_at_start()))
     X = simulate_forward(spec, grid, controls, [seed_law] * grid.n_nodes, increments)
     Y = np.tile(np.asarray(spec.terminal(X[-1]), dtype=float), (grid.n_nodes, 1))

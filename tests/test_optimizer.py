@@ -16,7 +16,6 @@ from theta_fbsde import (
     QuadraticPenaltyDriver,
     QuarticDriver,
     UsageError,
-    ZeroF0,
     concavity_audit,
     driver_sup,
     envelope_derivative,
@@ -406,7 +405,7 @@ class TestSecondDerivative:
 
     def test_numeric_agreement(self):
         driver = QuarticDriver(2.0, 1.0)
-        numeric = numeric_second_derivative(driver, h=1e-3)
+        numeric = numeric_second_derivative(driver)
         assert numeric == pytest.approx(second_derivative_at_zero(driver), rel=1e-4)
 
     def test_invalid_parameters_rejected(self):

@@ -12,8 +12,10 @@ from theta_fbsde import (
     QuadraticPenaltyDriver,
     TableF0,
     TimeGrid,
+    UsageError,
     brownian_increments,
     simulate_forward,
+    solve_backward,
     static_set,
 )
 
@@ -34,6 +36,10 @@ def constant_controls(grid, n, value=1.0):
     return np.full((grid.n_nodes, n), value)
 
 
+def noise(grid, n, seed):
+    return brownian_increments(seed, n, grid.n_steps, 1, grid.dt)
+
+
 def dirac_laws(grid, n, value=0.0):
     law = EmpiricalMeasure(np.full(n, value))
     return [law] * grid.n_nodes
@@ -43,13 +49,17 @@ class TestForwardSimulation:
     def test_frozen_dynamics(self):
         spec = make_spec(AffineControlDrift(np.array([0.0]), np.array([[0.0]])), 0.0)
         grid = TimeGrid(1.0, 16)
-        xs = simulate_forward(spec, grid, constant_controls(grid, 32), dirac_laws(grid, 32), 0)
+        xs = simulate_forward(
+            spec, grid, constant_controls(grid, 32), dirac_laws(grid, 32), noise(grid, 32, 0)
+        )
         assert np.all(xs == 1.0)
 
     def test_constant_drift_exact(self):
         spec = make_spec(AffineControlDrift(np.array([0.7]), np.array([[0.0]])), 0.0)
         grid = TimeGrid(1.0, 10)
-        xs = simulate_forward(spec, grid, constant_controls(grid, 8), dirac_laws(grid, 8), 0)
+        xs = simulate_forward(
+            spec, grid, constant_controls(grid, 8), dirac_laws(grid, 8), noise(grid, 8, 0)
+        )
         assert xs[-1] == pytest.approx(1.0 + 0.7, abs=1e-14)
 
     def test_mean_reversion_matches_closed_form(self):
@@ -57,7 +67,9 @@ class TestForwardSimulation:
         spec = make_spec(AffineControlDrift(np.array([0.0]), np.array([[0.25]])), 0.3)
         grid = TimeGrid(1.0, 100)
         n = 10_000
-        xs = simulate_forward(spec, grid, constant_controls(grid, n), dirac_laws(grid, n), 11)
+        xs = simulate_forward(
+            spec, grid, constant_controls(grid, n), dirac_laws(grid, n), noise(grid, n, 11)
+        )
         sample_mean = float(np.mean(xs[-1]))
         se = float(np.std(xs[-1]) / np.sqrt(n))
         # Euler bias at dt = 0.01 is (1 - dt)^100 - e^-1, well below 3 SE here
@@ -66,7 +78,7 @@ class TestForwardSimulation:
     def test_determinism_bit_identical(self):
         spec = make_spec(AffineControlDrift(np.array([0.1]), np.array([[0.2]])), 0.5)
         grid = TimeGrid(1.0, 20)
-        args = (spec, grid, constant_controls(grid, 64), dirac_laws(grid, 64), 123)
+        args = (spec, grid, constant_controls(grid, 64), dirac_laws(grid, 64), noise(grid, 64, 123))
         xs1 = simulate_forward(*args)
         xs2 = simulate_forward(*args)
         assert np.array_equal(xs1, xs2)
@@ -74,7 +86,9 @@ class TestForwardSimulation:
     def test_degenerate_cloud_without_noise(self):
         spec = make_spec(AffineControlDrift(np.array([0.3]), np.array([[0.25]])), 0.0)
         grid = TimeGrid(1.0, 25)
-        xs = simulate_forward(spec, grid, constant_controls(grid, 16), dirac_laws(grid, 16), 5)
+        xs = simulate_forward(
+            spec, grid, constant_controls(grid, 16), dirac_laws(grid, 16), noise(grid, 16, 5)
+        )
         assert np.all(np.ptp(xs, axis=1) == 0.0)
 
     def test_divergence_reports_node(self):
@@ -84,7 +98,9 @@ class TestForwardSimulation:
         spec = make_spec(poisoned, 0.0)
         grid = TimeGrid(1.0, 8)
         with pytest.raises(DivergenceError) as err:
-            simulate_forward(spec, grid, constant_controls(grid, 4), dirac_laws(grid, 4), 0)
+            simulate_forward(
+                spec, grid, constant_controls(grid, 4), dirac_laws(grid, 4), noise(grid, 4, 0)
+            )
         assert err.value.node == 5
 
     def test_weak_error_halves_with_step(self):
@@ -103,6 +119,33 @@ class TestForwardSimulation:
         d_coarse = abs(means[100] - means[200])
         d_fine = abs(means[200] - means[400])
         assert d_coarse / d_fine == pytest.approx(2.0, rel=0.35)
+
+
+class TestStageInputs:
+    """Both stages take one control per node and particle and drawn increments."""
+
+    SPEC = make_spec(AffineControlDrift(np.array([0.1]), np.array([[0.2]])), 0.5)
+    GRID = TimeGrid(1.0, 5)
+
+    @pytest.mark.parametrize(
+        "shape", [(6,), (6, 1), (5, 8), (6, 7)],
+        ids=["per_node", "one_column", "no_terminal_row", "one_particle_short"],
+    )
+    def test_controls_shape_is_checked(self, shape):
+        spec, grid, n = self.SPEC, self.GRID, 8
+        laws = dirac_laws(grid, n)
+        increments = noise(grid, n, 0)
+        paths = simulate_forward(spec, grid, constant_controls(grid, n), laws, increments)
+        expected = r"\(n_nodes, n\) = \(6, 8\)"
+        with pytest.raises(UsageError, match=expected):
+            simulate_forward(spec, grid, np.ones(shape), laws, increments)
+        with pytest.raises(UsageError, match=expected):
+            solve_backward(spec, grid, paths, np.ones(shape), laws, increments)
+
+    def test_seed_in_place_of_increments_is_rejected(self):
+        grid = self.GRID
+        with pytest.raises(UsageError, match="noise increments"):
+            simulate_forward(self.SPEC, grid, constant_controls(grid, 8), dirac_laws(grid, 8), 0)
 
 
 class TestNoiseStreams:
