@@ -21,6 +21,10 @@ from .sde import ProblemSpec, TimeGrid, _node_controls
 
 REGRESSION_DEGREE = 3
 _CONDITION_LIMIT = 1e12
+# Largest condition number fitted from the normal equations, whose rounding
+# grows like eps * cond^2: eps * 64^2 is about 9e-13, inside the 1e-12 drift
+# the outputs promise.  Worse-conditioned nodes take the reduced QR (eps * cond).
+_MOMENT_FIT_COND = 64.0
 _DEGENERATE_SPREAD = 1e-13
 
 
@@ -62,7 +66,9 @@ class NodeFit:
     standardized with ``mean`` and ``std`` before the basis is built.  With no
     active coordinate the basis is the constant and ``coef`` holds the means.
     ``values`` are the fitted values at the training states and ``cond`` the
-    condition number of the design matrix.
+    condition number of the design matrix, whichever way the fit was solved
+    (from the eigenvalues of its moment matrix, or from the singular values of
+    its QR factor).
     """
 
     active: np.ndarray
@@ -83,11 +89,15 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     """Fitted conditional expectations of each target column given the state.
 
     The state is standardized per node and frozen coordinates are dropped, so
-    a fully degenerate cloud reduces to plain means.  One reduced QR of the
-    design matrix gives the fitted values ``Q (Q^T T)``, the coefficients from
-    ``R c = Q^T T`` and the condition number from the singular values of ``R``,
-    which are those of the design matrix.  Fewer rows than basis columns or a
-    condition number above 1e12 aborts the sweep.
+    a fully degenerate cloud reduces to plain means.  The fit is read from the
+    p x p moment matrix ``G = Phi^T Phi`` of the design matrix ``Phi``: its
+    eigenvalues give ``cond(Phi) = sqrt(lmax / lmin)``, and when that is at
+    most ``_MOMENT_FIT_COND`` the coefficients solve ``G c = Phi^T T`` and the
+    fitted values are ``Phi c``.  Otherwise one reduced QR of ``Phi`` gives the
+    fitted values ``Q (Q^T T)``, the coefficients from ``R c = Q^T T`` and the
+    condition number from the singular values of ``R``, which are those of
+    ``Phi``.  Fewer rows than basis columns or a condition number above 1e12
+    aborts the sweep.
     """
     scale = max(1.0, float(np.max(np.abs(x))))
     spread = np.max(x, axis=0) - np.min(x, axis=0)
@@ -106,6 +116,13 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
         raise RegressionBasisError(
             f"{n} particles cannot fit the {p} regression basis columns; use more particles"
         )
+    gram = phi.T @ phi
+    eigen = np.linalg.eigvalsh(gram)
+    if eigen[0] > 0:
+        cond = math.sqrt(eigen[-1] / eigen[0])
+        if cond <= _MOMENT_FIT_COND:
+            coef = np.linalg.solve(gram, phi.T @ targets)
+            return NodeFit(active, mean, std, degree, coef, phi @ coef, cond)
     q, r = np.linalg.qr(phi)
     singular = np.linalg.svd(r, compute_uv=False)
     cond = singular[0] / singular[-1] if singular[-1] > 0 else math.inf

@@ -95,16 +95,33 @@ def _field(cfg: dict, key: str, convert, context: str, *default):
         raise UsageError(f"malformed field '{key}' in {context}: {value!r}") from exc
 
 
+def _kind(cfg: dict, fields: dict[str, tuple[str, ...]], default: str, context: str) -> str:
+    """The ``kind`` of a section whose other fields are all ones that kind reads.
+
+    ``fields`` maps each kind to the fields it reads besides ``kind``.
+    """
+    _reject_unknown(cfg, {"kind"}.union(*fields.values()), context)
+    kind = cfg.get("kind", default)
+    if not isinstance(kind, str) or kind not in fields:
+        raise UsageError(f"unknown {context} kind {kind!r}")
+    for key in cfg:
+        if key != "kind" and key not in fields[kind]:
+            raise UsageError(f"field '{key}' does not apply to {context} kind '{kind}'")
+    return kind
+
+
+_THETA_RULE_FIELDS = {"constant": ("value",), "affine": ("alpha", "beta", "bounds")}
+_F0_FIELDS = {"zero": (), "linear": ("slope",), "table": ("ys", "values")}
+_TERMINAL_FIELDS = {"linear": ("coeffs",), "quadratic": (), "constant": ("value",)}
+
+
 def _build_theta_rule(cfg: dict):
-    _reject_unknown(cfg, {"kind", "value", "alpha", "beta", "bounds"}, "theta_rule")
-    kind = cfg.get("kind", "constant")
+    kind = _kind(cfg, _THETA_RULE_FIELDS, "constant", "theta_rule")
     if kind == "constant":
         return ConstantTheta(_field(cfg, "value", float, "theta_rule", 0.0))
-    if kind == "affine":
-        lo, hi = _field(cfg, "bounds", _pair, "theta_rule")
-        alpha = _field(cfg, "alpha", float, "theta_rule", 0.0)
-        return AffineTheta(alpha, _field(cfg, "beta", float, "theta_rule", 0.0), lo, hi)
-    raise UsageError(f"unknown theta_rule kind '{kind}'")
+    lo, hi = _field(cfg, "bounds", _pair, "theta_rule")
+    alpha = _field(cfg, "alpha", float, "theta_rule", 0.0)
+    return AffineTheta(alpha, _field(cfg, "beta", float, "theta_rule", 0.0), lo, hi)
 
 
 def build_ambiguity(cfg: dict) -> AmbiguityMap:
@@ -116,27 +133,21 @@ def build_ambiguity(cfg: dict) -> AmbiguityMap:
 
 
 def _build_f0(cfg: dict):
-    _reject_unknown(cfg, {"kind", "slope", "ys", "values"}, "f0")
-    kind = cfg.get("kind", "zero")
+    kind = _kind(cfg, _F0_FIELDS, "zero", "f0")
     if kind == "zero":
         return LinearF0(0.0)
     if kind == "linear":
         return LinearF0(_field(cfg, "slope", float, "f0"))
-    if kind == "table":
-        return TableF0(_field(cfg, "ys", _array, "f0"), _field(cfg, "values", _array, "f0"))
-    raise UsageError(f"unknown f0 kind '{kind}'")
+    return TableF0(_field(cfg, "ys", _array, "f0"), _field(cfg, "values", _array, "f0"))
 
 
 def _build_terminal(cfg: dict):
-    _reject_unknown(cfg, {"kind", "coeffs", "value"}, "terminal")
-    kind = cfg.get("kind", "linear")
+    kind = _kind(cfg, _TERMINAL_FIELDS, "linear", "terminal")
     if kind == "linear":
         return LinearTerminal(_field(cfg, "coeffs", _array, "terminal", [1.0]))
     if kind == "quadratic":
         return QuadraticTerminal()
-    if kind == "constant":
-        return ConstantTerminal(_field(cfg, "value", float, "terminal"))
-    raise UsageError(f"unknown terminal kind '{kind}'")
+    return ConstantTerminal(_field(cfg, "value", float, "terminal"))
 
 
 def build_problem(cfg: dict) -> ProblemSpec:

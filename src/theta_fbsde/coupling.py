@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._memo import LastEntry
 from .bsde import REGRESSION_DEGREE, solve_backward
 from .errors import NoConvergenceError, NonContractionError, UsageError
 from .measures import EmpiricalMeasure
@@ -138,17 +139,9 @@ def _sweep(
     return X_new, Y_new, Z_new, ties
 
 
-@dataclass(frozen=True, eq=False)
-class _LastSolve:
-    """The last successful solve: the problem and solution by weak reference."""
-
-    spec: weakref.ref
-    key: tuple
-    solution: weakref.ref
-    report: PicardReport
-
-
-_last_solve: _LastSolve | None = None
+# the last successful solve: its key and spec, a weak reference to its
+# solution and a snapshot of its report
+_last_solve = LastEntry()
 
 
 def picard_solve(
@@ -177,7 +170,6 @@ def picard_solve(
     callables must be pure, so the same spec object always poses the same
     problem.
     """
-    global _last_solve
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"tol must be a finite positive number, got {tol}")
     if max_iter < 1:
@@ -193,11 +185,12 @@ def picard_solve(
         )
 
     key = (grid, n_particles, seed, tol, max_iter, beta, damping)
-    last = _last_solve
-    if last is not None and last.spec() is spec and last.key == key:
-        sol = last.solution()
+    held = _last_solve.get(key, owner=spec)
+    if held is not None:
+        sol_ref, held_report = held
+        sol = sol_ref()
         if sol is not None:
-            return sol, last.report.copy()
+            return sol, held_report.copy()
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles)
@@ -248,7 +241,7 @@ def picard_solve(
     for arr in (times, X, Y, Z, A):
         arr.flags.writeable = False
     sol = SolutionPaths(times=times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
-    _last_solve = _LastSolve(weakref.ref(spec), key, weakref.ref(sol), report.copy())
+    _last_solve.put(key, (weakref.ref(sol), report.copy()), owner=spec)
     return sol, report
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
-import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from ._memo import LastEntry
 from .bsde import REGRESSION_DEGREE, _node_regression, _rk4_increment, solve_deterministic_ode
 from .coupling import picard_solve
 from .errors import ParameterError, UsageError
@@ -98,21 +98,8 @@ def theta_expectation(
 _VALUATIONS_KEPT = 8
 
 
-@dataclass(frozen=True, eq=False)
-class _Valuations:
-    """Valuations of the last deterministic spec, which is held by weak reference."""
-
-    spec: weakref.ref
-    solutions: dict
-
-
-_valuations: _Valuations | None = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    global _valuations
-    if _valuations is not None and _valuations.spec is ref:
-        _valuations = None
+# the last deterministic spec object and the dict of its valuations
+_valuations = LastEntry()
 
 
 def _deterministic_valuation(
@@ -127,12 +114,12 @@ def _deterministic_valuation(
     starts afresh, and the solutions go when the spec is collected.  The
     returned arrays are read-only, and a valuation that raises is not kept.
     """
-    global _valuations
-    memo = _valuations
-    if memo is None or memo.spec() is not spec:
-        memo = _valuations = _Valuations(weakref.ref(spec, _forget), {})
+    solutions = _valuations.get((), owner=spec)
+    if solutions is None:
+        solutions = {}
+        _valuations.put((), solutions, owner=spec)
     key = (xi.hex(), n_steps)
-    sol = memo.solutions.get(key)
+    sol = solutions.get(key)
     if sol is None:
         times, values = solve_deterministic_ode(
             optimized_driver_fn(spec), xi, spec.horizon, n_steps
@@ -140,9 +127,9 @@ def _deterministic_valuation(
         times.flags.writeable = False
         values.flags.writeable = False
         sol = DeterministicSolution(times, values)
-        if len(memo.solutions) >= _VALUATIONS_KEPT:
-            del memo.solutions[next(iter(memo.solutions))]
-        memo.solutions[key] = sol
+        if len(solutions) >= _VALUATIONS_KEPT:
+            del solutions[next(iter(solutions))]
+        solutions[key] = sol
     return sol
 
 

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._atomic import atomic_write
+from ._memo import LastEntry
 from .errors import ConfigurationError, DivergenceError, UsageError
 from .measures import EmpiricalMeasure, frozen_copy
 from .uncertainty import AmbiguityMap
@@ -234,6 +235,11 @@ class ProblemSpec:
 # noise and forward integration
 
 
+# the last noise draw, which solves of a new spec object on the same seed and
+# grid (a shifted terminal, the convex hull, an extra sweep) ask for again
+_last_draw = LastEntry()
+
+
 def brownian_increments(
     seed: int, n_particles: int, n_steps: int, noise_dim: int, dt: float
 ) -> np.ndarray:
@@ -241,10 +247,24 @@ def brownian_increments(
 
     Particle ``p`` draws from a Philox stream keyed by (seed, p) in step-major
     order, so any prefix of the horizon and any particle batching reproduce the
-    same numbers.
+    same numbers.  The returned array is read-only: the last draw is kept and
+    returned again for the same ``(seed, n_particles, n_steps, noise_dim, dt)``.
     """
     if not 0 <= int(seed) < 2**64:
         raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    key = (seed, n_particles, n_steps, noise_dim, dt)
+    out = _last_draw.get(key)
+    if out is None:
+        out = _draw_increments(seed, n_particles, n_steps, noise_dim, dt)
+        out.flags.writeable = False
+        _last_draw.put(key, out)
+    return out
+
+
+def _draw_increments(
+    seed: int, n_particles: int, n_steps: int, noise_dim: int, dt: float
+) -> np.ndarray:
+    """A fresh draw of :func:`brownian_increments`."""
     out = np.empty((n_steps, n_particles, noise_dim))
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bits)

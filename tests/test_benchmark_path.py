@@ -6,8 +6,8 @@ modules, so nothing is written next to them.  Each run passes its gates,
 which puts the state-free (``solve_csv``), law-dependent (``coupled_checks``)
 and state-dependent (``quartic_grid``) paths of the engine under test.
 ``coupled_checks`` draws noise twice: the translation check's base solve is
-served from the solution the workload holds, and only the shifted solve
-draws again.  ``quartic_grid`` integrates 10 deterministic valuations: the
+served from the solution the workload holds, and the shifted solve's request
+is served from the noise memo, so only one draw is made.  ``quartic_grid`` integrates 10 deterministic valuations: the
 property suite and the counterexample ask for 18, and the repeats of one
 spec, terminal value and step count are served from the valuation memo.
 """
@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from theta_fbsde import coupling, properties
+from theta_fbsde import coupling, properties, sde
+from theta_fbsde._memo import LastEntry
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,7 +37,7 @@ def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
-    draws, integrations = [], []
+    draws, real_draws, integrations = [], [], []
 
     def counting(calls, original):
         def counted(*args):
@@ -48,6 +49,8 @@ def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(
         coupling, "brownian_increments", counting(draws, coupling.brownian_increments)
     )
+    monkeypatch.setattr(sde, "_last_draw", LastEntry())
+    monkeypatch.setattr(sde, "_draw_increments", counting(real_draws, sde._draw_increments))
     monkeypatch.setattr(
         properties,
         "solve_deterministic_ode",
@@ -59,6 +62,7 @@ def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
     assert gates and all(gate["passed"] for gate in gates.values()), gates
     if workload == "coupled_checks":
         assert len(draws) == 2
+        assert len(real_draws) == 1
         assert (out / "value_surface.csv").exists()
     if workload == "quartic_grid":
         assert len(integrations) == 10

@@ -21,7 +21,12 @@ from theta_fbsde import (
     solve_backward,
     solve_deterministic_ode,
 )
-from theta_fbsde.bsde import REGRESSION_DEGREE, _node_regression, polynomial_basis
+from theta_fbsde.bsde import (
+    _MOMENT_FIT_COND,
+    REGRESSION_DEGREE,
+    _node_regression,
+    polynomial_basis,
+)
 
 
 def zero_drift():
@@ -191,6 +196,48 @@ class TestNodeFit:
         assert np.max(np.abs(fit.values - expected)) <= slack
         assert fit.cond == pytest.approx(expected_cond, rel=1e-8)
         assert np.max(np.abs(fit(x) - fit.values)) <= slack
+
+    def test_ill_conditioned_cloud_takes_the_qr_path(self, monkeypatch):
+        # a cluster with three far outliers: cond(Phi) about 1e3, above the
+        # moment fit's limit and far below 1e12
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.standard_normal(2000), 50.0 + rng.standard_normal(3)])[:, None]
+        targets = np.column_stack([np.sin(x[:, 0]), x[:, 0] * rng.standard_normal(x.shape[0])])
+        expected, expected_cond = reference_node_regression(x, targets, REGRESSION_DEGREE)
+        assert _MOMENT_FIT_COND < expected_cond <= 1e12
+        factors = []
+        qr = np.linalg.qr
+
+        def recording_qr(a):
+            q, r = qr(a)
+            factors.append(r)
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        fit = _node_regression(x, targets, REGRESSION_DEGREE)
+        assert len(factors) == 1
+        singular = np.linalg.svd(factors[0], compute_uv=False)
+        assert fit.cond == singular[0] / singular[-1]
+        assert fit.cond == pytest.approx(expected_cond, rel=1e-8)
+        size = max(1.0, float(np.max(np.abs(expected))))
+        slack = max(1e-12, 4 * np.finfo(float).eps * expected_cond) * size
+        assert np.max(np.abs(fit.values - expected)) <= slack
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gaussian_cloud_takes_the_moment_path(self, k, monkeypatch):
+        x, targets = node_cloud(k, 10_000, 0.5, 2.0, None, 4 + k, 2)
+        expected, expected_cond = reference_node_regression(x, targets, REGRESSION_DEGREE)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("the QR fallback ran for a well-conditioned cloud")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        fit = _node_regression(x, targets, REGRESSION_DEGREE)
+        assert fit.cond <= _MOMENT_FIT_COND
+        assert fit.cond == pytest.approx(expected_cond, rel=1e-8)
+        size = max(1.0, float(np.max(np.abs(expected))))
+        slack = max(1e-12, 4 * np.finfo(float).eps * expected_cond) * size
+        assert np.max(np.abs(fit.values - expected)) <= slack
 
     def test_basis_matches_reference(self):
         x = np.random.default_rng(1).standard_normal((200, 3))

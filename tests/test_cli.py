@@ -107,6 +107,10 @@ MALFORMED = [
     (("problem", "ambiguity"), "intervals", [[1.0]]),
     (("problem",), "C0", "abc"),
     (("problem", "terminal"), "coeffs", [1.0, 2.0]),
+    # a field another kind of the same section reads
+    (("problem", "terminal"), "value", 3.0),
+    (("problem",), "f0", {"kind": "zero", "slope": 7.0}),
+    (("problem", "ambiguity"), "theta_rule", {"kind": "constant", "alpha": 5.0, "bounds": [0, 1]}),
 ]
 
 
@@ -143,6 +147,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         self.assert_one_line_usage_error(code, err)
         assert key in err or "particles" in err
+        if isinstance(value, dict):
+            assert any(f"'{field}'" in err for field in value if field != "kind")
 
     @pytest.mark.parametrize("command", ["solve", "pde-check", "properties", "application"])
     def test_solver_damping_reaches_every_solve(self, command, tmp_path, capsys):

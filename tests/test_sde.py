@@ -18,6 +18,8 @@ from theta_fbsde import (
     solve_backward,
     static_set,
 )
+from theta_fbsde import sde
+from theta_fbsde._memo import LastEntry
 
 
 def make_spec(drift, sigma, x0=1.0, horizon=1.0):
@@ -181,6 +183,59 @@ class TestNoiseStreams:
 
         with pytest.raises(UsageError):
             brownian_increments(-1, 4, 10, 1, 0.1)
+
+
+@pytest.fixture
+def real_draws(monkeypatch):
+    """Arguments of every draw not served from the noise memo, which starts empty."""
+    calls = []
+    original = sde._draw_increments
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sde, "_last_draw", LastEntry())
+    monkeypatch.setattr(sde, "_draw_increments", counting)
+    return calls
+
+
+class TestNoiseMemo:
+    """The last draw is kept and returned again, read-only, for the same arguments."""
+
+    KEY = (11, 30, 8, 2, 0.125)
+
+    def test_hit_returns_the_bits_of_a_fresh_draw(self, real_draws):
+        first = brownian_increments(*self.KEY)
+        again = brownian_increments(*self.KEY)
+        assert again is first
+        assert len(real_draws) == 1
+        assert np.array_equal(again, sde._draw_increments(*self.KEY))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, 12), (1, 31), (2, 9), (3, 1), (4, 0.1)],
+        ids=["seed", "n_particles", "n_steps", "noise_dim", "dt"],
+    )
+    def test_each_key_field_misses(self, real_draws, field, value):
+        first = brownian_increments(*self.KEY)
+        args = list(self.KEY)
+        args[field] = value
+        other = brownian_increments(*args)
+        assert len(real_draws) == 2
+        assert other is not first
+        # the memo holds one draw: the first arguments draw again
+        brownian_increments(*self.KEY)
+        assert len(real_draws) == 3
+        assert np.array_equal(other, sde._draw_increments(*args))
+
+    def test_returned_array_is_read_only(self, real_draws):
+        noise = brownian_increments(*self.KEY)
+        with pytest.raises(ValueError, match="read-only"):
+            noise[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            noise *= 2.0
+        assert np.array_equal(brownian_increments(*self.KEY), sde._draw_increments(*self.KEY))
 
 
 def _spec_arrays():
