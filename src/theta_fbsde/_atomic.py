@@ -9,8 +9,9 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path):
-    """Yield a text handle whose contents replace ``path`` when the body ends.
+def atomic_write(path, binary: bool = False):
+    """Yield a text handle (a bytes handle if ``binary``) whose contents
+    replace ``path`` when the body ends.
 
     The handle writes to a temporary file in the target's directory, which
     ``os.replace`` renames over ``path`` once the body has finished and the
@@ -21,7 +22,7 @@ def atomic_write(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,0 +1,211 @@
+"""CSV text of float blocks, byte for byte what ``'%.17g' % x`` prints per cell.
+
+``%.17g`` in CPython costs about a microsecond a cell: 17 digits push its
+float-to-decimal conversion onto the big-integer path.  This module prints
+most cells with integer arithmetic on whole arrays instead, and hands every
+cell it cannot print exactly to ``%`` itself (print fast with integers, fall
+back when unsure; Loitsch, PLDI 2010).
+
+Fast path.  A finite cell with 1e-4 <= |x| < 1e16 has e = floor(log10|x|) in
+[-4, 15], where ``%g`` uses fixed notation and 10^(16-e) <= 10^20 is an exact
+double.  Dekker's two-product gives |x| * 10^(16-e) exactly as hi + lo with
+hi >= 1e16 > 2^53 an integer, so the 17 significant digits are the integer
+d = hi + rint(lo).  Four-digit groups of d come from a lookup table, and a
+layout mask chosen by (sign, e, significant digits) keeps the sign, the
+integer digits, the point and the fraction without its trailing zeros.
+
+Fallback.  ``%`` formats every other cell into its slot: +-0, subnormals,
+|x| < 1e-4 or >= 1e16, nan and +-inf, a product exactly half-way between two
+integers (so the result never rests on a tie rule), and any d outside
+[10^16, 10^17) (log10 off by one next to a power of ten, or a round-up to the
+next power of ten).
+"""
+
+from __future__ import annotations
+
+import functools
+import numbers
+from typing import Iterator
+
+import numpy as np
+
+# Rows formatted per pass.  A few thousand cells per pass keep the temporary
+# arrays in cache; memory grows with the block, not the file.
+_BLOCK_ROWS = 512
+
+_E_MIN, _E_MAX = -4, 15
+_N_E = _E_MAX - _E_MIN + 1
+_N_SIG = 17
+
+# Each cell owns a 40-byte slot, five little-endian uint64 words: byte 0 the
+# sign, bytes 1-5 the "0.000" of a number below 1, digit k (k = 0..16) at byte
+# 6 + 2k and a point slot after it at byte 7 + 2k.  The point slot after the
+# last digit, byte 39, holds the separator.  Dropped bytes are NUL and are cut
+# out when the block is joined.
+_SLOT = 40
+_WORDS = _SLOT // 8
+_FALLBACK_WIDTH = 24  # the longest %.17g text, "-2.2250738585072014e-308"
+
+_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+
+
+def _veltkamp(a):
+    c = _VELTKAMP * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# 10^s (s = 16 - e) and its halves
+_POW10 = np.array([10.0**s for s in range(21)])
+_POW10_HIGH, _POW10_LOW = _veltkamp(_POW10)
+_WORD = np.dtype("<u8")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _digit_tables():
+    """Lookup tables of the four-digit groups 0000..9999, built on first use.
+
+    The words hold the group's digits, each followed by a point slot.  Row j
+    of the counts holds the number of digits of d up to its last non-zero
+    one, when group j + 1 of d is its last non-zero group; a zero group gives
+    1, which never wins the maximum, since the leading digit of d is not zero.
+    """
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint16).reshape(4, -1).T
+    words = (digits + (ord("0") | ord(".") << 8)).astype("<u2", order="C").view(_WORD).ravel()
+    zero = digits == 0
+    trailing = zero[:, 3].astype(np.int8)
+    run = zero[:, 3]
+    for j in (2, 1, 0):
+        run = run & zero[:, j]
+        trailing += run
+    last = np.where(trailing == 4, np.int8(-20), 4 - trailing)
+    offsets = np.array([1, 5, 9, 13], np.int8)[:, None]
+    return _read_only(words), _read_only(np.maximum(offsets + last, np.int8(1)))
+
+
+@functools.cache
+def _layout_masks():
+    """AND masks indexed by (last column, negative, e - _E_MIN, digits - 1),
+    built on first use.
+
+    0xFF keeps the digit word's byte, a character replaces it (its byte there
+    is 0xFF, or the point, whose bits cover ',' and '\\n'), 0 drops it.  Two
+    more rows, for fallback cells, keep only the separator.
+    """
+    e, nsig, pos = np.ix_(range(_E_MIN, _E_MAX + 1), range(1, _N_SIG + 1), range(_SLOT))
+    k = (pos - 6) // 2
+    digit = (pos >= 6) & (pos % 2 == 0) & (k < np.maximum(nsig, e + 1))
+    point = (pos >= 7) & (pos % 2 == 1) & (k == e) & (nsig > e + 1)
+    below_one = (e < 0) & (pos >= 1) & (pos < 2 - e)
+    layout = np.where(digit | point, np.uint8(0xFF), np.uint8(0))
+    layout = np.where(below_one, np.where(pos == 2, np.uint8(ord(".")), np.uint8(ord("0"))), layout)
+    masks = np.zeros((2 * 2 * _N_E * _N_SIG + 2, _SLOT), np.uint8)
+    fast = masks[:-2].reshape((2, 2) + layout.shape)
+    fast[...] = layout
+    fast[:, 1, :, :, 0] = ord("-")
+    fast[0, ..., -1] = masks[-2, -1] = ord(",")
+    fast[1, ..., -1] = masks[-1, -1] = ord("\n")
+    return _read_only(masks.view(_WORD))
+
+
+_NEGATIVE = _N_E * _N_SIG
+_LAST = 2 * _NEGATIVE
+_FALLBACK = 2 * _LAST
+# word 0 before masking: 0xFF in bytes 0-5, the leading digit, a point slot
+_WORD0 = 0xFFFF_FFFF_FFFF | ord(".") << 56
+
+
+def _fill(x, last, slots):
+    """Write the slots of the cells ``x``; return the indices of fallback cells.
+
+    ``last`` holds ``_LAST`` for cells in the last column, else 0.
+    """
+    with np.errstate(all="ignore"):  # fallback lanes carry inf, nan and wrapped integers
+        ax = np.abs(x)
+        ef = np.floor(np.log10(ax))
+        fast = (ef >= _E_MIN) & (ef <= _E_MAX)
+        e = ef.astype(np.intp)
+        s = 16 - e
+        hi = ax * _POW10.take(s, mode="clip")
+        bh = _POW10_HIGH.take(s, mode="clip")
+        bl = _POW10_LOW.take(s, mode="clip")
+        ah, al = _veltkamp(ax)
+        lo = ah * bh
+        lo -= hi
+        lo += ah * bl
+        lo += al * bh
+        lo += al * bl
+        r = np.rint(lo)
+        fast &= np.abs(lo - r) != 0.5
+        d = hi.astype(np.int64)
+        d += r.astype(np.int64)
+        fast &= (d >= 10**16) & (d < 10**17)
+    groups, significant = _digit_tables()
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    d0 = upper // 10**8
+    upper -= d0 * 10**8
+    g1 = upper // 10**4
+    g2 = upper - g1 * 10**4
+    g3 = lower // 10**4
+    g4 = lower - g3 * 10**4
+    nsig = np.maximum(significant[0].take(g1, mode="clip"), significant[1].take(g2, mode="clip"))
+    np.maximum(nsig, significant[2].take(g3, mode="clip"), out=nsig)
+    np.maximum(nsig, significant[3].take(g4, mode="clip"), out=nsig)
+
+    idx = (x < 0) * _NEGATIVE
+    idx += last
+    idx += (e - _E_MIN) * _N_SIG
+    idx += nsig
+    idx -= 1
+    slow = np.flatnonzero(~fast)
+    idx[slow] = _FALLBACK + (last[slow] != 0)
+
+    d0 += ord("0")
+    d0 <<= 48
+    np.bitwise_or(d0, _WORD0, out=slots[:, 0], casting="unsafe")
+    for j, g in enumerate((g1, g2, g3, g4), start=1):
+        groups.take(g, mode="clip", out=slots[:, j])
+    slots &= _layout_masks().take(idx, axis=0, mode="clip")
+    return slow
+
+
+def _as_floats(cells) -> np.ndarray:
+    """A 2-D float array of ``cells``; TypeError for a cell ``%`` would refuse.
+
+    ``float()`` also parses strings, so an object array is checked first.
+    """
+    cells = np.asarray(cells)
+    if cells.dtype == object:
+        for v in cells.flat:
+            if not isinstance(v, numbers.Real):
+                raise TypeError(f"CSV cells must be real numbers, not {type(v).__name__}")
+    return np.ascontiguousarray(cells, dtype=float)
+
+
+def format_rows(cells) -> Iterator[bytes]:
+    """Yield ``cells`` (rows by columns) as CSV lines, one bytes chunk per block.
+
+    Each line is the row's cells printed as ``'%.17g' % x`` prints them,
+    joined by ',' and ended by '\\n'.  The slot buffer is reused from block to
+    block; every pass rewrites all of its bytes.
+    """
+    block = _as_floats(cells)
+    n_rows, n_cols = block.shape
+    rows = max(1, min(n_rows, _BLOCK_ROWS))
+    last = np.tile(np.where(np.arange(n_cols) == n_cols - 1, _LAST, 0), rows)
+    slots = np.empty((rows * n_cols, _WORDS), _WORD)
+    for start in range(0, n_rows, rows):
+        x = block[start:start + rows].ravel()
+        out = slots[:x.size]
+        slow = _fill(x, last[:x.size], out)
+        raw = out.view(np.uint8)
+        if slow.size:
+            text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
+            raw[slow, :_FALLBACK_WIDTH] = text.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
+        yield raw.tobytes().translate(None, b"\0")

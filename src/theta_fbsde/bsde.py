@@ -109,8 +109,10 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
         return NodeFit(active, empty, empty, degree, means[None, :], values, 1.0)
     xa = x[:, active]
     mean = np.mean(xa, axis=0)
-    std = np.std(xa, axis=0)
-    phi = polynomial_basis((xa - mean) / std, degree)
+    centred = xa - mean
+    # the arithmetic of np.std, which would centre the state again
+    std = np.sqrt(np.mean(centred * centred, axis=0))
+    phi = polynomial_basis(centred / std, degree)
     n, p = phi.shape
     if n < p:
         raise RegressionBasisError(

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._atomic import atomic_write
+from ._csv import format_rows
 from .errors import GridError, UsageError
 from .measures import EmpiricalMeasure
 from .optimizer import DriverState, maximize_batch, maximize_over
@@ -192,19 +193,21 @@ def solve_hjb(
 
 
 def write_surface_csv(path, grid1d: Grid1D, horizon: float, surface: np.ndarray) -> None:
-    """Dump the value surface as CSV rows (t, x, v) at 17 significant digits.
+    """Dump the value surface as CSV rows (t, x, v), t = layer * dt.
 
-    The x column is formatted once and each time layer is filled by one ``%``
-    pass (``%.17g`` prints a float exactly as the format spec ``.17g`` does).
-    The file is written atomically.
+    Every number is printed as ``'%.17g' % x`` prints it, by the vectorized
+    formatter of ``_csv.format_rows``, with the whole surface as one block of
+    cells.  The file is written atomically; a cell that is not a real number
+    raises TypeError and leaves the previous file in place.
     """
-    rows = [f"{x:.17g},%.17g\n" for x in grid1d.xs]
-    dt = grid1d.dt(horizon)
-    with atomic_write(path) as fh:
-        fh.write("t,x,v\n")
-        for i in range(surface.shape[0]):
-            prefix = f"{i * dt:.17g},"
-            fh.write((prefix + prefix.join(rows)) % tuple(surface[i].tolist()))
+    n_layers = surface.shape[0]
+    times = np.arange(n_layers) * grid1d.dt(horizon)
+    cells = np.column_stack(
+        [np.repeat(times, grid1d.nx), np.tile(grid1d.xs, n_layers), surface.reshape(-1)]
+    )
+    with atomic_write(path, binary=True) as fh:
+        fh.write(b"t,x,v\n")
+        fh.writelines(format_rows(cells))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._atomic import atomic_write
+from ._csv import format_rows
 from ._memo import LastEntry
 from .errors import ConfigurationError, DivergenceError, UsageError
 from .measures import EmpiricalMeasure, frozen_copy
@@ -372,11 +373,11 @@ class SolutionPaths:
 def write_paths_csv(path, sol: SolutionPaths) -> None:
     """Dump paths as CSV with columns t, particle, X_1..X_k, Y, Z_1..Z_d, A.
 
-    Formatting is fixed at 17 significant digits so identical runs produce
-    byte-identical files.  Each node is formatted as one block: the particle
-    columns are fixed text, the time is formatted once, and one ``%`` pass
-    fills the node's values (``%.17g`` prints a float exactly as the format
-    spec ``.17g`` does).  The file is written atomically.
+    Every number is printed as ``'%.17g' % x`` prints it (the particle index
+    as the integer it is), so identical runs produce byte-identical files.
+    Each node is one block of cells for the vectorized formatter of
+    ``_csv.format_rows``.  The file is written atomically; a cell that is not
+    a real number raises TypeError and leaves the previous file in place.
     """
     k = sol.X.shape[2]
     d = sol.Z.shape[2]
@@ -387,11 +388,10 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
         + [f"Z_{j + 1}" for j in range(d)]
         + ["A"]
     )
-    values = ",".join(["%.17g"] * (k + d + 2)) + "\n"
-    rows = [f"{p}," + values for p in range(sol.n_particles)]
-    with atomic_write(path) as fh:
-        fh.write(",".join(header) + "\n")
+    n = sol.n_particles
+    particle = np.arange(n, dtype=float)
+    with atomic_write(path, binary=True) as fh:
+        fh.write((",".join(header) + "\n").encode())
         for i, t in enumerate(sol.times):
-            prefix = f"{t:.17g},"
-            cells = np.column_stack([sol.X[i], sol.Y[i], sol.Z[i], sol.A[i]])
-            fh.write((prefix + prefix.join(rows)) % tuple(cells.ravel().tolist()))
+            cells = np.column_stack([np.full(n, t), particle, sol.X[i], sol.Y[i], sol.Z[i], sol.A[i]])
+            fh.writelines(format_rows(cells))

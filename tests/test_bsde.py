@@ -21,6 +21,7 @@ from theta_fbsde import (
     solve_backward,
     solve_deterministic_ode,
 )
+from theta_fbsde import bsde
 from theta_fbsde.bsde import (
     _MOMENT_FIT_COND,
     REGRESSION_DEGREE,
@@ -238,6 +239,22 @@ class TestNodeFit:
         size = max(1.0, float(np.max(np.abs(expected))))
         slack = max(1e-12, 4 * np.finfo(float).eps * expected_cond) * size
         assert np.max(np.abs(fit.values - expected)) <= slack
+
+    @pytest.mark.parametrize("k, frozen_at", [(1, None), (2, None), (3, 1)])
+    def test_one_centred_copy_gives_the_bits_of_np_std(self, k, frozen_at, monkeypatch):
+        # the fit standardizes with (x - mean) / np.std(x), bit for bit
+        x, targets = node_cloud(k, 3000, 0.75, 1.5, frozen_at, 20 + k, 2)
+        fit = _node_regression(x, targets, REGRESSION_DEGREE)
+        xa = x[:, fit.active]
+        mean, std = np.mean(xa, axis=0), np.std(xa, axis=0)
+        basis = bsde.polynomial_basis
+        monkeypatch.setattr(bsde, "polynomial_basis", lambda _, degree: basis((xa - mean) / std, degree))
+        reference = _node_regression(x, targets, REGRESSION_DEGREE)
+        assert fit.mean.tobytes() == mean.tobytes()
+        assert fit.std.tobytes() == std.tobytes()
+        for field in ("coef", "values"):
+            assert getattr(fit, field).tobytes() == getattr(reference, field).tobytes()
+        assert fit.cond == reference.cond
 
     def test_basis_matches_reference(self):
         x = np.random.default_rng(1).standard_normal((200, 3))

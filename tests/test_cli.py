@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from theta_fbsde import EmpiricalMeasure, Grid1D, SolutionPaths, write_paths_csv, write_surface_csv
-from theta_fbsde import cli
+from theta_fbsde import _csv, cli
 from theta_fbsde.cli import _write_json, main
 
 APP_CONFIG = {
@@ -619,3 +619,41 @@ class TestArtifactWriters:
                 _write_json(target, {"a": list(range(1000)), "z": object()})
         assert target.read_bytes() == b"previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+# fast-path cells with 17 digits, then fallback cells, then fast-path cells
+# again: with two rows per block each kind fills whole blocks, so a reused
+# slot buffer meets both orders in every column
+ALTERNATING = np.array([1 / 3, -2 / 3, float("nan"), 1e-300, 0.1, 123456.789, -0.0, 5e-324, 2 / 7, -7.75])
+
+
+class TestBlockedWriters:
+    def test_reused_block_buffer_keeps_no_stale_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_csv, "_BLOCK_ROWS", 2)
+        n = ALTERNATING.size
+        cols = np.array([[np.roll(ALTERNATING, 2 * c) for c in range(4)]] * 2).transpose(0, 2, 1)
+        sol = SolutionPaths(
+            times=np.array([0.0, 0.1]),
+            X=cols[:, :, 0:1],
+            Y=cols[:, :, 1],
+            Z=cols[:, :, 2:3],
+            A=cols[:, :, 3],
+            measures=(EmpiricalMeasure(np.zeros(1)),) * 2,
+        )
+        write_paths_csv(tmp_path / "new.csv", sol)
+        reference_paths_csv(tmp_path / "ref.csv", sol)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+        grid = Grid1D(-1.0, 1.0, n, 2)
+        surface = np.array([np.roll(ALTERNATING, 4 * i) for i in range(grid.nt + 1)])
+        write_surface_csv(tmp_path / "new_surface.csv", grid, 0.5, surface)
+        reference_surface_csv(tmp_path / "ref_surface.csv", grid, 0.5, surface)
+        assert (tmp_path / "new_surface.csv").read_bytes() == (tmp_path / "ref_surface.csv").read_bytes()
+
+    def test_object_arrays_of_floats_write_the_same_bytes(self, tmp_path):
+        write_paths_csv(tmp_path / "paths.csv", golden_solution(a_dtype=object))
+        reference_paths_csv(tmp_path / "paths_ref.csv", golden_solution())
+        assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "paths_ref.csv").read_bytes()
+        write_surface_csv(tmp_path / "surface.csv", GOLDEN_GRID, 1 / 3, golden_surface(dtype=object))
+        reference_surface_csv(tmp_path / "surface_ref.csv", GOLDEN_GRID, 1 / 3, golden_surface())
+        assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "surface_ref.csv").read_bytes()

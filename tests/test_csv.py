@@ -1,0 +1,96 @@
+"""The vectorized CSV formatter against ``'%.17g' % x``, cell by cell."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from theta_fbsde import _csv
+
+
+def formatted(values, n_cols=1):
+    return b"".join(_csv.format_rows(np.asarray(values, dtype=float).reshape(-1, n_cols)))
+
+
+def reference(values, n_cols=1):
+    rows = np.asarray(values, dtype=float).reshape(-1, n_cols).tolist()
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
+
+
+def assert_same_bytes(values, n_cols=1):
+    got, want = formatted(values, n_cols), reference(values, n_cols)
+    if got != want:
+        pairs = zip(got.decode().splitlines(), want.decode().splitlines())
+        bad = next((g, w) for g, w in pairs if g != w)
+        pytest.fail(f"formatter printed {bad[0]!r} where %.17g prints {bad[1]!r}")
+
+
+def powers_of_ten():
+    p = 10.0 ** np.arange(-6, 18)
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+def dyadic_ties(rng):
+    """m 2^-(17-e), m odd: |x| 10^(16-e) is an integer plus exactly one half."""
+    values = []
+    for e in range(_csv._E_MIN, _csv._E_MAX + 1):
+        q = 17 - e
+        low = max(1, int(10.0**e * 2.0**q))
+        high = min(2**53, int(10.0 ** (e + 1) * 2.0**q))
+        m = rng.integers(low // 2, high // 2, 200) * 2 + 1
+        values.append(np.ldexp(m.astype(float), -q))
+    return np.concatenate(values)
+
+
+SPECIAL = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+    np.nan, np.inf, -np.inf, 1e-4, 9.9999999999999991e-5, 1e16, 9999999999999998.0,
+    0.99999999999999999, 9.9999999999999999e15, 99999999999999999.0, 1.7976931348623157e308,
+])
+
+
+class TestSameBytesAsPercentG:
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False)
+        assert_same_bytes(bits.view(np.float64))
+
+    def test_values_in_the_fast_range(self):
+        rng = np.random.default_rng(12)
+        magnitude = 10.0 ** rng.uniform(-4.5, 16.5, 50_000)
+        assert_same_bytes(magnitude * rng.choice([-1.0, 1.0], magnitude.size))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = powers_of_ten()
+        assert_same_bytes(np.concatenate([p, -p]))
+
+    def test_dyadic_half_way_ties(self):
+        ties = dyadic_ties(np.random.default_rng(13))
+        assert_same_bytes(np.concatenate([ties, -ties]))
+
+    def test_special_values(self):
+        assert_same_bytes(SPECIAL)
+
+    def test_columns_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(_csv, "_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(14)
+        cells = rng.standard_normal((11, 5))
+        cells.flat[rng.choice(cells.size, 15, replace=False)] = np.resize(SPECIAL, 15)
+        assert_same_bytes(cells, n_cols=5)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, values):
+        assert_same_bytes(values)
+
+
+class TestCellTypes:
+    def test_object_array_of_numbers(self):
+        cells = np.array([[0.1, 3, np.float32(2.5)], [-0.0, np.nan, 7]], dtype=object)
+        assert b"".join(_csv.format_rows(cells)) == b"0.10000000000000001,3,2.5\n-0,nan,7\n"
+
+    @pytest.mark.parametrize("cell", ["1.5", b"2", None])
+    def test_non_numbers_raise_type_error(self, cell):
+        cells = np.array([[1.0, cell]], dtype=object)
+        with pytest.raises(TypeError):
+            "%.17g" % cell
+        with pytest.raises(TypeError):
+            b"".join(_csv.format_rows(cells))
