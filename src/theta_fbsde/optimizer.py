@@ -8,16 +8,17 @@ clipped to the interval.  Both built-in families do: ``w0`` for the
 quadratic penalty, and for the quartic the one real root of its stationarity
 cubic (hyperbolic cubic formula plus one Newton step, within
 ``2 * _DERIV_TOL / (lam - gamma)`` of the bracketed Newton root).  Any other
-driver, :class:`GenericDriver` among them, runs a Newton iteration bracketed
+driver, :class:`GenericDriver` among them, runs one Newton iteration bracketed
 by bisection, with endpoint derivative signs deciding clamping before any
-iteration starts; it checks the second derivative's sign at every step.
-Either way the per-interval candidates go through one comparison and tie rule.
+iteration starts; it checks the second derivative's sign at every step.  The
+scalar and the batched argmax share that iteration (the scalar one at shape
+``()``) and one comparison and tie rule for the per-interval candidates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -230,91 +231,13 @@ _DERIV_TOL = 1e-12
 _TIE_TOL = 1e-12
 
 
-def _argmax_on_interval(driver, state, lo, hi):
-    """Maximizer of a -> F(state, a) on [lo, hi].
-
-    Returns (a, boundary, derivative).  The derivative is strictly decreasing,
-    so its signs at the endpoints decide clamping and bracket the root.
-    """
-
-    def grad(a):
-        g2 = driver.d2_da2(state, a)
-        if not g2 < 0.0:
-            raise ConcavityError(
-                f"second control derivative {g2} is not negative at a={a}",
-                witness=(state, a),
-            )
-        return driver.d_da(state, a), g2
-
-    g_lo, _ = grad(lo)
-    if g_lo <= 0.0:
-        return lo, "lower", g_lo
-    g_hi, _ = grad(hi)
-    if g_hi >= 0.0:
-        return hi, "upper", g_hi
-
-    a_lo, a_hi = lo, hi
-    a = 0.5 * (lo + hi)
-    g = math.nan
-    for _ in range(_MAX_ITER):
-        g, g2 = grad(a)
-        if abs(g) <= _DERIV_TOL:
-            break
-        if g > 0.0:
-            a_lo = a
-        else:
-            a_hi = a
-        if a_hi - a_lo <= 4.0 * math.ulp(max(1.0, abs(a_lo), abs(a_hi))):
-            break
-        step = a - g / g2
-        a = step if (a_lo < step < a_hi and math.isfinite(step)) else 0.5 * (a_lo + a_hi)
-    return a, "interior", g
-
-
-def _clipped(s, lo, hi):
-    """The concave maximizer on [lo, hi] given the unconstrained one ``s``."""
-    if s <= lo:
-        return lo, "lower"
-    if s >= hi:
-        return hi, "upper"
-    return s, "interior"
-
-
-def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerResult:
-    """Constrained argmax of the driver at one state point.
-
-    Per-interval candidates are compared with an absolute tie tolerance; ties
-    resolve toward the smaller control and raise the tie flag.
-    """
-    stationary = getattr(driver, "stationary_control", None)
-    s = None if stationary is None else stationary(state)
-    best: OptimizerResult | None = None
-    tie = False
-    for idx, (lo, hi) in enumerate(uset.intervals):
-        if lo == hi:
-            a, boundary, resid = lo, "point", 0.0
-        elif s is None:
-            a, boundary, resid = _argmax_on_interval(driver, state, lo, hi)
-        else:
-            a, boundary = _clipped(s, lo, hi)
-            resid = driver.d_da(state, a)
-        val = float(driver.value(state, a))
-        if best is None or val > best.value + _TIE_TOL:
-            best = OptimizerResult(a, val, boundary, False, idx, abs(resid))
-            tie = False
-        elif val >= best.value - _TIE_TOL and a != best.a_star:
-            tie = True  # candidates are visited in increasing a, keep the earlier one
-    assert best is not None
-    if tie:
-        best = OptimizerResult(
-            best.a_star, best.value, best.active_boundary, True, best.interval_index,
-            best.derivative_residual,
-        )
-    return best
-
-
 def _newton_batch(driver, state: DriverState, shape, lo, hi) -> np.ndarray:
-    """Element-wise :func:`_argmax_on_interval` on ``lo < hi``, under an active mask."""
+    """Element-wise maximizer of a -> F(state, a) on [lo, hi], ``lo < hi``, at ``shape``.
+
+    The derivative is strictly decreasing, so its signs at the endpoints decide
+    clamping and bracket the root; bracketed Newton then runs under an active
+    mask.  Returns an array of ``shape``, a 0-d one for ``shape == ()``.
+    """
 
     def grad(a, mask):
         g2 = np.broadcast_to(driver.d2_da2(state, a), shape)
@@ -348,13 +271,47 @@ def _newton_batch(driver, state: DriverState, shape, lo, hi) -> np.ndarray:
     return a
 
 
+def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerResult:
+    """Constrained argmax of the driver at one state point.
+
+    Each interval's candidate is the clipped stationary control when the
+    driver has one, else :func:`_newton_batch` at shape ``()``, the kernel
+    :func:`maximize_batch` runs.  Per-interval candidates are compared with an
+    absolute tie tolerance; ties resolve toward the smaller control and raise
+    the tie flag.
+    """
+    stationary = getattr(driver, "stationary_control", None)
+    s = None if stationary is None else stationary(state)
+    best: OptimizerResult | None = None
+    tie = False
+    for idx, (lo, hi) in enumerate(uset.intervals):
+        if lo == hi:
+            # without a closed form the value is taken at a 0-d array, as in the batch
+            a, boundary, resid = lo if s is not None else np.full((), lo), "point", 0.0
+        else:
+            if s is None:
+                a = _newton_batch(driver, state, (), lo, hi)
+            else:
+                a = lo if s <= lo else hi if s >= hi else s
+            boundary = "lower" if a == lo else "upper" if a == hi else "interior"
+            resid = abs(float(driver.d_da(state, a)))
+        val = float(driver.value(state, a))
+        if best is None or val > best.value + _TIE_TOL:
+            best = OptimizerResult(float(a), val, boundary, False, idx, resid)
+            tie = False
+        elif val >= best.value - _TIE_TOL and a != best.a_star:
+            tie = True  # candidates are visited in increasing a, keep the earlier one
+    assert best is not None
+    return replace(best, tie_flag=True) if tie else best
+
+
 def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
     """Element-wise :func:`maximize_over` on one set: arrays ``(a_star, tie_flag)``.
 
     The batch has the shape of ``state.y``; ``x`` and ``z`` carry it as leading
     axes.  Each element runs the scalar path's floating-point operations (the
-    clip of the stationary control, or Newton under an active mask), so
-    controls and tie flags equal the scalar ones bit for bit.
+    clip of the stationary control, or :func:`_newton_batch`), so controls and
+    tie flags equal the scalar ones bit for bit.
     """
     shape = np.shape(state.y)
     stationary = getattr(driver, "stationary_control", None)
@@ -448,21 +405,20 @@ def concavity_audit(
 
     Draws 1000 controls from ``control_range`` and 1000 values y from
     [-5, 5] with seed 0.  The control sample always includes 0 and the range
-    endpoints, where the quartic family attains its modulus.
+    endpoints, where the quartic family attains its modulus.  All samples go
+    to ``d2_da2`` in one call on arrays; a NaN second derivative fails the
+    audit and is its witness.
     """
     rng = np.random.default_rng(0)
     controls = np.concatenate(
         ([0.0, control_range[0], control_range[1]], rng.uniform(*control_range, 1000))
     )
     ys = np.concatenate(([0.0, -5.0, 5.0], rng.uniform(-5.0, 5.0, 1000)))
-    min_modulus = math.inf
-    witness = None
-    for a, y in zip(controls, ys):
-        modulus = -float(driver.d2_da2(DriverState(y=float(y)), float(a)))
-        if modulus < min_modulus:
-            min_modulus = modulus
-            witness = (DriverState(y=float(y)), float(a))
+    modulus = -np.broadcast_to(driver.d2_da2(DriverState(y=ys), controls), ys.shape)
+    worst = int(np.argmin(modulus))  # the first NaN if there is one, as np.min returns NaN
+    min_modulus = float(np.min(modulus))
     passed = min_modulus >= driver.kappa - 1e-9
+    witness = (DriverState(y=float(ys[worst])), float(controls[worst]))
     return ConcavityAudit(min_modulus, passed, None if passed else witness)
 
 

@@ -191,7 +191,6 @@ class ProblemSpec:
     driver: object
     terminal: object
     ambiguity: AmbiguityMap
-    noise_dim: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -207,16 +206,6 @@ class ProblemSpec:
                     f"volatility matrix sigma must be (state_dim, d) = ({x0.size}, d) with d >= 1,"
                     f" got shape {shape}"
                 )
-        d = self.noise_dim
-        if hasattr(self.volatility, "noise_dim"):
-            if d is not None and d != self.volatility.noise_dim:
-                raise ConfigurationError(
-                    f"noise_dim {d} contradicts the volatility shape {self.volatility.noise_dim}"
-                )
-            d = self.volatility.noise_dim
-        if d is None:
-            raise ConfigurationError("noise_dim is required with a generic volatility")
-        object.__setattr__(self, "noise_dim", int(d))
         if isinstance(self.drift, AffineControlDrift) and self.drift.C0.size != x0.size:
             raise ConfigurationError("drift dimension does not match x0")
         if isinstance(self.terminal, LinearTerminal) and self.terminal.coeffs.size != x0.size:
@@ -227,6 +216,10 @@ class ProblemSpec:
     @property
     def state_dim(self) -> int:
         return int(self.x0.size)
+
+    @property
+    def noise_dim(self) -> int:
+        return int(self.volatility.noise_dim)
 
     def terminal_at_start(self) -> float:
         return float(np.asarray(self.terminal(self.x0[None, :])).ravel()[0])

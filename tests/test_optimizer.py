@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,34 @@ def scalar_argmax(uset, driver, state):
     a = np.array([r.a_star for r in results]).reshape(ys.shape)
     tie = np.array([r.tie_flag for r in results]).reshape(ys.shape)
     return a, tie
+
+
+def anchored_penalty(kappa):
+    """-kappa/2 (a - y)^2 without a closed form.
+
+    The reference is y, so a y at a gap midpoint is equidistant from both sides.
+    """
+    return GenericDriver(
+        value_fn=lambda s, a: -0.5 * kappa * (a - s.y) ** 2,
+        d_da_fn=lambda s, a: -kappa * (a - s.y),
+        d2_da2_fn=lambda s, a: -kappa + 0.0 * a,
+        kappa=kappa,
+    )
+
+
+def power_quartic(kappa):
+    """The quartic family with gamma = 1, lam = 1 + kappa, written with ``a**3`` and ``a**4``.
+
+    Python-float ``**`` and numpy's ``power`` round differently, so scalar
+    and batched argmax agree on this driver only if both run one arithmetic.
+    """
+    lam = 1.0 + kappa
+    return GenericDriver(
+        value_fn=lambda s, a: -0.25 * a**4 + 0.5 * a**2 - 0.5 * lam * (a - s.y) ** 2,
+        d_da_fn=lambda s, a: -(a**3) + a - lam * (a - s.y),
+        d2_da2_fn=lambda s, a: -3.0 * a**2 + 1.0 - lam,
+        kappa=kappa,
+    )
 
 
 def cubic_root_bisection(lam, gamma, y, tol=1e-12):
@@ -183,19 +213,16 @@ class TestMaximizeBatch:
 
     @given(
         st.sampled_from([TWO_REGIME, WIDE, POINTED]),
+        st.sampled_from([anchored_penalty, power_quartic]),
         st.floats(0.2, 5.0),
         st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=20),
     )
     @settings(max_examples=100, deadline=None)
-    def test_anchored_penalty_matches_scalar_bitwise(self, uset, kappa, ys):
-        # reference = y, so a y at a gap midpoint is equidistant from both sides
-        driver = GenericDriver(
-            value_fn=lambda s, a: -0.5 * kappa * (a - s.y) ** 2,
-            d_da_fn=lambda s, a: -kappa * (a - s.y),
-            d2_da2_fn=lambda s, a: -kappa + 0.0 * a,
-            kappa=kappa,
-        )
-        state = DriverState(y=np.array(ys + gap_midpoints(uset)))
+    def test_anchored_penalty_matches_scalar_bitwise(self, uset, family, kappa, ys):
+        # a fixed grid beside the drawn values: about 1 in 100 grid states
+        # tells Python-float powers from numpy's in the last Newton step
+        driver = family(kappa)
+        state = DriverState(y=np.concatenate((ys, gap_midpoints(uset), np.linspace(-3.0, 3.0, 31))))
         a, tie = maximize_batch(uset, driver, state)
         a_ref, tie_ref = scalar_argmax(uset, driver, state)
         assert np.array_equal(a, a_ref)
@@ -319,10 +346,12 @@ class TestClosedFormArgmax:
             assert res.derivative_residual == abs(driver.d_da(state, a))
 
     def test_built_in_families_never_run_newton(self, monkeypatch):
-        def newton(*args):
-            raise AssertionError("Newton ran for a driver with a closed-form stationary point")
+        shapes = []
 
-        monkeypatch.setattr(optimizer, "_argmax_on_interval", newton)
+        def newton(driver, state, shape, lo, hi):
+            shapes.append(shape)
+            raise AssertionError("Newton ran")
+
         monkeypatch.setattr(optimizer, "_newton_batch", newton)
         ys = np.linspace(-3.0, 3.0, 25)
         for driver in (QuarticDriver(2.0, 1.0), QuadraticPenaltyDriver(kappa=1.0, w0=0.6)):
@@ -330,8 +359,14 @@ class TestClosedFormArgmax:
                 maximize_batch(uset, driver, DriverState(y=ys))
                 for y in ys:
                     maximize_over(uset, driver, DriverState(y=float(y)))
+        assert shapes == []
+        # a driver without a closed form reaches the one Newton kernel from both paths
+        generic = newton_oracle(QuarticDriver(2.0, 1.0))
         with pytest.raises(AssertionError, match="Newton ran"):
-            maximize_over(WIDE, newton_oracle(QuarticDriver(2.0, 1.0)), DriverState(y=0.5))
+            maximize_over(WIDE, generic, DriverState(y=0.5))
+        with pytest.raises(AssertionError, match="Newton ran"):
+            maximize_batch(WIDE, generic, DriverState(y=ys))
+        assert shapes == [(), ys.shape]
 
 
 class TestTableF0:
@@ -471,6 +506,20 @@ class TestConcavityAudit:
         audit = concavity_audit(driver, control_range=(1.0, 3.0))
         assert not audit.passed
         assert audit.witness is not None
+
+    def test_nan_second_derivative_fails_and_is_the_witness(self):
+        # NaN everywhere, and NaN only for a > 4 (the range endpoint 5 is sampled)
+        for d2, first_nan_a in [
+            (lambda s, a: np.full(np.shape(a), np.nan), 0.0),
+            (lambda s, a: np.where(a > 4.0, np.nan, -2.0), 5.0),
+        ]:
+            driver = GenericDriver(value_fn=None, d_da_fn=None, d2_da2_fn=d2, kappa=1.0)
+            audit = concavity_audit(driver)
+            assert math.isnan(audit.min_modulus)
+            assert not audit.passed
+            state, a = audit.witness
+            assert a == first_nan_a
+            assert math.isnan(float(d2(state, np.array(a))))
 
 
 class TestLipschitzProbe:

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
     CallableDrift,
+    CallableVolatility,
     ConstantVolatility,
     DivergenceError,
     EmpiricalMeasure,
+    Grid1D,
     LinearTerminal,
     ProblemSpec,
     QuadraticPenaltyDriver,
@@ -14,8 +18,10 @@ from theta_fbsde import (
     TimeGrid,
     UsageError,
     brownian_increments,
+    picard_solve,
     simulate_forward,
     solve_backward,
+    solve_hjb,
     static_set,
 )
 from theta_fbsde import sde
@@ -148,6 +154,58 @@ class TestStageInputs:
         grid = self.GRID
         with pytest.raises(UsageError, match="noise increments"):
             simulate_forward(self.SPEC, grid, constant_controls(grid, 8), dirac_laws(grid, 8), 0)
+
+
+class TestCallableVolatility:
+    """A volatility callable returning (n, k, d) takes the ``einsum`` branch of the Euler step."""
+
+    @staticmethod
+    def specs(sigma):
+        """The same problem with ``sigma`` as a constant matrix and as a callable."""
+        k, d = sigma.shape
+        constant = ProblemSpec(
+            horizon=1.0,
+            x0=np.linspace(1.0, 0.5, k),
+            drift=AffineControlDrift(np.zeros(k), 0.25 * np.eye(k)),
+            volatility=ConstantVolatility(sigma),
+            driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6),
+            terminal=LinearTerminal(np.ones(k)),
+            ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
+        )
+        volatility = CallableVolatility(
+            fn=lambda t, x, a, mu: np.broadcast_to(sigma, (x.shape[0], k, d)),
+            lipschitz=0.0,
+            noise_dim=d,
+        )
+        return constant, dataclasses.replace(constant, volatility=volatility)
+
+    @pytest.mark.parametrize("sigma", [[[0.3]], [[0.3, 0.0], [0.1, 0.2]]], ids=["1d", "2d"])
+    def test_paths_match_the_constant_matrix(self, sigma):
+        constant, generic = self.specs(np.array(sigma))
+        assert generic.noise_dim == constant.noise_dim
+        grid, n = TimeGrid(1.0, 20), 64
+        laws = dirac_laws(grid, n)
+        increments = brownian_increments(5, n, grid.n_steps, constant.noise_dim, grid.dt)
+        xs = simulate_forward(constant, grid, constant_controls(grid, n), laws, increments)
+        xs_generic = simulate_forward(generic, grid, constant_controls(grid, n), laws, increments)
+        if constant.state_dim == 1:
+            assert np.array_equal(xs_generic, xs)
+        else:  # einsum and matmul may sum the noise terms in another order
+            scale = np.maximum(np.abs(xs), 1.0)
+            assert np.all(np.abs(xs_generic - xs) <= 4.0 * np.spacing(scale))
+
+    def test_picard_solve_converges(self):
+        constant, generic = self.specs(np.array([[0.3]]))
+        grid = TimeGrid(1.0, 20)
+        sol, report = picard_solve(generic, grid, 400, seed=3)
+        assert report.converged
+        sol_constant, _ = picard_solve(constant, grid, 400, seed=3)
+        assert sol.y0 == sol_constant.y0
+
+    def test_grid_solver_rejects_it(self):
+        _, generic = self.specs(np.array([[0.3]]))
+        with pytest.raises(UsageError, match="constant volatility"):
+            solve_hjb(generic, Grid1D(-3.0, 3.0, 61, 5))
 
 
 class TestNoiseStreams:
