@@ -5,7 +5,9 @@ value process, recomputes controls by pointwise maximization, simulates the
 forward paths under them and then solves the backward equation along those
 new paths, always on the same noise.  So the value and volatility of every
 sweep are solved on the paths of the same sweep.  Successive iterates are
-compared in a weighted norm whose decay diagnoses contraction.
+compared in a weighted norm whose decay diagnoses contraction.  When a sweep
+reads its iterate only through the laws of the value process, the value
+iterate is Anderson-mixed (depth 1) between sweeps.
 
 The engine remembers its last successful solve (weakly, see
 :func:`picard_solve`), so checks that re-solve the problem they were handed
@@ -38,13 +40,18 @@ class PicardReport:
     beta: float = 1.0
     converged: bool = False
     tie_events: int = 0
+    # per sweep: the Anderson coefficient of the step that followed it, 0.0
+    # for a plain step or none
+    mixing: list[float] = field(default_factory=list)
 
     @property
     def final_delta(self) -> float:
         return self.deltas[-1] if self.deltas else math.inf
 
     def copy(self) -> PicardReport:
-        return replace(self, deltas=list(self.deltas), ratios=list(self.ratios))
+        return replace(
+            self, deltas=list(self.deltas), ratios=list(self.ratios), mixing=list(self.mixing)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -54,6 +61,7 @@ class PicardReport:
             "beta": self.beta,
             "converged": self.converged,
             "tie_events": self.tie_events,
+            "mixing": list(self.mixing),
         }
 
 
@@ -78,6 +86,11 @@ def _node_laws(Y: np.ndarray) -> list[EmpiricalMeasure]:
     return [EmpiricalMeasure(Y[i]) for i in range(Y.shape[0])]
 
 
+def _state_free(spec: ProblemSpec) -> bool:
+    """Whether the driver's argmax reads the law but not the particle's state."""
+    return getattr(spec.driver, "state_free_argmax", False)
+
+
 def _controls_stage(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -88,12 +101,14 @@ def _controls_stage(
 ) -> tuple[np.ndarray, int]:
     """Pointwise argmax at every node and particle.
 
-    Drivers whose argmax does not involve the state are solved once per node;
-    otherwise each node's particles are solved in one batch.
+    Drivers whose argmax does not involve the state are solved once per node,
+    and their controls are returned as a read-only view of one value per node
+    broadcast over the particles; otherwise each node's particles are solved
+    in one batch.
     """
-    A = np.empty(Y.shape)
+    state_free = _state_free(spec)
+    A = np.empty(grid.n_nodes if state_free else Y.shape)
     ties = 0
-    state_free = getattr(spec.driver, "state_free_argmax", False)
     for i, t in enumerate(grid.times):
         uset = spec.ambiguity.realize(laws[i])
         if state_free:
@@ -103,6 +118,8 @@ def _controls_stage(
             state = DriverState(t=t, x=X[i], y=Y[i], z=Z[i], mu=laws[i])
             A[i], tie = maximize_batch(uset, spec.driver, state)
         ties += int(np.count_nonzero(tie))
+    if state_free:
+        A = np.broadcast_to(A[:, None], Y.shape)
     return A, ties
 
 
@@ -137,6 +154,37 @@ def _sweep(
     X_new = simulate_forward(spec, grid, A, laws, increments)
     Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
     return X_new, Y_new, Z_new, ties
+
+
+def _anderson_step(
+    f: np.ndarray, r: np.ndarray, r_prev: np.ndarray | None, w: np.ndarray | None, contracting: bool
+) -> tuple[float, np.ndarray | None]:
+    """Depth-1 Anderson update of a sweep's output ``f`` into the next iterate, in place.
+
+    ``r`` is the sweep's residual ``f - u``, ``r_prev`` the last sweep's (its
+    buffer is overwritten) and ``w`` the last correction ``f_prev - u``, or
+    None when that was zero.  The coefficient
+    ``gamma = <r, r - r_prev> / |r - r_prev|^2`` makes ``f - gamma (f - f_prev)``
+    the next iterate, where ``f - f_prev = r - w``.  The step is plain
+    (``gamma = 0``) on the first sweep, when the last ratio was not below one,
+    when ``r == r_prev`` or when ``gamma`` is not finite.  Returns ``gamma`` and
+    the new correction.
+    """
+    gamma = 0.0
+    if r_prev is not None and contracting:
+        dr = np.subtract(r, r_prev, out=r_prev)
+        den = float(np.vdot(dr, dr))
+        if den > 0.0:
+            gamma = float(np.vdot(r, dr)) / den
+    if gamma == 0.0 or not math.isfinite(gamma):
+        return 0.0, None
+    if w is None:
+        w = gamma * r
+    else:
+        np.subtract(r, w, out=w)
+        w *= gamma
+    f -= w
+    return gamma, w
 
 
 # the last successful solve: its key and spec, a weak reference to its
@@ -195,6 +243,11 @@ def picard_solve(
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles)
     report = PicardReport(beta=beta)
+    # A state-free sweep reads its iterate only through the laws of Y, so Y
+    # alone is the map's input and is mixed; r_prev and w are the last
+    # residual and correction of Y.
+    mix = damping == 1.0 and _state_free(spec)
+    r_prev = w = None
 
     for iteration in range(1, max_iter + 1):
         *new, ties = _sweep(spec, grid, X, Y, Z, increments)
@@ -206,6 +259,7 @@ def picard_solve(
         delta = damping * weighted_delta(X, Y, Z, beta, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
+        report.mixing.append(0.0)
         if len(report.deltas) >= 2:
             prev = report.deltas[-2]
             report.ratios.append(delta / prev if prev > 0 else 0.0)
@@ -222,11 +276,16 @@ def picard_solve(
                 "shorten the horizon or reduce the damping",
                 report=report,
             )
-        # the damped iterate nxt - (1 - damping) * step, in place; at damping 1
-        # the new arrays pass through unchanged
-        for step, nxt in zip((X, Y, Z), new):
-            step *= 1.0 - damping
-            nxt -= step
+        if mix:
+            contracting = bool(report.ratios) and report.ratios[-1] < 1.0
+            report.mixing[-1], w = _anderson_step(new[1], Y, r_prev, w, contracting)
+            r_prev = Y
+        else:
+            # the damped iterate nxt - (1 - damping) * step, in place; at
+            # damping 1 the new arrays pass through unchanged
+            for step, nxt in zip((X, Y, Z), new):
+                step *= 1.0 - damping
+                nxt -= step
         X, Y, Z = new
     else:
         raise NoConvergenceError(

@@ -8,6 +8,7 @@ nested horizons, see bit-identical noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,6 +125,8 @@ class CallableVolatility:
     def __post_init__(self):
         if not math.isfinite(self.lipschitz):
             raise ConfigurationError("a finite Lipschitz bound must be declared for generic volatility")
+        if isinstance(self.noise_dim, bool) or not isinstance(self.noise_dim, numbers.Integral):
+            raise ConfigurationError(f"noise dimension must be an integer, got {self.noise_dim!r}")
         if self.noise_dim < 1:
             raise ConfigurationError("noise dimension must be at least 1")
 

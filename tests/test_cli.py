@@ -91,6 +91,41 @@ class TestExitCodes:
         assert partial["converged"] is False
 
 
+class TestPicardReportArtifact:
+    """picard_report.json carries the per-sweep Anderson coefficients."""
+
+    @staticmethod
+    def law_shifted_config(tmp_path):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        cfg["problem"]["ambiguity"].update(
+            theta_rule={"kind": "affine", "alpha": 1.0, "beta": 1.0, "bounds": [-0.5, 0.5]},
+            endpoint_shifts=[0.5, 0.5, 0.5, 0.5],
+        )
+        path = tmp_path / "law_shifted.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_mixing_has_one_coefficient_per_sweep(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["solve", "--config", str(self.law_shifted_config(tmp_path)), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "picard_report.json").read_text())
+        assert len(report["mixing"]) == report["iterations"] > 2
+        assert report["mixing"][0] == report["mixing"][-1] == 0.0
+        assert any(g != 0.0 for g in report["mixing"])
+
+    def test_partial_report_carries_mixing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main([
+            "solve", "--config", str(self.law_shifted_config(tmp_path)),
+            "--tol", "1e-18", "--max-iter", "3", "--out", str(out),
+        ])
+        assert code == 2
+        partial = json.loads((out / "picard_report.json").read_text())
+        assert partial["iterations"] == 3
+        assert len(partial["mixing"]) == 3 and partial["mixing"][0] == 0.0
+
+
 MALFORMED = [
     (("solver",), "particles", "abc"),
     (("solver",), "particles", -5),

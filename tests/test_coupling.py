@@ -37,7 +37,7 @@ from theta_fbsde import (
     y0_standard_error,
 )
 from theta_fbsde import coupling
-from theta_fbsde.coupling import PicardReport, _controls_stage, _node_laws
+from theta_fbsde.coupling import PicardReport, _anderson_step, _controls_stage, _node_laws
 
 
 def application_spec(horizon=1.0, f0_slope=0.5):
@@ -116,6 +116,22 @@ def amplifier_spec():
     )
 
 
+def law_shifted_spec():
+    """The benchmark's law-dependent set: theta from the law's mean and spread moves every endpoint.
+
+    Its argmax is state-free, and the plain loop contracts at a steady ratio
+    of about 0.32, so it takes more than two sweeps.
+    """
+    return dataclasses.replace(
+        application_spec(),
+        ambiguity=AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+            endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            theta_rule=AffineTheta(alpha=1.0, beta=1.0, lo=-0.5, hi=0.5),
+        ),
+    )
+
+
 def reference_weighted_delta(dX, dY, dZ, beta, dt):
     x_part = float(np.max(np.mean(np.sum(dX * dX, axis=2), axis=1)))
     y_part = float(np.max(np.mean(dY * dY, axis=1)))
@@ -149,6 +165,7 @@ def reference_picard_solve(
         delta = damping * weighted_delta(dX, dY, dZ, beta, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
+        report.mixing.append(0.0)  # every step is plain
         if len(report.deltas) >= 2:
             prev = report.deltas[-2]
             report.ratios.append(delta / prev if prev > 0 else 0.0)
@@ -163,6 +180,66 @@ def reference_picard_solve(
         X = X_new - (1.0 - damping) * dX
         Y = Y_new - (1.0 - damping) * dY
         Z = Z_new - (1.0 - damping) * dZ
+    else:
+        raise NoConvergenceError("budget exhausted", report=report)
+    laws = _node_laws(Y)
+    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
+    return X, Y, Z, A, report
+
+
+def anderson_reference_solve(spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0):
+    """The undamped sweep loop with depth-1 Anderson mixing of Y, out of place.
+
+    After sweep k with output f and residual r = f - u, the next Y is
+    f - w with w = gamma (f - f_prev) = gamma (r - w_prev) and
+    gamma = <r, r - r_prev> / |r - r_prev|^2; gamma is 0 on the first sweep,
+    after a ratio of at least one, for r == r_prev and when not finite.
+    Returns (X, Y, Z, A, report).
+    """
+    increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
+    X = np.tile(spec.x0, (grid.n_nodes, n_particles, 1))
+    Y = np.full((grid.n_nodes, n_particles), spec.terminal_at_start())
+    Z = np.zeros((grid.n_nodes, n_particles, spec.noise_dim))
+    report = PicardReport(beta=beta)
+    r_prev = w = None
+    for iteration in range(1, max_iter + 1):
+        laws = _node_laws(Y)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+        report.tie_events += ties
+        X_new = simulate_forward(spec, grid, A, laws, increments)
+        Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
+        r = Y_new - Y
+        delta = weighted_delta(X_new - X, r, Z_new - Z, beta, grid.dt)
+        report.iterations = iteration
+        report.deltas.append(delta)
+        if len(report.deltas) >= 2:
+            prev = report.deltas[-2]
+            report.ratios.append(delta / prev if prev > 0 else 0.0)
+        gamma = 0.0
+        if delta < tol:
+            report.mixing.append(gamma)
+            X, Y, Z = X_new, Y_new, Z_new
+            report.converged = True
+            break
+        if not math.isfinite(delta) or (
+            len(report.ratios) >= 3 and all(q >= 1.0 for q in report.ratios[-3:])
+        ):
+            report.mixing.append(gamma)
+            raise NonContractionError("not contracting", report=report)
+        if r_prev is not None and report.ratios[-1] < 1.0:
+            dr = r - r_prev
+            den = float(np.vdot(dr, dr))
+            if den > 0.0:
+                gamma = float(np.vdot(r, dr)) / den
+            if not math.isfinite(gamma):
+                gamma = 0.0
+        report.mixing.append(gamma)
+        if gamma == 0.0:
+            w = None
+        else:
+            w = gamma * (r if w is None else r - w)
+        X, Y, Z = X_new, Y_new if w is None else Y_new - w, Z_new
+        r_prev = r
     else:
         raise NoConvergenceError("budget exhausted", report=report)
     laws = _node_laws(Y)
@@ -489,6 +566,95 @@ class TestInPlaceUpdate:
         Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
         expected = weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, 1.0, grid.dt)
         assert fixed_point_residual(spec, grid, sol, seed=7) == expected > 0.0
+
+
+STATE_FREE_PROBLEMS = {
+    "law_shifted": (law_shifted_spec, TimeGrid(1.0, 25), 2000, 5),
+    "law_dependent": (feedback_spec, TimeGrid(0.5, 25), 400, 2),
+    "readme": (application_spec, TimeGrid(1.0, 20), 400, 1),
+}
+
+
+class TestAndersonMixing:
+    """Depth-1 Anderson mixing of Y for state-free drivers at damping 1."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.parametrize("problem", sorted(STATE_FREE_PROBLEMS))
+    def test_bit_identical_to_reference_loop(self, problem, tol):
+        make_spec, grid, n, seed = STATE_FREE_PROBLEMS[problem]
+        spec = make_spec()
+        sol, report = picard_solve(spec, grid, n, seed=seed, tol=tol)
+        X, Y, Z, A, expected = anderson_reference_solve(spec, grid, n, seed=seed, tol=tol)
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert np.array_equal(got, want)
+        assert report.to_dict() == expected.to_dict()
+        assert len(report.mixing) == report.iterations
+        if problem == "law_shifted":
+            assert report.iterations > 2
+            assert sum(g != 0.0 for g in report.mixing) >= 2
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_y0_within_tol_of_plain_loop_in_fewer_sweeps(self, tol):
+        make_spec, grid, n, _ = STATE_FREE_PROBLEMS["law_shifted"]
+        for seed in (5, 11, 12345):
+            sol, report = picard_solve(make_spec(), grid, n, seed=seed, tol=tol)
+            _, Y, _, A, plain = reference_picard_solve(make_spec(), grid, n, seed=seed, tol=tol)
+            assert report.converged and plain.converged
+            assert abs(sol.y0 - float(np.mean(Y[0]))) <= tol
+            # every control stays in its regime and moves by less than tol
+            assert np.array_equal(np.sign(sol.A), np.sign(A))
+            assert np.max(np.abs(sol.A - A)) <= tol
+            assert report.iterations <= 0.6 * plain.iterations
+
+    @pytest.mark.parametrize(
+        "make_spec, grid, damping",
+        [(law_shifted_spec, TimeGrid(1.0, 10), 0.5), (quartic_spec, TimeGrid(0.5, 10), 1.0)],
+        ids=["damped", "state_dependent"],
+    )
+    def test_plain_steps_where_mixing_does_not_apply(self, make_spec, grid, damping):
+        sol, report = picard_solve(make_spec(), grid, 300, seed=3, tol=1e-9, damping=damping)
+        X, Y, Z, A, expected = reference_picard_solve(
+            make_spec(), grid, 300, seed=3, tol=1e-9, damping=damping
+        )
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert np.array_equal(got, want)
+        assert report.to_dict() == expected.to_dict()
+        assert report.iterations > 2
+        assert report.mixing == [0.0] * report.iterations
+
+    def test_state_free_controls_are_one_value_per_node(self):
+        make_spec, grid, n, seed = STATE_FREE_PROBLEMS["law_shifted"]
+        sol, _ = picard_solve(make_spec(), grid, n, seed=seed)
+        assert sol.A.shape == (grid.n_nodes, n)
+        assert sol.A.strides[1] == 0
+        assert np.array_equal(sol.A, np.repeat(sol.A[:, :1], n, axis=1))
+        assert len(np.unique(sol.A)) > 1  # the law moves the set, so the controls vary by node
+
+    def test_safeguard_takes_the_plain_step(self):
+        r = np.array([[1.0, -2.0], [0.5, 0.25]])
+        cases = {
+            "first sweep": (r, None, True),
+            "ratio not below one": (r, r - 1.0, False),
+            "zero denominator": (r, r.copy(), True),
+            # the inner products overflow, so gamma is inf / inf
+            "non-finite coefficient": (1e300 * r, -1e300 * r, True),
+        }
+        for name, (res, r_prev, contracting) in cases.items():
+            f = np.array([[3.0, 1.0], [2.0, 4.0]])
+            gamma, w = _anderson_step(f, res, r_prev, np.ones_like(r), contracting)
+            assert (gamma, w) == (0.0, None), name
+            assert np.array_equal(f, [[3.0, 1.0], [2.0, 4.0]]), name
+
+    def test_mixed_step_matches_its_formula(self):
+        rng = np.random.default_rng(4)
+        f, r, r_prev, w_prev = rng.normal(size=(4, 6, 5))
+        dr = r - r_prev
+        gamma = float(np.vdot(r, dr)) / float(np.vdot(dr, dr))
+        expected = f - gamma * (r - w_prev)
+        got_gamma, w = _anderson_step(f, r, r_prev.copy(), w_prev.copy(), True)
+        assert got_gamma == gamma != 0.0
+        assert np.array_equal(w, gamma * (r - w_prev))
+        assert np.array_equal(f, expected)
 
 
 class TestSweepOrder:

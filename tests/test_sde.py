@@ -7,6 +7,7 @@ from theta_fbsde import (
     AffineControlDrift,
     CallableDrift,
     CallableVolatility,
+    ConfigurationError,
     ConstantVolatility,
     DivergenceError,
     EmpiricalMeasure,
@@ -201,6 +202,15 @@ class TestCallableVolatility:
         assert report.converged
         sol_constant, _ = picard_solve(constant, grid, 400, seed=3)
         assert sol.y0 == sol_constant.y0
+
+    @pytest.mark.parametrize("noise_dim", [1.7, 2.0, True, "2", 0], ids=repr)
+    def test_noise_dim_must_be_a_positive_integer(self, noise_dim):
+        with pytest.raises(ConfigurationError, match="noise dimension"):
+            CallableVolatility(fn=lambda t, x, a, mu: x, lipschitz=0.0, noise_dim=noise_dim)
+
+    def test_numpy_integer_noise_dim_is_accepted(self):
+        volatility = CallableVolatility(fn=lambda t, x, a, mu: x, lipschitz=0.0, noise_dim=np.int64(2))
+        assert volatility.noise_dim == 2
 
     def test_grid_solver_rejects_it(self):
         _, generic = self.specs(np.array([[0.3]]))
