@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,20 +49,10 @@ class PicardReport:
         return self.deltas[-1] if self.deltas else math.inf
 
     def copy(self) -> PicardReport:
-        return replace(
-            self, deltas=list(self.deltas), ratios=list(self.ratios), mixing=list(self.mixing)
-        )
+        return PicardReport(**self.to_dict())
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "deltas": list(self.deltas),
-            "ratios": list(self.ratios),
-            "beta": self.beta,
-            "converged": self.converged,
-            "tie_events": self.tie_events,
-            "mixing": list(self.mixing),
-        }
+        return asdict(self)
 
 
 def weighted_delta(
@@ -104,7 +94,8 @@ def _controls_stage(
     Drivers whose argmax does not involve the state are solved once per node,
     and their controls are returned as a read-only view of one value per node
     broadcast over the particles; otherwise each node's particles are solved
-    in one batch.
+    in one batch.  The tie count is of tied controls, so a tied state-free
+    node counts once per particle.
     """
     state_free = _state_free(spec)
     A = np.empty(grid.n_nodes if state_free else Y.shape)
@@ -113,11 +104,12 @@ def _controls_stage(
         uset = spec.ambiguity.realize(laws[i])
         if state_free:
             res = maximize_over(uset, spec.driver, DriverState(t=t, mu=laws[i]))
-            A[i], tie = res.a_star, res.tie_flag
+            A[i] = res.a_star
+            ties += Y.shape[1] if res.tie_flag else 0
         else:
             state = DriverState(t=t, x=X[i], y=Y[i], z=Z[i], mu=laws[i])
             A[i], tie = maximize_batch(uset, spec.driver, state)
-        ties += int(np.count_nonzero(tie))
+            ties += int(np.count_nonzero(tie))
     if state_free:
         A = np.broadcast_to(A[:, None], Y.shape)
     return A, ties

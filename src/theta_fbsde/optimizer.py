@@ -18,7 +18,7 @@ scalar and the batched argmax share that iteration (the scalar one at shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -216,14 +216,13 @@ class GenericDriver:
 # maximization
 
 
-@dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(NamedTuple):
+    """Constrained argmax at one state and the interval of the union that holds it."""
+
     a_star: float
     value: float
-    active_boundary: str          # "interior" | "lower" | "upper" | "point"
     tie_flag: bool
     interval_index: int
-    derivative_residual: float
 
 
 _MAX_ITER = 200
@@ -282,27 +281,22 @@ def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerR
     """
     stationary = getattr(driver, "stationary_control", None)
     s = None if stationary is None else stationary(state)
-    best: OptimizerResult | None = None
-    tie = False
+    best_a = best_val = None
+    best_idx, tie = 0, False
     for idx, (lo, hi) in enumerate(uset.intervals):
         if lo == hi:
             # without a closed form the value is taken at a 0-d array, as in the batch
-            a, boundary, resid = lo if s is not None else np.full((), lo), "point", 0.0
+            a = lo if s is not None else np.full((), lo)
+        elif s is None:
+            a = _newton_batch(driver, state, (), lo, hi)
         else:
-            if s is None:
-                a = _newton_batch(driver, state, (), lo, hi)
-            else:
-                a = lo if s <= lo else hi if s >= hi else s
-            boundary = "lower" if a == lo else "upper" if a == hi else "interior"
-            resid = abs(float(driver.d_da(state, a)))
+            a = lo if s <= lo else hi if s >= hi else s
         val = float(driver.value(state, a))
-        if best is None or val > best.value + _TIE_TOL:
-            best = OptimizerResult(float(a), val, boundary, False, idx, resid)
-            tie = False
-        elif val >= best.value - _TIE_TOL and a != best.a_star:
+        if best_val is None or val > best_val + _TIE_TOL:
+            best_a, best_val, best_idx, tie = float(a), val, idx, False
+        elif val >= best_val - _TIE_TOL and a != best_a:
             tie = True  # candidates are visited in increasing a, keep the earlier one
-    assert best is not None
-    return replace(best, tie_flag=True) if tie else best
+    return OptimizerResult(best_a, best_val, tie, best_idx)
 
 
 def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:

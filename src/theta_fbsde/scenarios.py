@@ -173,8 +173,10 @@ def run_application(
     ``solver`` holds the keyword arguments of :func:`picard_solve` (``tol``,
     ``max_iter``, ``beta``, ``damping``) and reaches both solves.  The hull
     comparison is defined for static ambiguity; a law-dependent map has no
-    single convexification.  The reported drift multipliers ``1 + 3 w`` take
-    the control rule of the quadratic penalty driver.
+    single convexification.  Each reported control is its solve's own: the
+    quadratic penalty driver's argmax reads no state and the set is static,
+    so one control holds at every node and particle.  The reported drift
+    multipliers ``1 + 3 w`` take the control rule of that driver.
     """
     if not spec.ambiguity.is_static:
         raise UsageError("the convexified comparison needs a static set")
@@ -186,9 +188,8 @@ def run_application(
     sol, rep = picard_solve(spec, grid, n_particles, seed=seed, **solver)
     sol_h, rep_h = picard_solve(spec_hull, grid, n_particles, seed=seed, **solver)
 
-    w0 = spec.driver.w0
-    w_star = base.project(w0)
-    w_hull = hull.project(w0)
+    w_star = float(sol.A[0, 0])
+    w_hull = float(sol_h.A[0, 0])
     xt = sol.X[-1].ravel() if sol.X.shape[2] == 1 else np.linalg.norm(sol.X[-1], axis=1)
     xt_h = sol_h.X[-1].ravel() if sol_h.X.shape[2] == 1 else np.linalg.norm(sol_h.X[-1], axis=1)
     return ApplicationReport(

@@ -311,6 +311,24 @@ class TestCounterexampleCommand:
         gap = float(out.split("gap=")[1].split()[0])
         assert 0.015 <= gap <= 0.025
 
+    def test_reference_report_bit_for_bit(self, tmp_path, capsys):
+        # the deterministic reduction at lambda 2, gamma 1, c 0.1, T 1, 1000 RK4 steps
+        expected = {
+            "e_zero": "0x0.0p+0",
+            "e_plus": "0x1.c50f010100f7fp-4",
+            "e_minus": "-0x1.7585420d68a24p-4",
+            "subadditivity_gap": "0x1.3e26fbce6156cp-6",
+            "translation_defect": "0x1.5bab3b3b3af28p-7",
+            "curvature_numeric": "0x1.ffff79c8b02f7p+0",
+        }
+        code = main([
+            "counterexample", "--lambda", "2", "--gamma", "1", "--c", "0.1", "--T", "1",
+            "--steps", "1000", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        report = json.loads((tmp_path / "counterexample_report.json").read_text())
+        assert {k: report[k].hex() for k in expected} == expected
+
 
 class TestSolveCommand:
     def test_artifacts_and_summary(self, app_config, tmp_path, capsys):

@@ -431,7 +431,8 @@ class TestPicardSolve:
         )
         grid = TimeGrid(0.5, 10)
         sol, report = picard_solve(spec, grid, 300, seed=1)
-        assert report.tie_events > 0
+        # every particle's control ties at every node of every sweep
+        assert report.tie_events == 300 * grid.n_nodes * report.iterations
         assert np.all(sol.A == -1.0)  # ties resolve toward the smaller regime
 
     def test_batched_controls_equal_scalar_argmax(self):
@@ -731,6 +732,17 @@ def noise_draws(monkeypatch):
 
 MEMO_GRID = TimeGrid(1.0, 10)
 MEMO_ARGS = {"seed": 1, "tol": 1e-6, "max_iter": 50, "beta": 1.0, "damping": 1.0}
+
+
+class TestPicardReport:
+    def test_dict_holds_exactly_the_fields(self):
+        report = PicardReport(iterations=2, deltas=[0.5, 0.1], ratios=[0.2], tie_events=3)
+        names = [f.name for f in dataclasses.fields(PicardReport)]
+        assert list(report.to_dict()) == names
+        copy = report.copy()
+        assert copy == report and copy is not report
+        copy.deltas.append(1.0)
+        assert report.deltas == [0.5, 0.1]
 
 
 class TestSolveMemo:

@@ -100,24 +100,29 @@ def cubic_root_bisection(lam, gamma, y, tol=1e-12):
 
 class TestMaximizeOver:
     def test_quartic_origin(self):
-        res = maximize_over(WIDE, QuarticDriver(2.0, 1.0), DriverState(y=0.0))
+        driver, state = QuarticDriver(2.0, 1.0), DriverState(y=0.0)
+        res = maximize_over(WIDE, driver, state)
         assert res.a_star == pytest.approx(0.0, abs=1e-11)
         assert res.value == pytest.approx(0.0, abs=1e-12)
-        assert res.active_boundary == "interior"
+        lo, hi = WIDE.intervals[res.interval_index]
+        assert lo < res.a_star < hi
+        assert abs(driver.d_da(state, res.a_star)) <= 1e-10
 
     def test_quadratic_penalty_reduces_to_projection(self):
         driver = QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5))
         res = maximize_over(TWO_REGIME, driver, DriverState(y=0.0))
         assert res.a_star == 1.0
-        assert res.active_boundary == "lower"
+        assert res.a_star == TWO_REGIME.intervals[res.interval_index][0]
+        assert driver.d_da(DriverState(y=0.0), res.a_star) <= 0.0
 
     def test_quartic_cubic_root(self):
         res = maximize_over(WIDE, QuarticDriver(2.0, 1.0), DriverState(y=0.1))
         assert res.a_star == pytest.approx(cubic_root_bisection(2.0, 1.0, 0.1), abs=1e-10)
 
     def test_interior_residual_tolerance(self):
-        res = maximize_over(WIDE, QuarticDriver(2.0, 1.0), DriverState(y=0.3))
-        assert res.derivative_residual <= 1e-10
+        driver, state = QuarticDriver(2.0, 1.0), DriverState(y=0.3)
+        res = maximize_over(WIDE, driver, state)
+        assert abs(driver.d_da(state, res.a_star)) <= 1e-10
 
     def test_tie_between_symmetric_wells(self):
         driver = QuadraticPenaltyDriver(kappa=1.0, w0=0.0)
@@ -167,13 +172,13 @@ class TestMaximizeOver:
         driver = QuadraticPenaltyDriver(kappa=2.0, w0=5.0)
         res = maximize_over(TWO_REGIME, driver, DriverState())
         assert res.a_star == 2.0
-        assert res.active_boundary == "upper"
+        assert res.a_star == TWO_REGIME.intervals[res.interval_index][1]
         assert driver.d_da(DriverState(), 2.0) >= 0.0
 
         driver = QuadraticPenaltyDriver(kappa=2.0, w0=-5.0)
         res = maximize_over(TWO_REGIME, driver, DriverState())
         assert res.a_star == -2.0
-        assert res.active_boundary == "lower"
+        assert res.a_star == TWO_REGIME.intervals[res.interval_index][0]
         assert driver.d_da(DriverState(), -2.0) <= 0.0
 
     @given(st.floats(-1.5, 1.5, allow_nan=False), st.floats(0.05, 2.0))
@@ -326,7 +331,7 @@ class TestClosedFormArgmax:
                 res = maximize_over(uset, driver, state)
                 ref = maximize_over(uset, oracle, state)
                 assert res.a_star == s
-                assert res.active_boundary in ("lower", "upper")
+                assert res.a_star in uset.intervals[res.interval_index]  # an endpoint
                 assert res.tie_flag == ref.tie_flag
                 assert res.interval_index == ref.interval_index
                 assert abs(res.a_star - ref.a_star) <= bound
@@ -342,8 +347,17 @@ class TestClosedFormArgmax:
             (IntervalUnion(((0.25, 0.25),)), "point", 0.25),
         ]:
             res = maximize_over(uset, driver, state)
-            assert (res.a_star, res.active_boundary) == (a, boundary)
-            assert res.derivative_residual == abs(driver.d_da(state, a))
+            lo, hi = uset.intervals[res.interval_index]
+            label = "point" if lo == hi else "lower" if res.a_star == lo else (
+                "upper" if res.a_star == hi else "interior")
+            assert (res.a_star, label) == (a, boundary)
+            slope = driver.d_da(state, res.a_star)
+            if label == "interior":
+                assert abs(slope) <= 1e-10
+            elif label == "lower":
+                assert slope <= 0.0
+            elif label == "upper":
+                assert slope >= 0.0
 
     def test_built_in_families_never_run_newton(self, monkeypatch):
         shapes = []
@@ -367,6 +381,25 @@ class TestClosedFormArgmax:
         with pytest.raises(AssertionError, match="Newton ran"):
             maximize_batch(WIDE, generic, DriverState(y=ys))
         assert shapes == [(), ys.shape]
+
+    @pytest.mark.parametrize("driver,calls", [
+        (QuadraticPenaltyDriver(kappa=1.0, w0=0.6), 0),
+        (QuarticDriver(2.0, 1.0), 1),
+    ])
+    def test_derivative_read_only_by_the_stationary_control(self, monkeypatch, driver, calls):
+        counted = []
+        d_da = type(driver).d_da
+
+        def counting(self, state, a):
+            counted.append(a)
+            return d_da(self, state, a)
+
+        monkeypatch.setattr(type(driver), "d_da", counting)
+        for uset in (WIDE, TWO_REGIME):
+            for y in (-3.0, 0.0, 0.7):
+                counted.clear()
+                maximize_over(uset, driver, DriverState(y=y))
+                assert len(counted) == calls
 
 
 class TestTableF0:

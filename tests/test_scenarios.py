@@ -69,6 +69,16 @@ class TestApplicationScenario:
         # the convexified dynamics decay more slowly and carry a smaller penalty
         assert report.x_terminal_mean_hull > report.x_terminal_mean_nonconvex
 
+    def test_reported_controls_are_the_solves(self):
+        # 1e-13 from the gap midpoint the two sides' values differ by about 2e-13,
+        # inside the argmax tie tolerance, so the solve keeps the smaller control
+        report = run_application(application_spec(1e-13), TimeGrid(1.0, 10), 200, seed=0)
+        assert np.all(report.solution_nonconvex.A == -1.0)
+        assert report.control_nonconvex == -1.0
+        assert report.multiplier_nonconvex == -2.0
+        assert report.control_hull == 1e-13
+        assert report.multiplier_hull == 1.0 + 3.0 * 1e-13
+
     def test_reference_inside_set_collapses_the_comparison(self):
         report = run_application(application_spec(1.5), TimeGrid(1.0, 40), 600, seed=3)
         assert report.control_nonconvex == report.control_hull == 1.5
