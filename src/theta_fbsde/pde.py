@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from ._atomic import atomic_write
-from ._csv import format_rows
+from . import _csv
+from ._csv import format_once, format_rows
 from .errors import GridError, UsageError
 from .measures import EmpiricalMeasure
 from .optimizer import DriverState, maximize_batch, maximize_over
@@ -195,19 +196,27 @@ def solve_hjb(
 def write_surface_csv(path, grid1d: Grid1D, horizon: float, surface: np.ndarray) -> None:
     """Dump the value surface as CSV rows (t, x, v), t = layer * dt.
 
-    Every number is printed as ``'%.17g' % x`` prints it, by the vectorized
-    formatter of ``_csv.format_rows``, with the whole surface as one block of
-    cells.  The file is written atomically; a cell that is not a real number
-    raises TypeError and leaves the previous file in place.
+    Every number is printed as ``'%.17g' % x`` prints it.  Only v is printed
+    cell by cell, by the vectorized formatter of ``_csv.format_rows``, a run
+    of whole layers per block; x is printed once per file and each layer's t
+    once per layer, and their text is copied.  ``surface`` must be
+    ``(grid1d.nt + 1, grid1d.nx)``, one row per time layer, or UsageError is
+    raised before anything is written.  The file is written atomically; a
+    cell that is not a real number raises TypeError and leaves the previous
+    file in place.
     """
-    n_layers = surface.shape[0]
-    times = np.arange(n_layers) * grid1d.dt(horizon)
-    cells = np.column_stack(
-        [np.repeat(times, grid1d.nx), np.tile(grid1d.xs, n_layers), surface.reshape(-1)]
-    )
+    surface = np.asarray(surface)
+    n_layers, nx = grid1d.nt + 1, grid1d.nx
+    if surface.shape != (n_layers, nx):
+        raise UsageError(f"surface of shape {surface.shape} does not match the grid's {(n_layers, nx)}")
+    times = format_once(np.arange(n_layers) * grid1d.dt(horizon))
+    step = max(1, _csv._BLOCK_ROWS // nx)  # layers per block
+    xs = np.tile(format_once(grid1d.xs), (step, 1))
     with atomic_write(path, binary=True) as fh:
         fh.write(b"t,x,v\n")
-        fh.writelines(format_rows(cells))
+        for i in range(0, n_layers, step):
+            v = surface[i:i + step].reshape(-1)
+            fh.writelines(format_rows(np.repeat(times[i:i + step], nx, axis=0), xs[:v.size], v))
 
 
 @dataclass(frozen=True, eq=False)

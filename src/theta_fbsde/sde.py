@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._atomic import atomic_write
-from ._csv import format_rows
+from ._csv import format_once, format_rows, rows_once_if_repeated
 from ._memo import LastEntry
 from .errors import ConfigurationError, DivergenceError, UsageError
 from .measures import EmpiricalMeasure, frozen_copy
@@ -371,9 +371,13 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
 
     Every number is printed as ``'%.17g' % x`` prints it (the particle index
     as the integer it is), so identical runs produce byte-identical files.
-    Each node is one block of cells for the vectorized formatter of
-    ``_csv.format_rows``.  The file is written atomically; a cell that is not
-    a real number raises TypeError and leaves the previous file in place.
+    Only X, Y and Z, and A where it varies across particles, are printed cell
+    by cell, by the vectorized formatter of ``_csv.format_rows``, one block
+    per node.  Text that repeats is printed once and copied: the particle
+    column once per file, each node's t once per node, and a node's A once
+    when every particle holds the same bits (a state-free driver's control).
+    The file is written atomically; a cell that is not a real number raises
+    TypeError and leaves the previous file in place.
     """
     k = sol.X.shape[2]
     d = sol.Z.shape[2]
@@ -384,10 +388,10 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
         + [f"Z_{j + 1}" for j in range(d)]
         + ["A"]
     )
-    n = sol.n_particles
-    particle = np.arange(n, dtype=float)
+    particle = format_once(np.arange(sol.n_particles, dtype=float))
+    times = format_once(sol.times)
     with atomic_write(path, binary=True) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for i, t in enumerate(sol.times):
-            cells = np.column_stack([np.full(n, t), particle, sol.X[i], sol.Y[i], sol.Z[i], sol.A[i]])
-            fh.writelines(format_rows(cells))
+        for i, a in enumerate(rows_once_if_repeated(sol.A)):
+            values = np.column_stack([sol.X[i], sol.Y[i], sol.Z[i]])
+            fh.writelines(format_rows(times[i:i + 1], particle, values, a))

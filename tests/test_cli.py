@@ -5,7 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from theta_fbsde import EmpiricalMeasure, Grid1D, SolutionPaths, write_paths_csv, write_surface_csv
+from theta_fbsde import (
+    EmpiricalMeasure,
+    Grid1D,
+    SolutionPaths,
+    TimeGrid,
+    UsageError,
+    picard_solve,
+    write_paths_csv,
+    write_surface_csv,
+)
 from theta_fbsde import _csv, cli
 from theta_fbsde.cli import _write_json, main
 
@@ -710,3 +719,150 @@ class TestBlockedWriters:
         write_surface_csv(tmp_path / "surface.csv", GOLDEN_GRID, 1 / 3, golden_surface(dtype=object))
         reference_surface_csv(tmp_path / "surface_ref.csv", GOLDEN_GRID, 1 / 3, golden_surface())
         assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "surface_ref.csv").read_bytes()
+
+
+def broadcast_a_solution(n_particles=SPECIAL.size):
+    """One node per SPECIAL value, each node's A that value broadcast over the
+    particles (stride 0, as a state-free solve returns it); t runs through
+    SPECIAL too, and k = 2, d = 1."""
+    n_nodes = SPECIAL.size
+    cols = np.array([
+        [np.resize(np.roll(SPECIAL, 2 * i + c), n_particles) for c in range(4)] for i in range(n_nodes)
+    ]).transpose(0, 2, 1)
+    return SolutionPaths(
+        times=np.roll(SPECIAL, 5),
+        X=cols[:, :, 0:2],
+        Y=cols[:, :, 2],
+        Z=cols[:, :, 3:4],
+        A=np.broadcast_to(SPECIAL[:, None], (n_nodes, n_particles)),
+        measures=(EmpiricalMeasure(np.zeros(1)),) * n_nodes,
+    )
+
+
+def same_bytes(a, b):
+    return Path(a).read_bytes() == Path(b).read_bytes()
+
+
+class TestOnceFormattedColumns:
+    """The columns printed once (t, particle, a repeated A, the surface's t
+    and x) against the per-cell reference writers."""
+
+    @pytest.mark.parametrize("block_rows", [2, None])
+    def test_broadcast_a_matches_reference_bytes(self, block_rows, tmp_path, monkeypatch):
+        if block_rows is not None:  # a node spans several passes
+            monkeypatch.setattr(_csv, "_BLOCK_ROWS", block_rows)
+        sol = broadcast_a_solution()
+        assert sol.A.strides[0] != 0 and sol.A.strides[1] == 0
+        write_paths_csv(tmp_path / "new.csv", sol)
+        reference_paths_csv(tmp_path / "ref.csv", sol)
+        assert same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    def test_materialized_a_writes_the_same_bytes(self, tmp_path):
+        sol = broadcast_a_solution()
+        dense = SolutionPaths(sol.times, sol.X, sol.Y, sol.Z, np.array(sol.A), sol.measures)
+        assert dense.A.strides[1] == dense.A.itemsize
+        write_paths_csv(tmp_path / "broadcast.csv", sol)
+        write_paths_csv(tmp_path / "dense.csv", dense)
+        assert same_bytes(tmp_path / "broadcast.csv", tmp_path / "dense.csv")
+
+    def test_equal_floats_with_other_bits_keep_their_own_cells(self, tmp_path):
+        # -0.0 == 0.0 and nan payloads differ: a float == test would print one text
+        nan_bits = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(float)
+        for first, other in ((0.0, -0.0), (-0.0, 0.0), tuple(nan_bits)):
+            sol = broadcast_a_solution(n_particles=4)
+            a = np.full(sol.A.shape, first)
+            a[:, 2] = other
+            sol = SolutionPaths(sol.times, sol.X, sol.Y, sol.Z, a, sol.measures)
+            write_paths_csv(tmp_path / "new.csv", sol)
+            reference_paths_csv(tmp_path / "ref.csv", sol)
+            assert same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("block_rows", [4, 20, 32, None])
+    def test_surface_layers_across_passes_match_reference_bytes(self, block_rows, tmp_path, monkeypatch):
+        # nx = 15 is no multiple of any block size; at 32 rows a pass holds two
+        # layers and the last pass one
+        if block_rows is not None:
+            monkeypatch.setattr(_csv, "_BLOCK_ROWS", block_rows)
+        grid = Grid1D(-2.5, 0.1, SPECIAL.size, 6)
+        surface = np.array([np.roll(SPECIAL, 3 * i) for i in range(grid.nt + 1)])
+        write_surface_csv(tmp_path / "new.csv", grid, 0.7, surface)
+        reference_surface_csv(tmp_path / "ref.csv", grid, 0.7, surface)
+        assert same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
+
+    def test_cli_solve_matches_reference_bytes(self, tmp_path, monkeypatch, capsys):
+        solved = []
+
+        def recording_writer(path, sol):
+            solved.append(sol)
+            write_paths_csv(path, sol)
+
+        monkeypatch.setattr(cli, "write_paths_csv", recording_writer)
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(readme_config()))
+        code = main([
+            "solve", "--config", str(path), "--particles", "60", "--steps", "6", "--seed", "3",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0, capsys.readouterr().err
+        (sol,) = solved
+        assert all(isinstance(a, _csv.Text) for a in _csv.rows_once_if_repeated(sol.A))
+        reference_paths_csv(tmp_path / "ref.csv", sol)
+        assert same_bytes(tmp_path / "o" / "paths.csv", tmp_path / "ref.csv")
+
+
+class TestSurfaceShape:
+    @pytest.mark.parametrize("shape", [(2, 5), (4, 5), (3, 4), (3, 6)])
+    def test_surface_off_the_grid_is_a_usage_error(self, shape, tmp_path):
+        grid = Grid1D(-1.0, 1.0, 5, 2)
+        target = tmp_path / "value_surface.csv"
+        target.write_bytes(b"previous run\n")
+        with pytest.raises(UsageError, match="does not match"):
+            write_surface_csv(target, grid, 1.0, np.zeros(shape))
+        assert target.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["value_surface.csv"]
+
+    def test_surface_on_the_grid_is_written(self, tmp_path):
+        grid = Grid1D(-1.0, 1.0, 5, 2)
+        write_surface_csv(tmp_path / "s.csv", grid, 1.0, np.zeros((3, 5)))
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 3 * 5
+
+
+class TestCellsPrintedPerPass:
+    """Count the cells the fill kernel receives: the per-cell columns once per
+    cell, each once-printed column once per value."""
+
+    @pytest.fixture
+    def filled(self, monkeypatch):
+        counts = []
+        fill = _csv._fill
+
+        def counting_fill(x, last, slots):
+            counts.append(x.size)
+            return fill(x, last, slots)
+
+        monkeypatch.setattr(_csv, "_fill", counting_fill)
+        return counts
+
+    def test_state_free_solution(self, filled, tmp_path):
+        spec = cli.build_problem(APP_CONFIG["problem"])
+        n_steps, n = 5, 40
+        sol, _ = picard_solve(spec, TimeGrid(1.0, n_steps), n, seed=2)
+        N = n_steps + 1
+        assert sol.X.shape == (N, n, 1) and sol.Z.shape == (N, n, 1)
+        write_paths_csv(tmp_path / "p.csv", sol)
+        # X, Y, Z per cell; particle once per file; t and A once per node
+        assert sum(filled) == 3 * N * n + n + N + N == 772
+
+    def test_state_dependent_solution(self, filled, tmp_path):
+        sol = broadcast_a_solution()
+        sol = SolutionPaths(sol.times, sol.X[..., :1], sol.Y, sol.Z, np.array(sol.X[..., 1]), sol.measures)
+        N, n = sol.A.shape
+        write_paths_csv(tmp_path / "p.csv", sol)
+        # X, Y, Z and A per cell; particle once per file; t once per node
+        assert sum(filled) == 4 * N * n + n + N == 930
+
+    def test_surface(self, filled, tmp_path):
+        grid = Grid1D(-1.0, 1.0, 7, 4)
+        write_surface_csv(tmp_path / "s.csv", grid, 1.0, np.ones((grid.nt + 1, grid.nx)))
+        # v per cell; x once per file; t once per layer
+        assert sum(filled) == 5 * 7 + 7 + 5 == 47
