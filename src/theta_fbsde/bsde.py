@@ -93,37 +93,50 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     p x p moment matrix ``G = Phi^T Phi`` of the design matrix ``Phi``: its
     eigenvalues give ``cond(Phi) = sqrt(lmax / lmin)``, and when that is at
     most ``_MOMENT_FIT_COND`` the coefficients solve ``G c = Phi^T T`` and the
-    fitted values are ``Phi c``.  Otherwise one reduced QR of ``Phi`` gives the
-    fitted values ``Q (Q^T T)``, the coefficients from ``R c = Q^T T`` and the
-    condition number from the singular values of ``R``, which are those of
-    ``Phi``.  Fewer rows than basis columns or a condition number above 1e12
-    aborts the sweep.
+    fitted values are ``Phi c``.  ``Phi`` and the targets ``T`` are written
+    into one F-order block ``[Phi | T]``, so one product ``Phi^T [Phi | T]``
+    gives both ``G`` and ``Phi^T T``.  Otherwise one reduced QR of ``Phi``
+    gives the fitted values ``Q (Q^T T)``, the coefficients from
+    ``R c = Q^T T`` and the condition number from the singular values of
+    ``R``, which are those of ``Phi``.  Fewer rows than basis columns or a
+    condition number above 1e12 aborts the sweep.
     """
-    scale = max(1.0, float(np.max(np.abs(x))))
-    spread = np.max(x, axis=0) - np.min(x, axis=0)
-    active = spread > _DEGENERATE_SPREAD * scale
+    # ndarray methods, not the np.* wrappers: at a few hundred particles the
+    # wrappers' call overhead is a visible share of the fit
+    hi = x.max(axis=0)
+    lo = x.min(axis=0)
+    scale = max(1.0, float(hi.max()), float(-lo.min()))
+    active = hi - lo > _DEGENERATE_SPREAD * scale
     if not np.any(active):
         means = np.mean(targets, axis=0)
         values = np.broadcast_to(means, targets.shape).copy()
         empty = np.empty(0)
         return NodeFit(active, empty, empty, degree, means[None, :], values, 1.0)
-    xa = x[:, active]
-    mean = np.mean(xa, axis=0)
-    centred = xa - mean
-    # the arithmetic of np.std, which would centre the state again
-    std = np.sqrt(np.mean(centred * centred, axis=0))
-    phi = polynomial_basis(centred / std, degree)
-    n, p = phi.shape
+    n = x.shape[0]
+    p = math.comb(int(np.count_nonzero(active)) + degree, degree)
     if n < p:
         raise RegressionBasisError(
             f"{n} particles cannot fit the {p} regression basis columns; use more particles"
         )
-    gram = phi.T @ phi
+    xs = x[:, active]
+    mean = xs.mean(axis=0)
+    xs -= mean
+    # the arithmetic of np.std, which would centre the state again
+    std = np.sqrt((xs * xs).mean(axis=0))
+    xs /= std
+    design = np.empty((n, p + targets.shape[1]), order="F")
+    design[:, :p] = polynomial_basis(xs, degree)
+    design[:, p:] = targets
+    phi = design[:, :p]
+    # phi^T phi alone would go to BLAS syrk, several times slower at these
+    # shapes than this gemm, which also gives Phi^T T
+    moments = phi.T @ design
+    gram = moments[:, :p]
     eigen = np.linalg.eigvalsh(gram)
     if eigen[0] > 0:
         cond = math.sqrt(eigen[-1] / eigen[0])
         if cond <= _MOMENT_FIT_COND:
-            coef = np.linalg.solve(gram, phi.T @ targets)
+            coef = np.linalg.solve(gram, moments[:, p:])
             return NodeFit(active, mean, std, degree, coef, phi @ coef, cond)
     q, r = np.linalg.qr(phi)
     singular = np.linalg.svd(r, compute_uv=False)
@@ -181,6 +194,9 @@ def solve_backward(
             raise DivergenceError("value process became non-finite", node=i)
         Y[i] = y_new
         Z[i] = z
+        # freed here, not when the next node rebinds the names, so the next
+        # fit does not run beside them: that set the sweep's peak memory
+        del targets, fitted, cont, z, state, y_new
     Z[-1] = Z[-2]
     return Y, Z
 

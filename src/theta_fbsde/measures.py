@@ -8,6 +8,7 @@ computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class EmpiricalMeasure:
     def size(self) -> int:
         return int(self.samples.size)
 
+    @cached_property
+    def _moments(self) -> tuple[float, float]:
+        # computed on first use and kept: the control stage and the grid
+        # solver realize the same law's set, and may do so more than once
+        return float(np.mean(self.samples)), float(np.std(self.samples))
+
     def __repr__(self) -> str:  # keep reprs short for large clouds
         if self.size <= 6:
             body = ", ".join(f"{s:g}" for s in self.samples)
@@ -63,5 +70,8 @@ def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 
 def moments(mu: EmpiricalMeasure) -> tuple[float, float]:
-    """Population mean and standard deviation (divide by n)."""
-    return float(np.mean(mu.samples)), float(np.std(mu.samples))
+    """Population mean and standard deviation (divide by n) of the sorted samples.
+
+    Computed once per measure and kept, so asking again costs nothing.
+    """
+    return mu._moments

@@ -161,10 +161,15 @@ def solve_hjb(
     v = np.asarray(spec.terminal(xs[:, None]), dtype=float)
     surface[-1] = v
     state_free = getattr(spec.driver, "state_free_argmax", False)
+    mu = uset = None
     for layer in range(grid1d.nt - 1, -1, -1):
         t_data = (layer + 1) * dt
-        mu = measure_flow(t_data)
-        uset = spec.ambiguity.realize(mu)
+        law = measure_flow(t_data)
+        # a particle flow hands every layer between two of its nodes the
+        # same law object, so the set is realized once per law
+        if uset is None or law is not mu:
+            mu = law
+            uset = spec.ambiguity.realize(mu)
         d_plus = np.empty_like(v)
         d_minus = np.empty_like(v)
         d_plus[:-1] = (v[1:] - v[:-1]) / dx

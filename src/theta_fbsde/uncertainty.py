@@ -61,6 +61,12 @@ class IntervalUnion:
 
         Ties are broken toward the smaller candidate; the flag lets callers
         exclude tie neighborhoods where the projection map is discontinuous.
+        A tie here means exactly equal distances, which is not the solver's
+        rule: ``optimizer.maximize_over`` on a ``QuadraticPenaltyDriver`` treats
+        values within 1e-12 as tied and keeps the smaller control.  At
+        ``w0 = 1e-13`` on ``[-2,-1] u [1,2]`` this returns ``(1.0, False)``
+        while the argmax returns -1.0 with its tie flag set.  The solver does
+        not call this method.
         """
         best = math.inf
         best_d = math.inf
@@ -75,7 +81,7 @@ class IntervalUnion:
         return best, tie
 
     def project(self, w0: float) -> float:
-        """Nearest member to ``w0`` (smaller value on ties)."""
+        """Nearest member to ``w0`` (smaller value on exact ties; see :meth:`project_info`)."""
         return self.project_info(w0)[0]
 
     def convex_hull(self) -> "IntervalUnion":

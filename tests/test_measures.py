@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from theta_fbsde import EmpiricalMeasure, UsageError, moments, w2
+from theta_fbsde import (
+    AffineTheta,
+    AmbiguityMap,
+    EmpiricalMeasure,
+    IntervalUnion,
+    UsageError,
+    moments,
+    w2,
+)
 
 
 def brute_force_w2(a, b) -> float:
@@ -100,3 +108,32 @@ class TestMoments:
         mean, std = moments(EmpiricalMeasure([1.0, 2.0, 3.0, 4.0]))
         assert mean == pytest.approx(2.5)
         assert std == pytest.approx(np.sqrt(1.25))
+
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    def test_bits_of_numpy_mean_and_std(self, n):
+        mu = EmpiricalMeasure(np.random.default_rng(n).standard_normal(n) * 3.0 + 1.0)
+        expected = (float(np.mean(mu.samples)), float(np.std(mu.samples)))
+        for _ in range(2):  # computed, then kept
+            assert [v.hex() for v in moments(mu)] == [v.hex() for v in expected]
+
+    def test_std_runs_once_per_law(self, monkeypatch):
+        calls = []
+        real_std = np.std
+
+        def counted_std(*args, **kwargs):
+            calls.append(args[0].size)
+            return real_std(*args, **kwargs)
+
+        monkeypatch.setattr(np, "std", counted_std)
+        ambiguity = AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+            endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            theta_rule=AffineTheta(1.0, 1.0, -0.5, 0.5),
+        )
+        rng = np.random.default_rng(3)
+        laws = [EmpiricalMeasure(rng.standard_normal(50)) for _ in range(3)]
+        for _ in range(4):
+            for law in laws:
+                ambiguity.realize(law)
+                moments(law)
+        assert calls == [50, 50, 50]

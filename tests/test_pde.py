@@ -3,6 +3,8 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
+    AffineTheta,
+    AmbiguityMap,
     CallableTerminal,
     ConstantTerminal,
     ConstantVolatility,
@@ -10,6 +12,7 @@ from theta_fbsde import (
     GenericDriver,
     Grid1D,
     GridError,
+    IntervalUnion,
     LinearF0,
     LinearTerminal,
     ProblemSpec,
@@ -19,6 +22,7 @@ from theta_fbsde import (
     constant_flow,
     default_grid,
     feynman_kac_check,
+    flow_from_solution,
     picard_solve,
     solve_hjb,
     static_set,
@@ -166,3 +170,45 @@ class TestFeynmanKac:
         coarse = feynman_kac_check(spec, default_grid(spec, nx=101), fbsde_grid, sol)
         fine = feynman_kac_check(spec, default_grid(spec, nx=201), fbsde_grid, sol)
         assert fine.gap <= coarse.gap + 5e-3
+
+
+class TestLawsRealizedOnce:
+    """``solve_hjb`` realizes the feasible set once per law object its flow hands it."""
+
+    @staticmethod
+    def realizations(monkeypatch):
+        seen = []
+        realize = AmbiguityMap.realize
+
+        def counted(self, law):
+            seen.append(law)
+            return realize(self, law)
+
+        monkeypatch.setattr(AmbiguityMap, "realize", counted)
+        return seen
+
+    def test_one_realization_per_distinct_law(self, monkeypatch):
+        spec = grid_problem(
+            sigma=0.3, c1=0.25, x0=1.0,
+            driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5)),
+            ambiguity=AmbiguityMap(
+                base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+                endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+                theta_rule=AffineTheta(1.0, 1.0, -0.5, 0.5),
+            ),
+        )
+        fbsde_grid = TimeGrid(1.0, 5)
+        sol, _ = picard_solve(spec, fbsde_grid, 200, seed=3)
+        grid1d = default_grid(spec, nx=41)
+        flow = flow_from_solution(fbsde_grid, sol)
+        seen = self.realizations(monkeypatch)
+        surface = solve_hjb(spec, grid1d, flow)
+        dt = grid1d.dt(spec.horizon)
+        handed = {id(flow((layer + 1) * dt)) for layer in range(grid1d.nt)}
+        assert {id(law) for law in seen} == handed
+        assert len(seen) == len(handed) < grid1d.nt
+        # reference: a fresh law object at every layer is realized at every layer
+        seen.clear()
+        reference = solve_hjb(spec, grid1d, lambda t: EmpiricalMeasure(flow(t).samples))
+        assert len(seen) == grid1d.nt
+        assert reference.tobytes() == surface.tobytes()

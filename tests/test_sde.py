@@ -342,3 +342,80 @@ class TestFrozenSpecArrays:
             stored[...] = 7.0
         original[...] = 7.0
         assert np.array_equal(stored, before)
+
+
+def reference_forward(spec, grid, controls, increments, volatility=None):
+    """The Euler loop with the drift and diffusion products written with ``@``.
+
+    ``volatility`` (t, x) -> (n, k, d) takes the per-particle ``einsum``
+    branch instead of the spec's constant matrix.
+    """
+    x = np.tile(spec.x0, (increments.shape[1], 1))
+    xs = [x]
+    for i, t in enumerate(grid.times[:-1]):
+        mult = 1.0 + 3.0 * controls[i]
+        b = spec.drift.C0 - mult[..., None] * (x @ spec.drift.C1)
+        if volatility is None:
+            diffusion = increments[i] @ spec.volatility.matrix.T
+        else:
+            diffusion = np.einsum("nkd,nd->nk", volatility(t, x), increments[i])
+        x = x + b * grid.dt + diffusion
+        xs.append(x)
+    return np.stack(xs)
+
+
+class TestEulerProducts:
+    """The drift, diffusion and linear terminal products keep the bits of their ``@`` formulas.
+
+    They are computed with ``np.dot``, which calls BLAS where numpy's matmul
+    does not (a contracted axis of length 1).
+    """
+
+    @staticmethod
+    def problem(k, d, n, seed):
+        rng = np.random.default_rng(seed)
+        c1 = rng.standard_normal((k, k))
+        spec = ProblemSpec(
+            horizon=1.0,
+            x0=rng.standard_normal(k),
+            drift=AffineControlDrift(rng.standard_normal(k), 0.5 * (c1 + c1.T)),
+            volatility=ConstantVolatility(0.3 * rng.standard_normal((k, d))),
+            driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6),
+            terminal=LinearTerminal(rng.standard_normal(k)),
+            ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
+        )
+        grid = TimeGrid(1.0, 8)
+        controls = rng.uniform(-2.0, 2.0, (grid.n_nodes, n))
+        increments = brownian_increments(seed, n, grid.n_steps, d, grid.dt)
+        return spec, grid, controls, increments, rng
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 2), (3, 2)])
+    def test_drift_and_terminal(self, k, d, n):
+        spec, _, controls, _, rng = self.problem(k, d, n, 11)
+        x = rng.standard_normal((n, k))
+        drift = spec.drift
+        expected = drift.C0 - (1.0 + 3.0 * controls[0])[..., None] * (x @ drift.C1)
+        assert np.array_equal(drift(0.0, x, controls[0], None), expected)
+        assert np.array_equal(spec.terminal(x), x @ spec.terminal.coeffs)
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 2), (3, 2)])
+    def test_constant_volatility_paths(self, k, d, n):
+        spec, grid, controls, increments, _ = self.problem(k, d, n, 12)
+        xs = simulate_forward(spec, grid, controls, dirac_laws(grid, n), increments)
+        assert np.array_equal(xs, reference_forward(spec, grid, controls, increments))
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 2), (3, 2)])
+    def test_callable_volatility_paths(self, k, d):
+        n = 200
+        spec, grid, controls, increments, _ = self.problem(k, d, n, 13)
+        sigma = spec.volatility.matrix
+
+        def volatility(t, x):
+            return sigma * (1.0 + 0.1 * np.tanh(x))[:, :, None]
+
+        generic = dataclasses.replace(spec, volatility=CallableVolatility(
+            fn=lambda t, x, a, mu: volatility(t, x), lipschitz=1.0, noise_dim=d))
+        xs = simulate_forward(generic, grid, controls, dirac_laws(grid, n), increments)
+        assert np.array_equal(xs, reference_forward(spec, grid, controls, increments, volatility))

@@ -36,3 +36,57 @@ def test_hook_target_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_hooked_stages_run_in_a_solve(monkeypatch):
+    """A tiny README-problem solve still calls the hooked forward, fit and basis functions.
+
+    Resolving is not enough: a refactor that stopped calling one of them (a
+    fit that built its basis inline, say) would leave the traced layer
+    reading 0 without a warning.  Each sweep runs one forward pass and one
+    backward sweep of ``n_steps`` fits, and each fit builds one basis unless
+    its state cloud is frozen (node 0, where every particle sits at x0).
+    """
+    import numpy as np
+
+    from theta_fbsde import (
+        AffineControlDrift, ConstantVolatility, LinearF0, LinearTerminal, ProblemSpec,
+        QuadraticPenaltyDriver, TimeGrid, bsde, coupling, picard_solve, static_set,
+    )
+
+    forward, fit, basis = coupling.simulate_forward, bsde._node_regression, bsde.polynomial_basis
+    forward_calls, fits, basis_calls = [], [], []
+
+    def counted_forward(*args, **kwargs):
+        forward_calls.append(1)
+        return forward(*args, **kwargs)
+
+    def counted_fit(x, targets, degree):
+        before = len(basis_calls)
+        result = fit(x, targets, degree)
+        fits.append((bool(np.any(np.ptp(x, axis=0) > 0)), len(basis_calls) - before))
+        return result
+
+    def counted_basis(*args, **kwargs):
+        basis_calls.append(1)
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "simulate_forward", counted_forward)
+    monkeypatch.setattr(bsde, "_node_regression", counted_fit)
+    monkeypatch.setattr(bsde, "polynomial_basis", counted_basis)
+    spec = ProblemSpec(
+        horizon=1.0,
+        x0=np.array([1.0]),
+        drift=AffineControlDrift(np.array([0.0]), np.array([[0.25]])),
+        volatility=ConstantVolatility(np.array([[0.3]])),
+        driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5)),
+        terminal=LinearTerminal(np.array([1.0])),
+        ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
+    )
+    grid = TimeGrid(1.0, 6)
+    _, report = picard_solve(spec, grid, 60, seed=2)
+    assert report.iterations >= 2
+    assert len(forward_calls) == report.iterations
+    assert len(fits) == report.iterations * grid.n_steps
+    assert [moving for moving, _ in fits[:grid.n_steps]] == [True] * (grid.n_steps - 1) + [False]
+    assert all(built == int(moving) for moving, built in fits)

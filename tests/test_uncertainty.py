@@ -7,9 +7,12 @@ from theta_fbsde import (
     AmbiguityMap,
     ConfigurationError,
     ConstantTheta,
+    DriverState,
     EmpiricalMeasure,
     IntervalUnion,
+    QuadraticPenaltyDriver,
     hausdorff,
+    maximize_over,
     static_set,
 )
 
@@ -100,6 +103,15 @@ class TestProject:
         u = IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
         _, tie = u.project_info(0.25)
         assert not tie
+
+    def test_exact_tie_rule_differs_from_the_argmax(self):
+        # project compares exact distances; the argmax the solver uses treats
+        # values within 1e-12 as tied and keeps the smaller control
+        u = IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
+        assert u.project_info(1e-13) == (1.0, False)
+        res = maximize_over(u, QuadraticPenaltyDriver(kappa=1.0, w0=1e-13), DriverState())
+        assert res.a_star == -1.0
+        assert res.tie_flag
 
     @given(interval_unions(), st.floats(-10, 10, allow_nan=False))
     @settings(max_examples=100)
