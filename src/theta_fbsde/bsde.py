@@ -102,9 +102,12 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     condition number above 1e12 aborts the sweep.
     """
     # ndarray methods, not the np.* wrappers: at a few hundred particles the
-    # wrappers' call overhead is a visible share of the fit
-    hi = x.max(axis=0)
-    lo = x.min(axis=0)
+    # wrappers' call overhead is a visible share of the fit.  With several
+    # coordinates the column reductions read a column-major copy, far faster
+    # than across C-order rows and, max and min being exact, the same bits.
+    cols = x if x.shape[1] == 1 else np.asfortranarray(x)
+    hi = cols.max(axis=0)
+    lo = cols.min(axis=0)
     scale = max(1.0, float(hi.max()), float(-lo.min()))
     active = hi - lo > _DEGENERATE_SPREAD * scale
     if not np.any(active):

@@ -81,6 +81,13 @@ def _state_free(spec: ProblemSpec) -> bool:
     return getattr(spec.driver, "state_free_argmax", False)
 
 
+# A state-dependent control stage maximizes as many whole nodes per
+# maximize_batch call as fit in this many elements: one call per stage at the
+# sizes numpy's call overhead dominates, one node per call from 2**16
+# particles on, so temporaries stay bounded.
+_BLOCK_ELEMENTS = 2**16
+
+
 def _controls_stage(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -91,27 +98,33 @@ def _controls_stage(
 ) -> tuple[np.ndarray, int]:
     """Pointwise argmax at every node and particle.
 
-    Drivers whose argmax does not involve the state are solved once per node,
-    and their controls are returned as a read-only view of one value per node
-    broadcast over the particles; otherwise each node's particles are solved
-    in one batch.  The tie count is of tied controls, so a tied state-free
-    node counts once per particle.
+    Each node's set is realized from its own law.  Drivers whose argmax does
+    not involve the state are solved once per node, and their controls are
+    returned as a read-only view of one value per node broadcast over the
+    particles.  Otherwise each block of whole nodes, as many as fit in
+    ``_BLOCK_ELEMENTS`` particles, is solved in one :func:`maximize_batch`
+    call: one set per node, times as a ``(b, 1)`` column, the block's rows of
+    ``X``, ``Y`` and ``Z`` and no law (``mu=None``).  The tie count is of tied
+    controls, so a tied state-free node counts once per particle.
     """
-    state_free = _state_free(spec)
-    A = np.empty(grid.n_nodes if state_free else Y.shape)
     ties = 0
-    for i, t in enumerate(grid.times):
-        uset = spec.ambiguity.realize(laws[i])
-        if state_free:
+    if _state_free(spec):
+        A = np.empty(grid.n_nodes)
+        for i, t in enumerate(grid.times):
+            uset = spec.ambiguity.realize(laws[i])
             res = maximize_over(uset, spec.driver, DriverState(t=t, mu=laws[i]))
             A[i] = res.a_star
             ties += Y.shape[1] if res.tie_flag else 0
-        else:
-            state = DriverState(t=t, x=X[i], y=Y[i], z=Z[i], mu=laws[i])
-            A[i], tie = maximize_batch(uset, spec.driver, state)
-            ties += int(np.count_nonzero(tie))
-    if state_free:
-        A = np.broadcast_to(A[:, None], Y.shape)
+        return np.broadcast_to(A[:, None], Y.shape), ties
+    A = np.empty(Y.shape)
+    times = grid.times[:, None]
+    nodes = max(1, _BLOCK_ELEMENTS // Y.shape[1])
+    for i in range(0, grid.n_nodes, nodes):
+        block = slice(i, i + nodes)
+        usets = [spec.ambiguity.realize(law) for law in laws[block]]
+        state = DriverState(t=times[block], x=X[block], y=Y[block], z=Z[block])
+        A[block], tie = maximize_batch(usets, spec.driver, state)
+        ties += int(np.count_nonzero(tie))
     return A, ties
 
 

@@ -186,9 +186,12 @@ class GenericDriver:
 
     ``kappa`` declares the concavity modulus that :func:`concavity_audit`
     verifies by sampling.  Callables receive ``(state, a)``.  Inside the
-    particle and grid solvers all three receive array states in the layout
-    :func:`solve_backward` passes to ``value``: ``x`` of shape (n, k), ``y``
-    and ``a`` of shape (n,), ``z`` of shape (n, d).
+    particle and grid solvers they receive array states.  The backward sweep
+    passes ``value`` one node with its law: ``x`` of shape (n, k), ``y`` and
+    ``a`` of shape (n,), ``z`` of shape (n, d).  The particle engine's argmax
+    passes a block of b nodes: ``x`` (b, n, k), ``y`` and ``a`` (b, n), ``z``
+    (b, n, d), ``t`` the (b, 1) column of node times and ``mu=None``; so
+    callables should index the state's trailing axes (``s.x[..., 0]``).
     """
 
     value_fn: Callable
@@ -230,22 +233,29 @@ _DERIV_TOL = 1e-12
 _TIE_TOL = 1e-12
 
 
+def _as_shape(v, shape):
+    """``v`` broadcast to ``shape``; an array that already has it passes as is."""
+    return v if getattr(v, "shape", None) == shape else np.broadcast_to(v, shape)
+
+
 def _newton_batch(driver, state: DriverState, shape, lo, hi) -> np.ndarray:
     """Element-wise maximizer of a -> F(state, a) on [lo, hi], ``lo < hi``, at ``shape``.
 
     The derivative is strictly decreasing, so its signs at the endpoints decide
     clamping and bracket the root; bracketed Newton then runs under an active
-    mask.  Returns an array of ``shape``, a 0-d one for ``shape == ()``.
+    mask.  ``lo`` and ``hi`` are floats or arrays that broadcast to ``shape``.
+    Returns an array of ``shape``, a 0-d one for ``shape == ()``.
     """
 
     def grad(a, mask):
-        g2 = np.broadcast_to(driver.d2_da2(state, a), shape)
+        g2 = _as_shape(driver.d2_da2(state, a), shape)
         bad = np.flatnonzero(mask & ~(g2 < 0.0))
         if bad.size:  # witness: the first failing element, as a one-point state
             k = np.unravel_index(bad[0], shape)
+            t = state.t if np.ndim(state.t) == 0 else float(np.broadcast_to(state.t, shape)[k])
             x, y, z = (v if np.ndim(v) < len(shape) else np.asarray(v)[k] for v in state[1:4])
             msg = f"second control derivative {g2[k]} is not negative at a={a[k]}"
-            raise ConcavityError(msg, witness=(state._replace(x=x, y=y, z=z), float(a[k])))
+            raise ConcavityError(msg, witness=(state._replace(t=t, x=x, y=y, z=z), float(a[k])))
         return driver.d_da(state, a), g2
 
     a = np.full(shape, lo)
@@ -299,26 +309,71 @@ def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerR
     return OptimizerResult(best_a, best_val, tie, best_idx)
 
 
-def maximize_batch(uset: IntervalUnion, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise :func:`maximize_over` on one set: arrays ``(a_star, tie_flag)``.
+def _endpoint_columns(usets, shape) -> list[tuple]:
+    """``(lo, hi, point)`` per interval of one set per leading index of ``shape``.
+
+    ``lo`` and ``hi`` are ``(b, 1, ...)`` columns that broadcast to ``shape``;
+    ``point`` is True when the interval is a point in every set, False when in
+    none, and else the column that marks the sets where it is one.
+    """
+    counts = {len(u.intervals) for u in usets}
+    if len(shape) == 0 or len(usets) != shape[0] or len(counts) != 1:
+        raise UsageError(
+            "need one set per leading index of the batch, all with the same number of intervals"
+        )
+    ends = np.array([u.intervals for u in usets])  # (b, intervals, 2)
+    column = (len(usets),) + (1,) * (len(shape) - 1)
+    columns = []
+    for j in range(counts.pop()):
+        lo, hi = ends[:, j, 0].reshape(column), ends[:, j, 1].reshape(column)
+        point = lo == hi
+        columns.append((lo, hi, True if point.all() else point if point.any() else False))
+    return columns
+
+
+def _rows(state: DriverState, rows: np.ndarray, ndim: int) -> DriverState:
+    """The batch state at the given leading indices; fields without the batch axes pass."""
+    return state._replace(
+        **{f: v[rows] for f, v in zip(state._fields[:4], state) if np.ndim(v) >= ndim}
+    )
+
+
+def maximize_batch(uset, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise :func:`maximize_over`: arrays ``(a_star, tie_flag)``.
 
     The batch has the shape of ``state.y``; ``x`` and ``z`` carry it as leading
-    axes.  Each element runs the scalar path's floating-point operations (the
-    clip of the stationary control, or :func:`_newton_batch`), so controls and
-    tie flags equal the scalar ones bit for bit.
+    axes, and ``t`` is a scalar or broadcasts to it.  ``uset`` is one
+    :class:`IntervalUnion` for the whole batch, or a sequence of them, one per
+    leading index, all with the same number of intervals (the sets one
+    :class:`AmbiguityMap` realizes have).  Each element runs the scalar path's
+    floating-point operations on its own set's endpoints (the clip of the
+    stationary control, or :func:`_newton_batch`; a point interval is its
+    endpoint), so controls and tie flags equal the scalar ones bit for bit.
     """
     shape = np.shape(state.y)
+    if isinstance(uset, IntervalUnion):
+        intervals = [(lo, hi, lo == hi) for lo, hi in uset.intervals]
+    else:
+        intervals = _endpoint_columns(uset, shape)
     stationary = getattr(driver, "stationary_control", None)
-    s = None if stationary is None else np.broadcast_to(stationary(state), shape)
+    s = None if stationary is None else _as_shape(stationary(state), shape)
     best_a = best_val = tie = None
-    for lo, hi in uset.intervals:
-        if lo == hi:
+    for lo, hi, point in intervals:
+        if point is True:
             a = np.full(shape, lo)
-        elif s is None:
+        elif s is not None:
+            # where the interval is a point of some sets, this is its endpoint
+            a = np.where(s <= lo, lo, np.where(s >= hi, hi, s))
+        elif point is False:
             a = _newton_batch(driver, state, shape, lo, hi)
         else:
-            a = np.where(s <= lo, lo, np.where(s >= hi, hi, s))
-        val = np.broadcast_to(driver.value(state, a), shape)
+            # a point in some sets only: Newton runs on the other sets' rows
+            rows = np.flatnonzero(~point.ravel())
+            a = np.full(shape, lo)
+            a[rows] = _newton_batch(
+                driver, _rows(state, rows, len(shape)), (rows.size,) + shape[1:], lo[rows], hi[rows]
+            )
+        val = _as_shape(driver.value(state, a), shape)
         if best_a is None:
             best_a, best_val, tie = a, val, np.zeros(shape, bool)
             continue

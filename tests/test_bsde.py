@@ -256,6 +256,25 @@ class TestNodeFit:
             assert getattr(fit, field).tobytes() == getattr(reference, field).tobytes()
         assert fit.cond == reference.cond
 
+    @pytest.mark.parametrize("k, frozen_at", [(2, None), (3, None), (3, 1)])
+    def test_column_major_spread_gives_the_bits_of_the_row_major_one(self, k, frozen_at, monkeypatch):
+        # max and min are exact, so reducing a column-major copy of the state
+        # changes no bit of the spread, and no bit of the fit
+        x, targets = node_cloud(k, 3000, 0.75, 1.5, frozen_at, 30 + k, 2)
+        assert x.flags.c_contiguous and x.shape[1] >= 2
+        copy = np.asfortranarray(x)
+        assert copy.max(axis=0).tobytes() == x.max(axis=0).tobytes()
+        assert copy.min(axis=0).tobytes() == x.min(axis=0).tobytes()
+        fit = _node_regression(x, targets, REGRESSION_DEGREE)
+        # the row-major formula: the spread read from the state as it is
+        monkeypatch.setattr(np, "asfortranarray", lambda a: a)
+        reference = _node_regression(x, targets, REGRESSION_DEGREE)
+        assert fit.active.tolist() == reference.active.tolist()
+        assert fit.active.tolist() == [j != frozen_at for j in range(x.shape[1])]
+        for field in ("mean", "std", "coef", "values"):
+            assert getattr(fit, field).tobytes() == getattr(reference, field).tobytes()
+        assert fit.cond == reference.cond
+
     def test_basis_matches_reference(self):
         x = np.random.default_rng(1).standard_normal((200, 3))
         np.testing.assert_allclose(

@@ -14,7 +14,9 @@ from theta_fbsde import (
     CallableDrift,
     ConstantVolatility,
     DriverState,
+    ConcavityError,
     EmpiricalMeasure,
+    GenericDriver,
     IntervalUnion,
     LinearF0,
     LinearTerminal,
@@ -28,6 +30,7 @@ from theta_fbsde import (
     brownian_increments,
     check_translation_invariance,
     fixed_point_residual,
+    maximize_batch,
     maximize_over,
     picard_solve,
     simulate_forward,
@@ -835,3 +838,198 @@ class TestSolveMemo:
         defect = check_translation_invariance(spec, None, 0.1, grid, n_particles=400, seed=2)
         assert len(noise_draws) == 4  # the base solve is served, only the shifted one draws
         assert defect.hex() == fresh.hex()
+
+
+def per_node_controls_stage(spec, grid, X, Y, Z, laws):
+    """The state-dependent control stage as one ``maximize_batch`` call per node, out of place.
+
+    Each node's set, law and time go to its own call, as the stage did before
+    it stacked whole nodes into one call.
+    """
+    controls, ties = [], 0
+    for i, t in enumerate(grid.times):
+        uset = spec.ambiguity.realize(laws[i])
+        state = DriverState(t=t, x=X[i], y=Y[i], z=Z[i], mu=laws[i])
+        a, tie = maximize_batch(uset, spec.driver, state)
+        controls.append(a)
+        ties += int(np.count_nonzero(tie))
+    return np.array(controls), ties
+
+
+def newton_driver(driver):
+    """The same objective without a closed form, so the argmax runs bracketed Newton."""
+    return GenericDriver(
+        value_fn=driver.value, d_da_fn=driver.d_da, d2_da2_fn=driver.d2_da2, kappa=driver.kappa
+    )
+
+
+def shifted_quartic_spec(driver=QuarticDriver(2.0, 1.0)):
+    """State-dependent argmax on a law-dependent set whose endpoints move with every node's law."""
+    return dataclasses.replace(
+        quartic_spec(),
+        driver=driver,
+        ambiguity=AmbiguityMap(
+            base=IntervalUnion(((-2.0, -0.5), (0.5, 2.0))),
+            endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            theta_rule=AffineTheta(alpha=1.0, beta=1.0, lo=-0.5, hi=0.5),
+        ),
+    )
+
+
+def pinched_spec(driver=QuarticDriver(2.0, 1.0)):
+    """A middle interval that closes to the point 0 at theta = 1.
+
+    theta = 1.515 * mean(Y) clipped to [0, 1], and the mean of Y falls from
+    about 0.69 to 0.63 over the nodes of the README drift and volatility, so
+    the interval is a point at the early nodes only.
+    """
+    return ProblemSpec(
+        horizon=0.5,
+        x0=np.array([1.0]),
+        drift=AffineControlDrift(np.array([0.0]), np.array([[0.25]])),
+        volatility=ConstantVolatility(np.array([[0.3]])),
+        driver=driver,
+        terminal=LinearTerminal(np.array([1.0])),
+        ambiguity=AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (0.0, 0.4), (1.0, 2.0))),
+            endpoint_shifts=(0.0, 0.0, 0.0, -0.4, 0.0, 0.0),
+            theta_rule=AffineTheta(alpha=1.515, beta=0.0, lo=0.0, hi=1.0),
+        ),
+    )
+
+
+STACKED_SPECS = {
+    "quartic_static": quartic_spec,
+    "quartic_shifted": shifted_quartic_spec,
+    "generic_shifted": lambda: shifted_quartic_spec(newton_driver(QuarticDriver(2.0, 1.0))),
+    "quartic_point": pinched_spec,
+    "generic_point": lambda: pinched_spec(newton_driver(QuarticDriver(2.0, 1.0))),
+    "quartic_static_point": lambda: dataclasses.replace(
+        pinched_spec(), ambiguity=static_set([(-2.0, -0.5), (0.6, 0.6), (1.0, 2.0)])
+    ),
+}
+
+
+def random_iterate(grid, n, seed):
+    """An iterate whose Y holds exact zeros, where the anchored sets tie."""
+    rng = np.random.default_rng(seed)
+    X = 1.0 + 0.3 * rng.standard_normal((grid.n_nodes, n, 1))
+    Y = 0.66 + 0.8 * rng.standard_normal((grid.n_nodes, n))
+    Y[:, ::7] = 0.0
+    Z = 0.2 * rng.standard_normal((grid.n_nodes, n, 1))
+    return X, Y, Z
+
+
+class TestStackedControlStage:
+    """A state-dependent control stage maximizes whole nodes per call, with the per-node bits."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SPECS))
+    @pytest.mark.parametrize("nodes_per_block", [3, 11])
+    def test_controls_and_ties_equal_the_per_node_loop(self, name, nodes_per_block, monkeypatch):
+        spec = STACKED_SPECS[name]()
+        grid = TimeGrid(spec.horizon, 10)
+        X, Y, Z = random_iterate(grid, 40, 8)
+        laws = _node_laws(Y)
+        monkeypatch.setattr(coupling, "_BLOCK_ELEMENTS", 40 * nodes_per_block)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+        A_ref, ties_ref = per_node_controls_stage(spec, grid, X, Y, Z, laws)
+        assert A.tobytes() == A_ref.tobytes()
+        assert ties == ties_ref
+        if name == "quartic_static":
+            assert ties > 0  # the gap is symmetric about y = 0
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SPECS))
+    @pytest.mark.parametrize("block_elements", [2**16, 3 * 60])
+    def test_solve_equals_the_per_node_loop(self, name, block_elements, monkeypatch):
+        # 11 nodes at 60 particles: one block, or blocks of 3 + 3 + 3 + 2 nodes
+        grid = TimeGrid(0.5, 10)
+        with monkeypatch.context() as patch:
+            patch.setattr(coupling, "_controls_stage", per_node_controls_stage)
+            ref, ref_report = picard_solve(STACKED_SPECS[name](), grid, 60, seed=5)
+        monkeypatch.setattr(coupling, "_BLOCK_ELEMENTS", block_elements)
+        spec = STACKED_SPECS[name]()
+        sol, report = picard_solve(spec, grid, 60, seed=5)
+        assert sol is not ref
+        for field in ("X", "Y", "Z", "A"):
+            assert getattr(sol, field).tobytes() == getattr(ref, field).tobytes(), field
+        assert report.to_dict() == ref_report.to_dict()
+        if name == "quartic_static_point":
+            assert np.any(sol.A == 0.6)
+        elif name.endswith("_point"):
+            # the middle interval is a point at some nodes and not at others
+            points = {u.intervals[1][0] == u.intervals[1][1]
+                      for u in map(spec.ambiguity.realize, sol.measures)}
+            assert points == {True, False}
+
+    def test_uneven_blocks_cover_every_node_once(self, monkeypatch):
+        spec = shifted_quartic_spec()
+        grid = TimeGrid(0.5, 10)
+        X, Y, Z = random_iterate(grid, 40, 3)
+        calls = []
+
+        def recording_batch(usets, driver, state):
+            calls.append((len(usets), state.t.ravel().tolist(), state.y.shape))
+            return maximize_batch(usets, driver, state)
+
+        monkeypatch.setattr(coupling, "maximize_batch", recording_batch)
+        monkeypatch.setattr(coupling, "_BLOCK_ELEMENTS", 40 * 3 + 39)
+        _controls_stage(spec, grid, X, Y, Z, _node_laws(Y))
+        assert [size for size, _, _ in calls] == [3, 3, 3, 2]
+        assert [shape for _, _, shape in calls] == [(3, 40)] * 3 + [(2, 40)]
+        assert sum((t for _, t, _ in calls), []) == grid.times.tolist()
+
+    @pytest.mark.parametrize("block_elements, nodes_per_block", [(2**16, 11), (120, 3), (40, 1)])
+    def test_one_call_per_block_and_stage(self, block_elements, nodes_per_block, monkeypatch):
+        grid = TimeGrid(0.5, 10)
+        calls = []
+
+        def counted_batch(*args):
+            calls.append(1)
+            return maximize_batch(*args)
+
+        monkeypatch.setattr(coupling, "maximize_batch", counted_batch)
+        monkeypatch.setattr(coupling, "_BLOCK_ELEMENTS", block_elements)
+        _, report = picard_solve(quartic_spec(), grid, 40, seed=1)
+        stages = report.iterations + 1  # one per sweep, one for the returned state
+        assert len(calls) == stages * math.ceil(grid.n_nodes / nodes_per_block)
+
+    def test_a_node_per_call_from_two_to_the_sixteen_particles(self, monkeypatch):
+        grid = TimeGrid(0.5, 2)
+        n = coupling._BLOCK_ELEMENTS
+        X, Y, Z = random_iterate(grid, n, 4)
+        shapes = []
+
+        def recording_batch(usets, driver, state):
+            shapes.append(state.y.shape)
+            return maximize_batch(usets, driver, state)
+
+        monkeypatch.setattr(coupling, "maximize_batch", recording_batch)
+        _controls_stage(quartic_spec(), grid, X, Y, Z, _node_laws(Y))
+        assert shapes == [(1, n)] * grid.n_nodes
+
+    def test_concavity_error_names_one_node_and_particle(self):
+        # concave for y <= 2, convex beyond: only node 4, particle 17 goes past 2
+        driver = GenericDriver(
+            value_fn=lambda s, a: -0.5 * np.where(s.y > 2.0, -1.0, 1.0) * (a - s.y) ** 2,
+            d_da_fn=lambda s, a: -np.where(s.y > 2.0, -1.0, 1.0) * (a - s.y),
+            d2_da2_fn=lambda s, a: -np.where(s.y > 2.0, -1.0, 1.0) + 0.0 * a,
+            kappa=1.0,
+        )
+        spec = dataclasses.replace(quartic_spec(), driver=driver)
+        grid = TimeGrid(0.5, 10)
+        X, Y, Z = random_iterate(grid, 40, 6)
+        np.clip(Y, -1.5, 1.5, out=Y)
+        Y[4, 17] = 2.5
+        laws = _node_laws(Y)
+        with pytest.raises(ConcavityError) as err:
+            _controls_stage(spec, grid, X, Y, Z, laws)
+        with pytest.raises(ConcavityError) as ref_err:
+            per_node_controls_stage(spec, grid, X, Y, Z, laws)
+        point, a = err.value.witness
+        ref_point, ref_a = ref_err.value.witness
+        assert np.ndim(point.t) == 0 and point.t == grid.times[4] == ref_point.t
+        assert point.y == Y[4, 17] == ref_point.y
+        assert np.array_equal(point.x, X[4, 17]) and np.array_equal(ref_point.x, X[4, 17])
+        assert np.array_equal(point.z, Z[4, 17]) and np.array_equal(ref_point.z, Z[4, 17])
+        assert a == ref_a
+        assert str(err.value) == str(ref_err.value)

@@ -281,6 +281,98 @@ class TestMaximizeBatch:
         assert scalar_err.value.witness[1] == a
 
 
+# a middle interval that closes to the point 0 at theta = 1
+PINCHED = AmbiguityMap(
+    base=IntervalUnion(((-2.0, -1.0), (0.0, 0.4), (1.0, 2.0))),
+    endpoint_shifts=(0.0, 0.0, 0.0, -0.4, 0.0, 0.0),
+    theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=0.0, hi=1.0),
+)
+
+
+def one_call_per_row(usets, driver, state):
+    """maximize_batch on each leading index with its own set, for comparison with one stacked call."""
+    rows = [
+        maximize_batch(uset, driver, DriverState(t=state.t[i, 0], x=state.x[i], y=state.y[i], z=state.z[i]))
+        for i, uset in enumerate(usets)
+    ]
+    return np.array([a for a, _ in rows]), np.array([tie for _, tie in rows])
+
+
+class TestStackedSets:
+    """One set per leading index: the endpoints stack into columns."""
+
+    @pytest.mark.parametrize("thetas", [(0.0, 0.3, 0.7, 1.0), (1.0, 1.0, 1.0), (0.0, 0.5)])
+    @pytest.mark.parametrize(
+        "driver",
+        [QuarticDriver(2.0, 1.0), anchored_penalty(1.5), power_quartic(0.7)],
+        ids=["quartic", "anchored", "power_quartic"],
+    )
+    def test_equals_one_call_per_row(self, thetas, driver):
+        rng = np.random.default_rng(len(thetas))
+        b, n = len(thetas), 50
+        usets = [PINCHED.realize_at(theta) for theta in thetas]
+        y = rng.uniform(-2.5, 2.5, (b, n))
+        y[:, :3] = [0.0, -0.5, 0.5]  # at the gaps' middles the anchored sets tie
+        state = DriverState(
+            t=np.linspace(0.0, 1.0, b)[:, None], x=rng.normal(size=(b, n, 1)), y=y,
+            z=rng.normal(size=(b, n, 2)),
+        )
+        a, tie = maximize_batch(usets, driver, state)
+        a_ref, tie_ref = one_call_per_row(usets, driver, state)
+        assert a.tobytes() == a_ref.tobytes()
+        assert np.array_equal(tie, tie_ref)
+
+    def test_point_interval_of_some_rows_is_not_differentiated(self):
+        # the curvature fails only at a = 0 for y > 5: row 0 (y > 5) has the
+        # point {0}, where the one-row call takes the endpoint unchecked; row 1
+        # (y < 5) runs Newton on [0, 0.4]
+        def d2_da2(s, a):
+            return np.where((a == 0.0) & (s.y > 5.0), 1.0, -1.0)
+
+        driver = GenericDriver(
+            value_fn=lambda s, a: -0.5 * (a - s.y) ** 2,
+            d_da_fn=lambda s, a: -(a - s.y),
+            d2_da2_fn=d2_da2,
+            kappa=1.0,
+        )
+        usets = [PINCHED.realize_at(1.0), PINCHED.realize_at(0.0)]
+        state = DriverState(
+            t=np.zeros((2, 1)), x=np.zeros((2, 4, 1)), y=np.array([[6.0] * 4, [0.1] * 4]),
+            z=np.zeros((2, 4, 1)),
+        )
+        a, tie = maximize_batch(usets, driver, state)
+        a_ref, tie_ref = one_call_per_row(usets, driver, state)
+        assert a.tobytes() == a_ref.tobytes()
+        assert np.array_equal(tie, tie_ref)
+
+    def test_sets_must_match_the_batch(self):
+        state = DriverState(y=np.zeros((2, 3)))
+        with pytest.raises(UsageError, match="one set per leading index"):
+            maximize_batch([TWO_REGIME], QuarticDriver(2.0, 1.0), state)
+        with pytest.raises(UsageError, match="same number of intervals"):
+            maximize_batch([TWO_REGIME, WIDE], QuarticDriver(2.0, 1.0), state)
+        with pytest.raises(UsageError):
+            maximize_batch([TWO_REGIME], QuarticDriver(2.0, 1.0), DriverState(y=0.0))
+
+    def test_witness_carries_the_element_time(self):
+        driver = GenericDriver(
+            value_fn=lambda s, a: -0.5 * np.where(s.y > 1.0, -1.0, 1.0) * a * a,
+            d_da_fn=lambda s, a: -np.where(s.y > 1.0, -1.0, 1.0) * a,
+            d2_da2_fn=lambda s, a: -np.where(s.y > 1.0, -1.0, 1.0) + 0.0 * a,
+            kappa=1.0,
+        )
+        y = np.zeros((3, 4))
+        y[2, 1] = 2.0
+        x = np.arange(24.0).reshape(3, 4, 2)
+        state = DriverState(t=np.array([[0.0], [0.25], [0.5]]), x=x, y=y, z=None)
+        with pytest.raises(ConcavityError) as err:
+            maximize_batch([WIDE] * 3, driver, state)
+        point, a = err.value.witness
+        assert type(point.t) is float and point.t == 0.5
+        assert point.y == 2.0 and np.array_equal(point.x, x[2, 1]) and point.z is None
+        assert a == -10.0
+
+
 def newton_oracle(driver):
     """The same objective without a closed form, so the argmax runs bracketed Newton."""
     return GenericDriver(
