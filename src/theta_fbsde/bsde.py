@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, RegressionBasisError, UsageError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, check_array_size
 from .optimizer import DriverState
 from .sde import ProblemSpec, TimeGrid, _node_controls
 
@@ -232,6 +232,7 @@ def solve_deterministic_ode(
     """
     if n_steps < 1:
         raise UsageError("need at least one step")
+    check_array_size((n_steps + 1,), "the value path")
     h = horizon / n_steps
     ys = np.empty(n_steps + 1)
     ys[-1] = float(terminal_value)

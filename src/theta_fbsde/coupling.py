@@ -25,7 +25,7 @@ import numpy as np
 from ._memo import LastEntry
 from .bsde import REGRESSION_DEGREE, solve_backward
 from .errors import NoConvergenceError, NonContractionError, UsageError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, check_array_size
 from .optimizer import DriverState, maximize_batch, maximize_over
 from .sde import ProblemSpec, SolutionPaths, TimeGrid, brownian_increments, simulate_forward
 
@@ -236,6 +236,8 @@ def picard_solve(
         raise UsageError(
             f"need at least {basis_size} particles for the regression basis, got {n_particles}"
         )
+    k = max(spec.state_dim, spec.noise_dim)
+    check_array_size((grid.n_nodes, n_particles, k), "the particles' paths")
 
     key = (grid, n_particles, seed, tol, max_iter, beta, damping)
     held = _last_solve.get(key, owner=spec)

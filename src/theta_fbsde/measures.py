@@ -7,6 +7,7 @@ computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,14 @@ def frozen_copy(value, ndmin: int = 0) -> np.ndarray:
     arr = np.array(value, dtype=float, ndmin=ndmin)
     arr.flags.writeable = False
     return arr
+
+
+def check_array_size(shape, what: str, error: type = UsageError) -> None:
+    """Raise ``error`` where a float64 array of ``shape`` needs more bytes than numpy indexes."""
+    if math.prod(map(int, shape)) * 8 > np.iinfo(np.intp).max:
+        raise error(
+            f"{what} would need an array of shape {tuple(shape)}, more than numpy can index"
+        )
 
 
 @dataclass(frozen=True, eq=False)

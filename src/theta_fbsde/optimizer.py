@@ -10,9 +10,11 @@ cubic (hyperbolic cubic formula plus one Newton step, within
 ``2 * _DERIV_TOL / (lam - gamma)`` of the bracketed Newton root).  Any other
 driver, :class:`GenericDriver` among them, runs one Newton iteration bracketed
 by bisection, with endpoint derivative signs deciding clamping before any
-iteration starts; it checks the second derivative's sign at every step.  The
-scalar and the batched argmax share that iteration (the scalar one at shape
-``()``) and one comparison and tie rule for the per-interval candidates.
+iteration starts; it checks the second derivative's sign at every step.  A
+point interval is its endpoint either way: the clip returns it, and Newton
+starts there and never checks it.  The scalar and the batched argmax share that
+iteration (the scalar one at shape ``()``) and one comparison and tie rule for
+the per-interval candidates.
 """
 
 from __future__ import annotations
@@ -239,12 +241,14 @@ def _as_shape(v, shape):
 
 
 def _newton_batch(driver, state: DriverState, shape, lo, hi) -> np.ndarray:
-    """Element-wise maximizer of a -> F(state, a) on [lo, hi], ``lo < hi``, at ``shape``.
+    """Element-wise maximizer of a -> F(state, a) on [lo, hi], ``lo <= hi``, at ``shape``.
 
     The derivative is strictly decreasing, so its signs at the endpoints decide
     clamping and bracket the root; bracketed Newton then runs under an active
-    mask.  ``lo`` and ``hi`` are floats or arrays that broadcast to ``shape``.
-    Returns an array of ``shape``, a 0-d one for ``shape == ()``.
+    mask.  An element with ``lo == hi`` keeps its endpoint: it is never active,
+    and the driver's derivatives are evaluated there but not checked.  ``lo``
+    and ``hi`` are floats or arrays that broadcast to ``shape``.  Returns an
+    array of ``shape``, a 0-d one for ``shape == ()``.
     """
 
     def grad(a, mask):
@@ -259,7 +263,8 @@ def _newton_batch(driver, state: DriverState, shape, lo, hi) -> np.ndarray:
         return driver.d_da(state, a), g2
 
     a = np.full(shape, lo)
-    active = grad(a, np.ones(shape, bool))[0] > 0.0
+    interval = np.broadcast_to(lo < hi, shape)
+    active = interval & (grad(a, interval)[0] > 0.0)
     a_lo, a_hi = a, np.full(shape, hi)
     upper = active & (grad(a_hi, active)[0] >= 0.0)
     active &= ~upper
@@ -294,10 +299,7 @@ def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerR
     best_a = best_val = None
     best_idx, tie = 0, False
     for idx, (lo, hi) in enumerate(uset.intervals):
-        if lo == hi:
-            # without a closed form the value is taken at a 0-d array, as in the batch
-            a = lo if s is not None else np.full((), lo)
-        elif s is None:
+        if s is None:
             a = _newton_batch(driver, state, (), lo, hi)
         else:
             a = lo if s <= lo else hi if s >= hi else s
@@ -310,11 +312,9 @@ def maximize_over(uset: IntervalUnion, driver, state: DriverState) -> OptimizerR
 
 
 def _endpoint_columns(usets, shape) -> list[tuple]:
-    """``(lo, hi, point)`` per interval of one set per leading index of ``shape``.
+    """``(lo, hi)`` per interval of one set per leading index of ``shape``.
 
-    ``lo`` and ``hi`` are ``(b, 1, ...)`` columns that broadcast to ``shape``;
-    ``point`` is True when the interval is a point in every set, False when in
-    none, and else the column that marks the sets where it is one.
+    ``lo`` and ``hi`` are ``(b, 1, ...)`` columns that broadcast to ``shape``.
     """
     counts = {len(u.intervals) for u in usets}
     if len(shape) == 0 or len(usets) != shape[0] or len(counts) != 1:
@@ -323,19 +323,7 @@ def _endpoint_columns(usets, shape) -> list[tuple]:
         )
     ends = np.array([u.intervals for u in usets])  # (b, intervals, 2)
     column = (len(usets),) + (1,) * (len(shape) - 1)
-    columns = []
-    for j in range(counts.pop()):
-        lo, hi = ends[:, j, 0].reshape(column), ends[:, j, 1].reshape(column)
-        point = lo == hi
-        columns.append((lo, hi, True if point.all() else point if point.any() else False))
-    return columns
-
-
-def _rows(state: DriverState, rows: np.ndarray, ndim: int) -> DriverState:
-    """The batch state at the given leading indices; fields without the batch axes pass."""
-    return state._replace(
-        **{f: v[rows] for f, v in zip(state._fields[:4], state) if np.ndim(v) >= ndim}
-    )
+    return [(lo.reshape(column), hi.reshape(column)) for lo, hi in ends.transpose(1, 2, 0)]
 
 
 def maximize_batch(uset, driver, state: DriverState) -> tuple[np.ndarray, np.ndarray]:
@@ -347,32 +335,19 @@ def maximize_batch(uset, driver, state: DriverState) -> tuple[np.ndarray, np.nda
     leading index, all with the same number of intervals (the sets one
     :class:`AmbiguityMap` realizes have).  Each element runs the scalar path's
     floating-point operations on its own set's endpoints (the clip of the
-    stationary control, or :func:`_newton_batch`; a point interval is its
-    endpoint), so controls and tie flags equal the scalar ones bit for bit.
+    stationary control, or :func:`_newton_batch`), so controls and tie flags
+    equal the scalar ones bit for bit.
     """
     shape = np.shape(state.y)
-    if isinstance(uset, IntervalUnion):
-        intervals = [(lo, hi, lo == hi) for lo, hi in uset.intervals]
-    else:
-        intervals = _endpoint_columns(uset, shape)
+    pairs = uset.intervals if isinstance(uset, IntervalUnion) else _endpoint_columns(uset, shape)
     stationary = getattr(driver, "stationary_control", None)
     s = None if stationary is None else _as_shape(stationary(state), shape)
     best_a = best_val = tie = None
-    for lo, hi, point in intervals:
-        if point is True:
-            a = np.full(shape, lo)
-        elif s is not None:
-            # where the interval is a point of some sets, this is its endpoint
-            a = np.where(s <= lo, lo, np.where(s >= hi, hi, s))
-        elif point is False:
+    for lo, hi in pairs:
+        if s is None:
             a = _newton_batch(driver, state, shape, lo, hi)
         else:
-            # a point in some sets only: Newton runs on the other sets' rows
-            rows = np.flatnonzero(~point.ravel())
-            a = np.full(shape, lo)
-            a[rows] = _newton_batch(
-                driver, _rows(state, rows, len(shape)), (rows.size,) + shape[1:], lo[rows], hi[rows]
-            )
+            a = np.where(s <= lo, lo, np.where(s >= hi, hi, s))
         val = _as_shape(driver.value(state, a), shape)
         if best_a is None:
             best_a, best_val, tie = a, val, np.zeros(shape, bool)

@@ -19,7 +19,7 @@ from ._atomic import atomic_write
 from . import _csv
 from ._csv import format_once, format_rows
 from .errors import GridError, UsageError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, check_array_size
 from .optimizer import DriverState, maximize_batch, maximize_over
 from .sde import AffineControlDrift, ConstantVolatility, ProblemSpec, SolutionPaths, TimeGrid
 
@@ -43,6 +43,7 @@ class Grid1D:
             raise GridError("need at least three space nodes")
         if self.nt < 1:
             raise GridError("need at least one time step")
+        check_array_size((self.nt + 1, self.nx), "the value surface", GridError)
 
     @property
     def dx(self) -> float:
@@ -95,6 +96,7 @@ def default_grid(
     """
     if nx < 3:
         raise GridError("need at least three space nodes")
+    check_array_size((nx,), "the space grid", GridError)
     if not (math.isfinite(cfl) and cfl > 0):
         raise GridError(f"cfl must be a finite positive number, got {cfl}")
     sigma, c0, c1 = _problem_pieces(spec)

@@ -18,7 +18,7 @@ from ._atomic import atomic_write
 from ._csv import format_once, format_rows, rows_once_if_repeated
 from ._memo import LastEntry
 from .errors import ConfigurationError, DivergenceError, UsageError
-from .measures import EmpiricalMeasure, frozen_copy
+from .measures import EmpiricalMeasure, check_array_size, frozen_copy
 from .uncertainty import AmbiguityMap
 
 
@@ -34,6 +34,7 @@ class TimeGrid:
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
         if self.n_steps < 1:
             raise ConfigurationError(f"need at least one step, got {self.n_steps}")
+        check_array_size((self.n_steps + 1,), "the time grid", ConfigurationError)
 
     @property
     def dt(self) -> float:

@@ -163,12 +163,14 @@ class AmbiguityMap:
     Each endpoint moves as ``base + shift * theta``.  Affine motion keeps the
     family Lipschitz in theta with respect to the Hausdorff distance, and a
     disjointness violation anywhere in the theta range would already show at
-    one of the two extremes, which the constructor checks.
+    one of the two extremes, which the constructor checks.  Under a
+    :class:`ConstantTheta` rule :meth:`realize` returns the set that check built.
     """
 
     base: IntervalUnion
     endpoint_shifts: tuple[float, ...] = ()
     theta_rule: ConstantTheta | AffineTheta = field(default_factory=ConstantTheta)
+    _constant: IntervalUnion | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         shifts = tuple(float(s) for s in self.endpoint_shifts)
@@ -181,8 +183,9 @@ class AmbiguityMap:
         if not all(math.isfinite(s) for s in shifts):
             raise ConfigurationError("endpoint shifts must be finite")
         object.__setattr__(self, "endpoint_shifts", shifts)
-        for theta in self.theta_bounds:
-            self.realize_at(theta)
+        extremes = [self.realize_at(theta) for theta in self.theta_bounds]
+        if isinstance(self.theta_rule, ConstantTheta):
+            object.__setattr__(self, "_constant", extremes[0])
 
     @property
     def theta_bounds(self) -> tuple[float, float]:
@@ -207,7 +210,7 @@ class AmbiguityMap:
 
     def realize(self, law: EmpiricalMeasure) -> IntervalUnion:
         """Set realized for the given law of the value process."""
-        return self.realize_at(self.theta_rule(law))
+        return self._constant or self.realize_at(self.theta_rule(law))
 
     def control_range(self) -> tuple[float, float]:
         """Extreme feasible controls over the whole theta range.

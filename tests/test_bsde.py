@@ -16,6 +16,7 @@ from theta_fbsde import (
     QuadraticTerminal,
     RegressionBasisError,
     TimeGrid,
+    UsageError,
     brownian_increments,
     simulate_forward,
     solve_backward,
@@ -312,6 +313,11 @@ class TestDeterministicIntegrator:
 
         _, ys = solve_deterministic_ode(g, 0.0, 1.0, 100)
         assert np.all(ys == 0.0)
+
+    def test_oversized_step_count_rejected(self):
+        # 8e20 bytes: more than numpy can index, so nothing is allocated
+        with pytest.raises(UsageError, match="value path"):
+            solve_deterministic_ode(lambda y: y, 0.5, 1.0, 10**20)
 
     def test_linear_driver_closed_form(self):
         lam0 = 0.7

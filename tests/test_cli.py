@@ -15,7 +15,7 @@ from theta_fbsde import (
     write_paths_csv,
     write_surface_csv,
 )
-from theta_fbsde import _csv, cli
+from theta_fbsde import _csv, cli, coupling
 from theta_fbsde.cli import _write_json, main
 
 APP_CONFIG = {
@@ -139,6 +139,9 @@ MALFORMED = [
     (("solver",), "particles", "abc"),
     (("solver",), "particles", -5),
     (("solver",), "particles", 1),
+    # more bytes than numpy can index: refused before anything is allocated
+    (("solver",), "particles", 1e20),
+    (("solver",), "particles", 1e18),
     (("solver",), "tol", float("nan")),
     (("solver",), "tol", float("inf")),
     (("solver",), "beta", float("inf")),
@@ -209,12 +212,12 @@ class TestMalformedInputs:
         "flags, expected",
         [
             (["--steps", "0"], 1), (["--particles", "7"], 1), (["--c", "nan"], 1),
-            (["--c", "inf"], 1), (["--lambda", "inf"], 1),
+            (["--c", "inf"], 1), (["--lambda", "inf"], 1), (["--steps", str(10**20)], 1),
             # the value path overflows the quartic driver: a numerical failure
             (["--c", "5"], 2), (["--c", "1e200"], 2), (["--T", "1e6", "--steps", "10"], 2),
         ],
         ids=[
-            "steps=0", "particles=7", "c=nan", "c=inf", "lambda=inf",
+            "steps=0", "particles=7", "c=nan", "c=inf", "lambda=inf", "steps=1e20",
             "c=5", "c=1e200", "T=1e6,steps=10",
         ],
     )
@@ -243,6 +246,8 @@ class TestMalformedInputs:
             {"cfl": float("nan")}, {"cfl": 0}, {"cfl": -0.3}, {"cfl": float("inf")},
             {"nx": 0}, {"nx": 1}, {"nx": 2},
             {"nx": 3, "nt": 10, "x_min": 0.0, "x_max": float("inf")},
+            # a value surface of more bytes than numpy can index
+            {"nx": 1e20}, {"nx": 1e18}, {"nx": 51, "nt": 1e20, "x_min": 0.0, "x_max": 2.0},
             # the explicit scheme's stability ratio, checked where the grid is built
             {"cfl": 0.9},
             {"nx": 201, "nt": 10, "x_min": -1.0, "x_max": 3.0},
@@ -252,7 +257,7 @@ class TestMalformedInputs:
         ],
         ids=[
             "cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "nx=0", "nx=1", "nx=2", "x_max=inf",
-            "cfl=0.9", "explicit_nt_too_small", "partial_nt", "partial_x_min",
+            "nx=1e20", "nx=1e18", "nt=1e20", "cfl=0.9", "explicit_nt_too_small", "partial_nt", "partial_x_min",
             "partial_no_x_max", "cfl_with_explicit_grid",
         ],
     )
@@ -295,6 +300,17 @@ class TestMalformedInputs:
         self.assert_one_line_usage_error(code, err)
         assert named in err
         assert solves == []
+
+    @pytest.mark.parametrize("steps", [10**20, 10**18], ids=["steps=1e20", "steps=1e18"])
+    def test_oversized_time_grid_rejected_before_the_solve(self, steps, app_config, tmp_path,
+                                                           monkeypatch, capsys):
+        # 1e20 steps fail the time grid, 1e18 steps the particle paths of 100 particles
+        draws = []
+        monkeypatch.setattr(coupling, "brownian_increments", lambda *args: draws.append(args))
+        code = main(["solve", "--config", str(app_config), "--particles", "100",
+                     "--steps", str(steps), "--out", str(tmp_path / "o")])
+        self.assert_one_line_usage_error(code, capsys.readouterr().err)
+        assert draws == []
 
     def test_removed_threads_flag(self, app_config, tmp_path, capsys):
         code = main(

@@ -12,6 +12,7 @@ from theta_fbsde import (
     AffineTheta,
     AmbiguityMap,
     CallableDrift,
+    ConstantTheta,
     ConstantVolatility,
     DriverState,
     ConcavityError,
@@ -1006,6 +1007,28 @@ class TestStackedControlStage:
         monkeypatch.setattr(coupling, "maximize_batch", recording_batch)
         _controls_stage(quartic_spec(), grid, X, Y, Z, _node_laws(Y))
         assert shapes == [(1, n)] * grid.n_nodes
+
+    @pytest.mark.parametrize("driver", [QuarticDriver(2.0, 1.0), QuadraticPenaltyDriver(1.0, 0.6)],
+                             ids=["state_dependent", "state_free"])
+    @pytest.mark.parametrize("ambiguity", [
+        static_set([(-2.0, -0.5), (0.5, 2.0)]),
+        AmbiguityMap(
+            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (0.0, 0.5, -0.5, 0.0), ConstantTheta(0.4)
+        ),
+    ], ids=["unshifted", "shifted"])
+    def test_constant_theta_set_is_not_built_again(self, driver, ambiguity, monkeypatch):
+        spec = dataclasses.replace(quartic_spec(), driver=driver, ambiguity=ambiguity)
+        grid = TimeGrid(0.5, 10)
+        X, Y, Z = random_iterate(grid, 40, 2)
+        laws = _node_laws(Y)
+        A_ref, ties_ref = per_node_controls_stage(spec, grid, X, Y, Z, laws)
+
+        def built(self):
+            raise AssertionError("an IntervalUnion was built")
+
+        monkeypatch.setattr(IntervalUnion, "__post_init__", built)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
+        assert A.tobytes() == A_ref.tobytes() and ties == ties_ref
 
     def test_concavity_error_names_one_node_and_particle(self):
         # concave for y <= 2, convex beyond: only node 4, particle 17 goes past 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -323,11 +324,11 @@ class TestStackedSets:
         assert np.array_equal(tie, tie_ref)
 
     def test_point_interval_of_some_rows_is_not_differentiated(self):
-        # the curvature fails only at a = 0 for y > 5: row 0 (y > 5) has the
-        # point {0}, where the one-row call takes the endpoint unchecked; row 1
-        # (y < 5) runs Newton on [0, 0.4]
+        # the curvature fails only at a = 0 where x > 0: row 0 (x = 1) has the
+        # point {0}, whose endpoint is taken unchecked; row 1 (x = 0) runs
+        # Newton on [0, 0.4] from a = 0, where the check passes
         def d2_da2(s, a):
-            return np.where((a == 0.0) & (s.y > 5.0), 1.0, -1.0)
+            return np.where((a == 0.0) & (s.x[..., 0] > 0.0), 1.0, -1.0)
 
         driver = GenericDriver(
             value_fn=lambda s, a: -0.5 * (a - s.y) ** 2,
@@ -336,14 +337,23 @@ class TestStackedSets:
             kappa=1.0,
         )
         usets = [PINCHED.realize_at(1.0), PINCHED.realize_at(0.0)]
-        state = DriverState(
-            t=np.zeros((2, 1)), x=np.zeros((2, 4, 1)), y=np.array([[6.0] * 4, [0.1] * 4]),
-            z=np.zeros((2, 4, 1)),
-        )
+        x = np.zeros((2, 4, 1))
+        x[0] = 1.0
+        y = np.array([[6.0, 0.1, -0.2, 0.3], [0.1] * 4])
+        state = DriverState(t=np.zeros((2, 1)), x=x, y=y, z=np.zeros((2, 4, 1)))
         a, tie = maximize_batch(usets, driver, state)
         a_ref, tie_ref = one_call_per_row(usets, driver, state)
         assert a.tobytes() == a_ref.tobytes()
         assert np.array_equal(tie, tie_ref)
+        assert np.array_equal(a[0], [2.0, 0.0, 0.0, 0.0])  # the point wins near y = 0
+        # the scalar path takes the same endpoint unchecked ...
+        for k in range(4):
+            res = maximize_over(usets[0], driver, DriverState(x=x[0, k], y=y[0, k]))
+            assert (res.a_star, res.tie_flag) == (a[0, k], tie[0, k])
+        assert res.interval_index == 1
+        # ... and still checks an interval of positive length from the same endpoint
+        with pytest.raises(ConcavityError):
+            maximize_over(usets[1], driver, DriverState(x=x[0, 1], y=0.1))
 
     def test_sets_must_match_the_batch(self):
         state = DriverState(y=np.zeros((2, 3)))
@@ -371,6 +381,52 @@ class TestStackedSets:
         assert type(point.t) is float and point.t == 0.5
         assert point.y == 2.0 and np.array_equal(point.x, x[2, 1]) and point.z is None
         assert a == -10.0
+
+
+def point_interval_digest(driver) -> str:
+    """sha256 of the argmax on fixed states over ``PINCHED`` sets, point intervals among them.
+
+    Covers a stack whose middle interval is a point in some sets, a stack
+    where it is a point in all, one set for the whole batch, and the scalar
+    path on the pinched set and on one whose middle interval is not a point.
+    """
+    rng = np.random.default_rng(11)
+    n = 24
+    y = np.concatenate(([0.0, -0.5, 0.5, 0.05, -0.05, 6.0], rng.uniform(-2.5, 2.5, n - 6)))
+    digest = hashlib.sha256()
+    for thetas in [(1.0, 0.0, 0.6, 1.0), (1.0, 1.0)]:
+        b = len(thetas)
+        state = DriverState(
+            t=np.linspace(0.0, 1.0, b)[:, None], x=rng.normal(size=(b, n, 1)),
+            y=np.tile(y, (b, 1)) + rng.normal(scale=0.1, size=(b, n)), z=rng.normal(size=(b, n, 2)),
+        )
+        a, tie = maximize_batch([PINCHED.realize_at(theta) for theta in thetas], driver, state)
+        digest.update(a.tobytes() + tie.tobytes())
+    for theta in (1.0, 0.6):
+        uset = PINCHED.realize_at(theta)
+        a, tie = maximize_batch(uset, driver, DriverState(y=y))
+        digest.update(a.tobytes() + tie.tobytes())
+        for yk in y:
+            res = maximize_over(uset, driver, DriverState(y=float(yk)))
+            digest.update(np.array([res.a_star, res.value, res.tie_flag, res.interval_index]).tobytes())
+    return digest.hexdigest()
+
+
+class TestPointIntervalPin:
+    """Golden digests of the argmax around point intervals.
+
+    Both sides of ``test_equals_one_call_per_row`` run the same kernel, so a
+    bit that moves in both goes unseen there; these digests were taken when
+    point intervals still had their own branches.  No BLAS call is involved.
+    """
+
+    @pytest.mark.parametrize("driver,expected", [
+        (QuarticDriver(2.0, 1.0), "f3ae834622c28048e0683f5642673f33f65b39e0c90ac99fdd0f498d3fdca06e"),
+        (anchored_penalty(1.5), "75c192396b6666b795ba4ba46a2f8351efcf85c885c82ca4f2cd0cb7180fc8a6"),
+        (power_quartic(0.7), "2d84a8a4fa27de6f20fcd4157eef171a378eebb6afd301d77b964ad4816b7604"),
+    ], ids=["quartic", "anchored", "power_quartic"])
+    def test_digest(self, driver, expected):
+        assert point_interval_digest(driver) == expected
 
 
 def newton_oracle(driver):

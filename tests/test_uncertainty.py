@@ -213,6 +213,17 @@ class TestAmbiguityMap:
             u = m.realize(EmpiricalMeasure(np.asarray(samples)))
             assert u.intervals == ((-2.0, -1.0), (1.0, 2.0))
 
+    def test_constant_rule_returns_the_constructed_set(self):
+        m = AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+            endpoint_shifts=(0.0, 0.5, -0.5, 0.0),
+            theta_rule=ConstantTheta(0.4),
+        )
+        u = m.realize(EmpiricalMeasure(np.array([3.0])))
+        assert u is m.realize(EmpiricalMeasure(np.array([-1.0, 2.0])))
+        assert u == m.realize_at(0.4)
+        assert u.intervals == ((-2.0, -0.8), (0.8, 2.0))
+
     def test_zero_shift_identity(self):
         m = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
