@@ -1,4 +1,4 @@
-"""All-or-nothing text artifacts: a reader of the target sees either the
+"""All-or-nothing artifacts: a reader of the target sees either the
 previous file or the complete new one, never a truncated write."""
 
 from __future__ import annotations
@@ -9,9 +9,8 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path, binary: bool = False):
-    """Yield a text handle (a bytes handle if ``binary``) whose contents
-    replace ``path`` when the body ends.
+def atomic_write(path):
+    """Yield a bytes handle whose contents replace ``path`` when the body ends.
 
     The handle writes to a temporary file in the target's directory, which
     ``os.replace`` renames over ``path`` once the body has finished and the
@@ -22,7 +21,7 @@ def atomic_write(path, binary: bool = False):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -25,6 +25,11 @@ particle index at every node, one control per node) is printed once by
 ``format_once``, by the same kernel and fallback, and ``format_rows`` copies
 its words into each block instead of printing it again.  Every pass still
 rewrites every byte of the block.
+
+One separator rule and one NUL cut.  Every printed slot and every copied text
+ends with ','; ``format_rows`` writes '\\n' over the last byte of each line.
+Dropped bytes are NUL, and ``bytes.translate`` cuts them, from each block and
+from the text ``format_once`` packs.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ _N_SIG = 17
 # Each cell owns a 40-byte slot, five little-endian uint64 words: byte 0 the
 # sign, bytes 1-5 the "0.000" of a number below 1, digit k (k = 0..16) at byte
 # 6 + 2k and a point slot after it at byte 7 + 2k.  The point slot after the
-# last digit, byte 39, holds the separator.  Dropped bytes are NUL and are cut
-# out when the block is joined.
+# last digit, byte 39, holds the ',' that ends every cell.  Dropped bytes are
+# NUL and are cut out when the block is joined.
 _SLOT = 40
 _WORDS = _SLOT // 8
 _FALLBACK_WIDTH = 24  # the longest %.17g text, "-2.2250738585072014e-308"
@@ -100,12 +105,12 @@ def _digit_tables():
 
 @functools.cache
 def _layout_masks():
-    """AND masks indexed by (last column, negative, e - _E_MIN, digits - 1),
-    built on first use.
+    """AND masks indexed by (negative, e - _E_MIN, digits - 1), built on
+    first use.
 
     0xFF keeps the digit word's byte, a character replaces it (its byte there
-    is 0xFF, or the point, whose bits cover ',' and '\\n'), 0 drops it.  Two
-    more rows, for fallback cells, keep only the separator.
+    is 0xFF, or the point, whose bits cover ','), 0 drops it.  One more row,
+    for fallback cells, keeps only the separator.
     """
     e, nsig, pos = np.ix_(range(_E_MIN, _E_MAX + 1), range(1, _N_SIG + 1), range(_SLOT))
     k = (pos - 6) // 2
@@ -114,28 +119,22 @@ def _layout_masks():
     below_one = (e < 0) & (pos >= 1) & (pos < 2 - e)
     layout = np.where(digit | point, np.uint8(0xFF), np.uint8(0))
     layout = np.where(below_one, np.where(pos == 2, np.uint8(ord(".")), np.uint8(ord("0"))), layout)
-    masks = np.zeros((2 * 2 * _N_E * _N_SIG + 2, _SLOT), np.uint8)
-    fast = masks[:-2].reshape((2, 2) + layout.shape)
+    masks = np.zeros((2 * _N_E * _N_SIG + 1, _SLOT), np.uint8)
+    fast = masks[:-1].reshape((2,) + layout.shape)
     fast[...] = layout
-    fast[:, 1, :, :, 0] = ord("-")
-    fast[0, ..., -1] = masks[-2, -1] = ord(",")
-    fast[1, ..., -1] = masks[-1, -1] = ord("\n")
+    fast[1, :, :, 0] = ord("-")
+    masks[:, -1] = ord(",")
     return _read_only(masks.view(_WORD))
 
 
 _NEGATIVE = _N_E * _N_SIG
-_LAST = 2 * _NEGATIVE
-_FALLBACK = 2 * _LAST
+_FALLBACK = 2 * _NEGATIVE
 # word 0 before masking: 0xFF in bytes 0-5, the leading digit, a point slot
 _WORD0 = 0xFFFF_FFFF_FFFF | ord(".") << 56
 
 
-def _fill(x, last, slots):
-    """Write the slots of the cells ``x``; return the indices of fallback cells.
-
-    ``x`` holds rows of ``last.size`` cells, one after another; ``last`` holds
-    ``_LAST`` for a column that ends the line, else 0.
-    """
+def _fill(x, slots):
+    """Write the slots of the cells ``x``; return the indices of fallback cells."""
     with np.errstate(all="ignore"):  # fallback lanes carry inf, nan and wrapped integers
         ax = np.abs(x)
         ef = np.floor(np.log10(ax))
@@ -170,13 +169,11 @@ def _fill(x, last, slots):
     np.maximum(nsig, significant[3].take(g4, mode="clip"), out=nsig)
 
     idx = (x < 0) * _NEGATIVE
-    by_column = idx.reshape(-1, last.size)
-    by_column += last
     idx += (e - _E_MIN) * _N_SIG
     idx += nsig
     idx -= 1
     slow = np.flatnonzero(~fast)
-    idx[slow] = _FALLBACK + (last[slow % last.size] != 0)
+    idx[slow] = _FALLBACK
 
     d0 += ord("0")
     d0 <<= 48
@@ -187,10 +184,10 @@ def _fill(x, last, slots):
     return slow
 
 
-def _print(x, last, slots):
+def _print(x, slots):
     """Fill the slots of the cells ``x`` (see ``_fill``) and let ``%`` print
     the fallback cells into theirs.  Every byte of ``slots`` is rewritten."""
-    slow = _fill(x, last, slots)
+    slow = _fill(x, slots)
     if slow.size:
         text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
         slots.view(np.uint8)[slow, :_FALLBACK_WIDTH] = text.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
@@ -216,25 +213,24 @@ class Text(np.ndarray):
     Slicing, ``np.repeat`` and ``np.tile`` keep the type."""
 
 
-_NOT_LAST = np.zeros(1, np.intp)
-
-
 def format_once(values) -> Text:
     """Print the 1-D ``values`` once, by the kernel ``format_rows`` runs, as a
     column that ``format_rows`` copies instead of printing again.
 
-    Each value's 40-byte slot is packed to the right of the fewest words that
-    hold the longest text, so a copied column passes fewer NUL bytes on to the
-    join than a slot would.
+    Each value's text is cut out of its 40-byte slot like a block's and packed
+    to the right of the fewest words that hold the longest text, so a copied
+    column passes fewer NUL bytes on to the join than a slot would.
     """
     x = np.ascontiguousarray(_as_floats(values)).reshape(-1)
     slots = np.empty((x.size, _WORDS), _WORD)
-    _print(x, _NOT_LAST, slots)
+    _print(x, slots)
     raw = slots.view(np.uint8)
-    kept = raw != 0
-    packed = np.take_along_axis(raw, np.argsort(kept, axis=1, kind="stable"), axis=1)
-    width = -(-int(kept.sum(axis=1).max(initial=1)) // 8) * 8
-    return np.ascontiguousarray(packed[:, _SLOT - width:]).view(_WORD).view(Text)
+    count = np.count_nonzero(raw, axis=1)
+    width = -(-int(count.max(initial=1)) // 8) * 8
+    packed = np.zeros((x.size, width), np.uint8)
+    text = raw.tobytes().translate(None, b"\0")
+    packed[np.arange(width) >= width - count[:, None]] = np.frombuffer(text, np.uint8)
+    return packed.view(_WORD).view(Text)
 
 
 def rows_once_if_repeated(values) -> list:
@@ -274,7 +270,7 @@ def format_rows(*columns) -> Iterator[bytes]:
         parts.append(c)
     n_rows = max((len(p) for p in parts if not (isinstance(p, Text) and len(p) == 1)), default=1)
     rows = max(1, min(n_rows, _BLOCK_ROWS))
-    layout, n_words = [], 0  # (part, first word, words per row, last, slots)
+    layout, n_words = [], 0  # (part, first word, words per row, slots)
     for p in parts:
         text = isinstance(p, Text)
         if text and len(p) == 1:
@@ -282,26 +278,23 @@ def format_rows(*columns) -> Iterator[bytes]:
         if len(p) != n_rows:
             raise ValueError(f"a column has {len(p)} rows, another {n_rows}")
         if text:
-            layout.append((p, n_words, p.shape[1], None, None))
+            layout.append((p, n_words, p.shape[1], None))
         else:
             # cells are printed into slots of their own, then copied into the block
-            last = np.zeros(p.shape[1], np.intp)
-            last[-1] = _LAST if p is parts[-1] else 0
             slots = np.empty((rows * p.shape[1], _WORDS), _WORD)
-            layout.append((p, n_words, p.shape[1] * _WORDS, last, slots))
+            layout.append((p, n_words, p.shape[1] * _WORDS, slots))
         n_words += layout[-1][2]
     block = np.empty((rows, n_words), _WORD)
     for start in range(0, n_rows, rows):
         out = block[:min(rows, n_rows - start)]
-        for p, w0, width, last, slots in layout:
+        for p, w0, width, slots in layout:
             cells = p[start:start + rows]
             if slots is None:
                 out[:, w0:w0 + width] = cells
             else:
                 x = cells.ravel()
-                _print(x, last, slots[:x.size])
+                _print(x, slots[:x.size])
                 out[:, w0:w0 + width] = slots[:x.size].reshape(len(out), width)
         raw = out.view(np.uint8)
-        if isinstance(parts[-1], Text):  # its right-aligned ',' ends the line
-            raw[:, -1] = ord("\n")
+        raw[:, -1] = ord("\n")  # over the ',' that ends the row's last cell
         yield raw.tobytes().translate(None, b"\0")

@@ -62,20 +62,29 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """``float(value)`` of a JSON number; a boolean or a string is refused,
+    though ``float()`` would take it."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _finite(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not math.isfinite(number):
         raise ValueError(f"not a finite number: {value!r}")
     return number
 
 
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    cells = np.asarray(value, dtype=object)  # a ragged list keeps its rows, which _number refuses
+    return np.array([_number(v) for v in cells.flat], dtype=float).reshape(cells.shape)
 
 
 def _pair(value) -> tuple[float, float]:
     lo, hi = value
-    return float(lo), float(hi)
+    return _number(lo), _number(hi)
 
 
 def _pairs(value) -> tuple[tuple[float, float], ...]:
@@ -118,16 +127,16 @@ _TERMINAL_FIELDS = {"linear": ("coeffs",), "quadratic": (), "constant": ("value"
 def _build_theta_rule(cfg: dict):
     kind = _kind(cfg, _THETA_RULE_FIELDS, "constant", "theta_rule")
     if kind == "constant":
-        return ConstantTheta(_field(cfg, "value", float, "theta_rule", 0.0))
+        return ConstantTheta(_field(cfg, "value", _number, "theta_rule", 0.0))
     lo, hi = _field(cfg, "bounds", _pair, "theta_rule")
-    alpha = _field(cfg, "alpha", float, "theta_rule", 0.0)
-    return AffineTheta(alpha, _field(cfg, "beta", float, "theta_rule", 0.0), lo, hi)
+    alpha = _field(cfg, "alpha", _number, "theta_rule", 0.0)
+    return AffineTheta(alpha, _field(cfg, "beta", _number, "theta_rule", 0.0), lo, hi)
 
 
 def build_ambiguity(cfg: dict) -> AmbiguityMap:
     _reject_unknown(cfg, {"intervals", "theta_rule", "endpoint_shifts"}, "ambiguity")
     base = IntervalUnion(_field(cfg, "intervals", _pairs, "ambiguity"))
-    shifts = _field(cfg, "endpoint_shifts", lambda v: tuple(float(s) for s in v), "ambiguity", ())
+    shifts = _field(cfg, "endpoint_shifts", lambda v: tuple(_number(s) for s in v), "ambiguity", ())
     rule = _build_theta_rule(cfg.get("theta_rule", {}))
     return AmbiguityMap(base=base, endpoint_shifts=shifts, theta_rule=rule)
 
@@ -137,7 +146,7 @@ def _build_f0(cfg: dict):
     if kind == "zero":
         return LinearF0(0.0)
     if kind == "linear":
-        return LinearF0(_field(cfg, "slope", float, "f0"))
+        return LinearF0(_field(cfg, "slope", _number, "f0"))
     return TableF0(_field(cfg, "ys", _array, "f0"), _field(cfg, "values", _array, "f0"))
 
 
@@ -147,7 +156,7 @@ def _build_terminal(cfg: dict):
         return LinearTerminal(_field(cfg, "coeffs", _array, "terminal", [1.0]))
     if kind == "quadratic":
         return QuadraticTerminal()
-    return ConstantTerminal(_field(cfg, "value", float, "terminal"))
+    return ConstantTerminal(_field(cfg, "value", _number, "terminal"))
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
@@ -161,12 +170,12 @@ def build_problem(cfg: dict) -> ProblemSpec:
         C0=_field(cfg, "C0", _array, "problem"),
         C1=_field(cfg, "C1", _array, "problem"),
         sigma=_field(cfg, "sigma", _array, "problem"),
-        kappa=_field(cfg, "kappa", float, "problem", 1.0),
-        w0=_field(cfg, "w0", float, "problem", 0.0),
+        kappa=_field(cfg, "kappa", _number, "problem", 1.0),
+        w0=_field(cfg, "w0", _number, "problem", 0.0),
         f0=_build_f0(cfg.get("f0", {})),
         ambiguity=build_ambiguity(cfg["ambiguity"]),
         x0=_field(cfg, "x0", _array, "problem"),
-        horizon=_field(cfg, "T", float, "problem"),
+        horizon=_field(cfg, "T", _number, "problem"),
         terminal=_build_terminal(cfg.get("terminal", {})),
     )
 
@@ -178,8 +187,8 @@ _SOLVER_FLAGS = ("particles", "steps", "seed", "tol", "max_iter")
 def _solver_params(cfg: dict, args) -> dict:
     defaults = {
         "particles": (_integer, 10_000), "steps": (_integer, 100), "seed": (_integer, 0),
-        "tol": (float, 1e-6), "max_iter": (_integer, 50), "beta": (float, 1.0),
-        "damping": (float, 1.0),
+        "tol": (_number, 1e-6), "max_iter": (_integer, 50), "beta": (_number, 1.0),
+        "damping": (_number, 1.0),
     }
     _reject_unknown(cfg, set(defaults), "solver")
     params = {
@@ -233,8 +242,7 @@ def _out_dir(args) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _cmd_solve(args) -> int:
@@ -311,12 +319,12 @@ def _pde_grid(spec: ProblemSpec, pde_cfg: dict) -> Grid1D:
         if "cfl" in pde_cfg:
             raise UsageError("cfl sets the default pde grid only; drop it or nt, x_min and x_max")
         grid1d = Grid1D(
-            _field(pde_cfg, "x_min", float, "pde"), _field(pde_cfg, "x_max", float, "pde"),
+            _field(pde_cfg, "x_min", _number, "pde"), _field(pde_cfg, "x_max", _number, "pde"),
             _field(pde_cfg, "nx", _integer, "pde"), _field(pde_cfg, "nt", _integer, "pde"),
         )
     else:
         nx = _field(pde_cfg, "nx", _integer, "pde", 201)
-        grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", float, "pde", 0.45))
+        grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", _number, "pde", 0.45))
     check_stability(spec, grid1d)
     return grid1d
 
@@ -357,12 +365,12 @@ def _cmd_properties(args) -> int:
     if "counterexample" in cfg:
         ce = cfg["counterexample"]
         _reject_unknown(ce, {"lambda", "gamma", "c", "T", "steps", "split"}, "counterexample")
-        lam = _field(ce, "lambda", float, "counterexample")
-        gamma = _field(ce, "gamma", float, "counterexample")
+        lam = _field(ce, "lambda", _number, "counterexample")
+        gamma = _field(ce, "gamma", _number, "counterexample")
         c = _field(ce, "c", _finite, "counterexample", 0.1)
-        horizon = _field(ce, "T", float, "counterexample", 1.0)
+        horizon = _field(ce, "T", _number, "counterexample", 1.0)
         steps = _field(ce, "steps", _integer, "counterexample", 1000)
-        split = _field(ce, "split", float, "counterexample", horizon / 2)
+        split = _field(ce, "split", _number, "counterexample", horizon / 2)
         driver = QuarticDriver(lam, gamma)
         spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), horizon)
         grid = TimeGrid(horizon, steps)
@@ -454,6 +462,9 @@ def main(argv=None) -> int:
         return 1
     except KeyError as exc:
         print(f"error: missing required config field {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

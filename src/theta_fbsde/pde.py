@@ -219,7 +219,7 @@ def write_surface_csv(path, grid1d: Grid1D, horizon: float, surface: np.ndarray)
     times = format_once(np.arange(n_layers) * grid1d.dt(horizon))
     step = max(1, _csv._BLOCK_ROWS // nx)  # layers per block
     xs = np.tile(format_once(grid1d.xs), (step, 1))
-    with atomic_write(path, binary=True) as fh:
+    with atomic_write(path) as fh:
         fh.write(b"t,x,v\n")
         for i in range(0, n_layers, step):
             v = surface[i:i + step].reshape(-1)

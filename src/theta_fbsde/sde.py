@@ -396,7 +396,7 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
     )
     particle = format_once(np.arange(sol.n_particles, dtype=float))
     times = format_once(sol.times)
-    with atomic_write(path, binary=True) as fh:
+    with atomic_write(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for i, a in enumerate(rows_once_if_repeated(sol.A)):
             values = np.column_stack([sol.X[i], sol.Y[i], sol.Z[i]])

@@ -161,6 +161,29 @@ MALFORMED = [
 ]
 
 
+# float() takes strings and booleans; a config number must be a JSON number
+NOT_NUMBERS = [
+    ("solve", ("solver",), "tol", True),
+    ("solve", ("solver",), "tol", "1e-3"),
+    ("solve", ("solver",), "seed", True),
+    ("solve", ("problem",), "kappa", "2.5"),
+    ("solve", ("problem",), "C0", ["0.2"]),
+    ("solve", ("problem",), "x0", [True]),
+    ("solve", ("problem",), "x0", [True, 1.0]),
+    ("solve", ("problem", "ambiguity"), "intervals", "[[-2, -1], [1, 2]]"),
+    ("solve", ("problem", "ambiguity"), "intervals", ["12", "34"]),
+    ("solve", ("problem", "ambiguity"), "endpoint_shifts", [0.0, 0.0, 0.0, "0"]),
+    ("solve", ("problem", "ambiguity", "theta_rule"), "bounds", [False, True]),
+    ("properties", ("counterexample",), "lambda", "2"),
+    ("pde-check", ("pde",), "cfl", "0.4"),
+]
+NOT_NUMBER_BASES = {
+    "solve": APP_CONFIG,
+    "pde-check": {**APP_CONFIG, "pde": {}},
+    "properties": {"counterexample": {"lambda": 2.0, "gamma": 1.0}},
+}
+
+
 class TestMalformedInputs:
     """Bad inputs end with exit 1 and one ``error:`` line, never a traceback.
 
@@ -319,6 +342,37 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         self.assert_one_line_usage_error(code, err)
         assert "--threads" in err
+
+    @pytest.mark.parametrize(
+        "command,path,key,value", NOT_NUMBERS, ids=[f"{c}:{k}={v!r}" for c, _, k, v in NOT_NUMBERS]
+    )
+    def test_config_number_of_another_type(self, command, path, key, value, tmp_path, monkeypatch,
+                                           capsys):
+        cfg = json.loads(json.dumps(NOT_NUMBER_BASES[command]))
+        section = cfg
+        for name in path:
+            section = section[name]
+        if key == "bounds":  # an affine rule in place of the constant one
+            section.clear()
+            section.update(kind="affine", alpha=0.0, beta=0.0)
+        section[key] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        solves = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *args, **kwargs: solves.append(args))
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert f"'{key}'" in err
+        assert solves == []
+
+    def test_allocation_beyond_memory(self, capsys):
+        # 1e18 steps pass the index-size check, and their 8 EiB value path
+        # lies beyond the address space, so the allocation fails at once
+        code = main(["counterexample", "--lambda", "2", "--gamma", "1", "--steps", str(10**18)])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert err.startswith("error: out of memory: ")
 
 
 class TestCounterexampleCommand:
@@ -699,6 +753,21 @@ class TestArtifactWriters:
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
+class TestJsonReport:
+    def test_same_bytes_as_json_dump_to_a_text_file(self, tmp_path):
+        payload = {
+            "z": {"nested": {"list": [1, 2.5, -0.0, None, True], "empty": {}}},
+            "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "neg_zero": -0.0,
+            "σ_ключ": "значение", "a": [[0.1, 1e300], [5e-324], []],
+        }
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        _write_json(tmp_path / "new.json", payload)
+        assert (tmp_path / "new.json").read_bytes() == ref.read_bytes()
+
+
 # fast-path cells with 17 digits, then fallback cells, then fast-path cells
 # again: with two rows per block each kind fills whole blocks, so a reused
 # slot buffer meets both orders in every column
@@ -852,9 +921,9 @@ class TestCellsPrintedPerPass:
         counts = []
         fill = _csv._fill
 
-        def counting_fill(x, last, slots):
+        def counting_fill(x, slots):
             counts.append(x.size)
-            return fill(x, last, slots)
+            return fill(x, slots)
 
         monkeypatch.setattr(_csv, "_fill", counting_fill)
         return counts

@@ -94,3 +94,24 @@ class TestCellTypes:
             "%.17g" % cell
         with pytest.raises(TypeError):
             b"".join(_csv.format_rows(cells))
+
+
+ONCE = [0.0, -0.0, 7.0, 0.1, 123456.789, 1e16, 5e-324, -2.2250738585072014e-308, np.nan, -np.inf]
+
+
+class TestFormatOnce:
+    """The packed text of ``format_once``: each row the value's ``%.17g``
+    text and its ',', right-aligned behind NULs, in the fewest whole words."""
+
+    @pytest.mark.parametrize("values", [ONCE, *([v] for v in ONCE)], ids=["all", *map(repr, ONCE)])
+    def test_rows_hold_the_text_right_aligned(self, values):
+        text = _csv.format_once(values)
+        assert isinstance(text, _csv.Text) and text.dtype == np.uint64
+        want = [("%.17g," % v).encode() for v in values]
+        assert text.shape == (len(values), -(-max(map(len, want)) // 8))
+        for row, w in zip(text.view(np.uint8), want):
+            assert row.tobytes() == w.rjust(row.size, b"\0")
+
+    def test_empty_input(self):
+        text = _csv.format_once([])
+        assert isinstance(text, _csv.Text) and len(text) == 0
