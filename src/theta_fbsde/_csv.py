@@ -22,14 +22,13 @@ next power of ten).
 
 Text printed once.  A column that repeats its text (a time per node, the
 particle index at every node, one control per node) is printed once by
-``format_once``, by the same kernel and fallback, and ``format_rows`` copies
+``format_once``, through ``format_rows`` itself, and ``format_rows`` copies
 its words into each block instead of printing it again.  Every pass still
 rewrites every byte of the block.
 
 One separator rule and one NUL cut.  Every printed slot and every copied text
 ends with ','; ``format_rows`` writes '\\n' over the last byte of each line.
-Dropped bytes are NUL, and ``bytes.translate`` cuts them, from each block and
-from the text ``format_once`` packs.
+Dropped bytes are NUL, and ``bytes.translate`` cuts them from each block.
 """
 
 from __future__ import annotations
@@ -214,22 +213,19 @@ class Text(np.ndarray):
 
 
 def format_once(values) -> Text:
-    """Print the 1-D ``values`` once, by the kernel ``format_rows`` runs, as a
+    """Print the 1-D ``values`` once, by ``format_rows``' blocked pass, as a
     column that ``format_rows`` copies instead of printing again.
 
-    Each value's text is cut out of its 40-byte slot like a block's and packed
-    to the right of the fewest words that hold the longest text, so a copied
-    column passes fewer NUL bytes on to the join than a slot would.
+    Each value's line, its '\\n' turned back into ',', is packed to the right
+    of the fewest words that hold the longest text, so a copied column passes
+    fewer NUL bytes on to the join than a slot would.
     """
-    x = np.ascontiguousarray(_as_floats(values)).reshape(-1)
-    slots = np.empty((x.size, _WORDS), _WORD)
-    _print(x, slots)
-    raw = slots.view(np.uint8)
-    count = np.count_nonzero(raw, axis=1)
+    text = b"".join(format_rows(_as_floats(values).reshape(-1))).replace(b"\n", b",")
+    raw = np.frombuffer(text, np.uint8)
+    count = np.diff(np.flatnonzero(raw == ord(",")), prepend=-1)
     width = -(-int(count.max(initial=1)) // 8) * 8
-    packed = np.zeros((x.size, width), np.uint8)
-    text = raw.tobytes().translate(None, b"\0")
-    packed[np.arange(width) >= width - count[:, None]] = np.frombuffer(text, np.uint8)
+    packed = np.zeros((count.size, width), np.uint8)
+    packed[np.arange(width) >= width - count[:, None]] = raw
     return packed.view(_WORD).view(Text)
 
 

@@ -9,7 +9,7 @@ compared in a weighted norm whose decay diagnoses contraction.  When a sweep
 reads its iterate only through the laws of the value process, the value
 iterate is Anderson-mixed (depth 1) between sweeps.
 
-The engine remembers its last successful solve (weakly, see
+Each spec object remembers its own last successful solve (weakly, see
 :func:`picard_solve`), so checks that re-solve the problem they were handed
 on the same noise reuse the solution their caller still holds.
 """
@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._memo import LastEntry
 from .bsde import REGRESSION_DEGREE, solve_backward
 from .errors import NoConvergenceError, NonContractionError, UsageError
 from .measures import EmpiricalMeasure, check_array_size
@@ -192,9 +191,9 @@ def _anderson_step(
     return gamma, w
 
 
-# the last successful solve: its key and spec, a weak reference to its
-# solution and a snapshot of its report
-_last_solve = LastEntry()
+# per spec object, its last successful solve: the key, a weak reference to
+# the solution and a snapshot of the report
+_held = weakref.WeakKeyDictionary()
 
 
 def picard_solve(
@@ -215,13 +214,14 @@ def picard_solve(
     budget runs out; both carry the report collected so far.
 
     The returned arrays (``times``, ``X``, ``Y``, ``Z``, ``A``) are read-only.
-    A call with the same ``spec`` object and equal remaining arguments as the
-    last successful solve returns that solve's :class:`SolutionPaths` object,
+    A call with equal remaining arguments as the last successful solve of the
+    same ``spec`` object returns that solve's :class:`SolutionPaths` object,
     with a fresh copy of its report, as long as some caller still holds the
-    solution.  The memo holds the problem and the solution by weak reference,
-    so it keeps no solution alive; spec arrays are read-only and spec
-    callables must be pure, so the same spec object always poses the same
-    problem.
+    solution.  Each spec object keeps its own last solve, so solving another
+    spec in between does not drop it.  The memo holds the spec and the
+    solution by weak reference, so it keeps neither alive; spec arrays are
+    read-only and spec callables must be pure, so the same spec object always
+    poses the same problem.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"tol must be a finite positive number, got {tol}")
@@ -240,12 +240,9 @@ def picard_solve(
     check_array_size((grid.n_nodes, n_particles, k), "the particles' paths")
 
     key = (grid, n_particles, seed, tol, max_iter, beta, damping)
-    held = _last_solve.get(key, owner=spec)
-    if held is not None:
-        sol_ref, held_report = held
-        sol = sol_ref()
-        if sol is not None:
-            return sol, held_report.copy()
+    held_key, sol_ref, held_report = _held.get(spec, (None, None, None))
+    if held_key == key and (sol := sol_ref()) is not None:
+        return sol, held_report.copy()
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles)
@@ -307,7 +304,7 @@ def picard_solve(
     for arr in (times, X, Y, Z, A):
         arr.flags.writeable = False
     sol = SolutionPaths(times=times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
-    _last_solve.put(key, (weakref.ref(sol), report.copy()), owner=spec)
+    _held[spec] = (key, weakref.ref(sol), report.copy())
     return sol, report
 
 

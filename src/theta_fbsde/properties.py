@@ -10,17 +10,23 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from ._memo import LastEntry
 from .bsde import REGRESSION_DEGREE, _node_regression, _rk4_increment, solve_deterministic_ode
 from .coupling import picard_solve
 from .errors import ParameterError, UsageError
 from .optimizer import DriverState, QuarticDriver, driver_sup, second_derivative_at_zero
-from .sde import CallableTerminal, ConstantTerminal, ProblemSpec, SolutionPaths, TimeGrid
+from .sde import (
+    CallableTerminal,
+    ConstantTerminal,
+    ProblemSpec,
+    SolutionPaths,
+    TimeGrid,
+    check_horizon,
+)
 from .uncertainty import IntervalUnion
 
 
@@ -29,12 +35,15 @@ class DeterministicSpec:
     """Reduction with no state process and no noise.
 
     The backward equation collapses to an ODE in the optimized driver, which
-    is where the operator's defining properties can be checked exactly.
+    is where the operator's defining properties can be checked exactly.  The
+    spec object keeps its own valuations (see :func:`_deterministic_valuation`);
+    they take no part in equality, hashing or the repr.
     """
 
     driver: object
     control_set: IntervalUnion
     horizon: float
+    _valuations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -80,10 +89,7 @@ def theta_expectation(
     if isinstance(spec, DeterministicSpec):
         if xi is None or not np.isscalar(xi):
             raise UsageError("the deterministic reduction needs a numeric terminal value")
-        if abs(grid.horizon - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
-            raise UsageError(
-                f"grid horizon {grid.horizon} does not match the problem horizon {spec.horizon}"
-            )
+        check_horizon(grid, spec.horizon)
         sol = _deterministic_valuation(spec, float(xi), grid.n_steps)
         return sol.y0, sol
     if xi is not None:
@@ -93,13 +99,9 @@ def theta_expectation(
     return sol.y0, sol
 
 
-# Deterministic valuations kept per spec; the property suite asks for 5
-# distinct ones, the counterexample for 3.  At 1000 steps an entry is 16 KB.
+# Deterministic valuations kept per spec object; the property suite asks for
+# 5 distinct ones, the counterexample for 3.  At 1000 steps an entry is 16 KB.
 _VALUATIONS_KEPT = 8
-
-
-# the last deterministic spec object and the dict of its valuations
-_valuations = LastEntry()
 
 
 def _deterministic_valuation(
@@ -107,17 +109,14 @@ def _deterministic_valuation(
 ) -> DeterministicSolution:
     """The ODE solution of E[xi] on ``n_steps`` steps, integrated once.
 
-    The last spec object is held by weak reference and matched by identity, so
-    drivers are never hashed; under it, solutions are kept by
+    Solutions are kept on the spec object itself, so they live as long as it
+    does and drivers are never hashed.  They are keyed by
     ``(xi.hex(), n_steps)``, which tells -0.0 from 0.0, up to
-    ``_VALUATIONS_KEPT`` of them, the oldest dropped first.  A new spec object
-    starts afresh, and the solutions go when the spec is collected.  The
-    returned arrays are read-only, and a valuation that raises is not kept.
+    ``_VALUATIONS_KEPT`` of them per spec, the oldest dropped first.  An equal
+    but distinct spec object starts afresh.  The returned arrays are
+    read-only, and a valuation that raises is not kept.
     """
-    solutions = _valuations.get((), owner=spec)
-    if solutions is None:
-        solutions = {}
-        _valuations.put((), solutions, owner=spec)
+    solutions = spec._valuations
     key = (xi.hex(), n_steps)
     sol = solutions.get(key)
     if sol is None:
@@ -406,7 +405,7 @@ def martingale_diagnostics(
     if not isinstance(sol, SolutionPaths):
         raise UsageError("stochastic diagnostics need solved particle paths")
     f_vals = driver_along_path(spec, grid, sol)
-    max_driver = float(np.max(np.abs(f_vals[:-1]))) if grid.n_steps else 0.0
+    max_driver = float(np.max(np.abs(f_vals[:-1])))
     increments = sol.Y[1:] - sol.Y[:-1] + f_vals[:-1] * grid.dt
     means = np.mean(increments, axis=1)
     stds = np.std(increments, axis=1, ddof=1)

@@ -186,9 +186,9 @@ class ConstantTerminal:
         return np.full(x.shape[:-1], float(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Coefficient bundle of the coupled system."""
+    """Coefficient bundle of the coupled system; compared and hashed by identity."""
 
     horizon: float
     x0: np.ndarray
@@ -290,6 +290,12 @@ def _node_controls(controls, grid: TimeGrid, n: int) -> np.ndarray:
     return controls
 
 
+def check_horizon(grid: TimeGrid, horizon: float) -> None:
+    """UsageError unless ``grid`` spans the problem ``horizon`` (to 1e-12 relative)."""
+    if abs(grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
+        raise UsageError(f"grid horizon {grid.horizon} does not match the problem horizon {horizon}")
+
+
 def simulate_forward(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -304,10 +310,7 @@ def simulate_forward(
     (n_nodes, n), and its terminal row is unused.  Returns an (n_nodes, n, k)
     array.
     """
-    if abs(grid.horizon - spec.horizon) > 1e-12 * max(1.0, spec.horizon):
-        raise UsageError(
-            f"grid horizon {grid.horizon} does not match the problem horizon {spec.horizon}"
-        )
+    check_horizon(grid, spec.horizon)
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[::2] != (grid.n_steps, spec.noise_dim):
         raise UsageError(

@@ -163,14 +163,15 @@ class AmbiguityMap:
     Each endpoint moves as ``base + shift * theta``.  Affine motion keeps the
     family Lipschitz in theta with respect to the Hausdorff distance, and a
     disjointness violation anywhere in the theta range would already show at
-    one of the two extremes, which the constructor checks.  Under a
-    :class:`ConstantTheta` rule :meth:`realize` returns the set that check built.
+    one of the two extremes, which the constructor checks.  When the map
+    :attr:`is_static` (a constant theta, ``lo == hi``, or no shifts),
+    :meth:`realize` returns the set that check built, the same for every law.
     """
 
     base: IntervalUnion
     endpoint_shifts: tuple[float, ...] = ()
     theta_rule: ConstantTheta | AffineTheta = field(default_factory=ConstantTheta)
-    _constant: IntervalUnion | None = field(init=False, repr=False, compare=False, default=None)
+    _static: IntervalUnion | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         shifts = tuple(float(s) for s in self.endpoint_shifts)
@@ -184,8 +185,8 @@ class AmbiguityMap:
             raise ConfigurationError("endpoint shifts must be finite")
         object.__setattr__(self, "endpoint_shifts", shifts)
         extremes = [self.realize_at(theta) for theta in self.theta_bounds]
-        if isinstance(self.theta_rule, ConstantTheta):
-            object.__setattr__(self, "_constant", extremes[0])
+        if self.is_static:
+            object.__setattr__(self, "_static", extremes[0])
 
     @property
     def theta_bounds(self) -> tuple[float, float]:
@@ -210,7 +211,7 @@ class AmbiguityMap:
 
     def realize(self, law: EmpiricalMeasure) -> IntervalUnion:
         """Set realized for the given law of the value process."""
-        return self._constant or self.realize_at(self.theta_rule(law))
+        return self._static or self.realize_at(self.theta_rule(law))
 
     def control_range(self) -> tuple[float, float]:
         """Extreme feasible controls over the whole theta range.

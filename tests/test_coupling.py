@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -830,6 +832,42 @@ class TestSolveMemo:
         assert again is held
         assert len(noise_draws) == 3
 
+    def test_each_spec_keeps_its_own_solve(self, noise_draws, monkeypatch):
+        sweeps = []
+        sweep = coupling._sweep
+
+        def counting_sweep(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(coupling, "_sweep", counting_sweep)
+        spec_a, spec_b = application_spec(), application_spec(f0_slope=0.3)
+        sol_a, _ = picard_solve(spec_a, MEMO_GRID, 200, **MEMO_ARGS)
+        sol_b, _ = picard_solve(spec_b, MEMO_GRID, 200, **MEMO_ARGS)
+        assert len(noise_draws) == 2
+        n_sweeps = len(sweeps)
+        again, _ = picard_solve(spec_a, MEMO_GRID, 200, **MEMO_ARGS)
+        assert again is sol_a and again is not sol_b
+        assert len(noise_draws) == 2 and len(sweeps) == n_sweeps
+
+    def test_spec_and_solution_are_collected(self):
+        spec = application_spec()
+        sol, _ = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        spec_ref, sol_ref = weakref.ref(spec), weakref.ref(sol)
+        del spec, sol
+        gc.collect()
+        assert spec_ref() is None and sol_ref() is None
+
+    def test_spec_pickles_after_a_solve(self):
+        spec = application_spec()
+        before = pickle.dumps(spec)
+        sol, _ = picard_solve(spec, MEMO_GRID, 200, **MEMO_ARGS)
+        assert pickle.dumps(spec) == before  # the solve leaves nothing on the spec
+        copy = pickle.loads(before)
+        assert copy is not spec and copy.x0.tobytes() == spec.x0.tobytes()
+        again, _ = picard_solve(copy, MEMO_GRID, 200, **MEMO_ARGS)
+        assert again is not sol and again.Y.tobytes() == sol.Y.tobytes()
+
     def test_translation_check_reuses_the_held_solve(self, noise_draws):
         grid = TimeGrid(0.5, 25)
         fresh = check_translation_invariance(feedback_spec(), None, 0.1, grid, n_particles=400, seed=2)
@@ -1015,7 +1053,14 @@ class TestStackedControlStage:
         AmbiguityMap(
             IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (0.0, 0.5, -0.5, 0.0), ConstantTheta(0.4)
         ),
-    ], ids=["unshifted", "shifted"])
+        AmbiguityMap(
+            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (), AffineTheta(1.0, 1.0, -0.5, 0.5)
+        ),
+        AmbiguityMap(
+            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (0.0, 0.5, -0.5, 0.0),
+            AffineTheta(1.0, 1.0, 0.3, 0.3),
+        ),
+    ], ids=["unshifted", "shifted", "affine_unshifted", "affine_pinned"])
     def test_constant_theta_set_is_not_built_again(self, driver, ambiguity, monkeypatch):
         spec = dataclasses.replace(quartic_spec(), driver=driver, ambiguity=ambiguity)
         grid = TimeGrid(0.5, 10)

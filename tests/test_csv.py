@@ -1,5 +1,7 @@
 """The vectorized CSV formatter against ``'%.17g' % x``, cell by cell."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,3 +117,14 @@ class TestFormatOnce:
     def test_empty_input(self):
         text = _csv.format_once([])
         assert isinstance(text, _csv.Text) and len(text) == 0
+
+    def test_long_column_is_printed_in_blocks(self):
+        values = np.arange(1e5)
+        tracemalloc.start()
+        try:
+            _csv.format_once(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one unblocked pass over the column took about 24 MB
+        assert peak < 8e6

@@ -117,6 +117,15 @@ class TestValuationMemo:
         assert np.array_equal(sol_a.values, sol_b.values)
         assert len(integrations) == 2
 
+    def test_each_spec_keeps_its_own_valuations(self, integrations):
+        spec_a, spec_b = quartic_spec(), quartic_spec(lam=3.0)
+        grid = TimeGrid(1.0, 100)
+        _, sol_a = theta_expectation(spec_a, grid, xi=0.1)
+        _, sol_b = theta_expectation(spec_b, grid, xi=0.1)
+        _, again = theta_expectation(spec_a, grid, xi=0.1)
+        assert again is sol_a and again is not sol_b
+        assert len(integrations) == 2
+
     def test_other_step_count_misses(self, integrations):
         spec = quartic_spec()
         _, coarse = theta_expectation(spec, TimeGrid(1.0, 50), xi=0.1)

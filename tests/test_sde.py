@@ -9,12 +9,14 @@ from theta_fbsde import (
     CallableVolatility,
     ConfigurationError,
     ConstantVolatility,
+    DeterministicSpec,
     DivergenceError,
     EmpiricalMeasure,
     Grid1D,
     LinearTerminal,
     ProblemSpec,
     QuadraticPenaltyDriver,
+    QuarticDriver,
     TableF0,
     TimeGrid,
     UsageError,
@@ -24,6 +26,8 @@ from theta_fbsde import (
     solve_backward,
     solve_hjb,
     static_set,
+    theta_expectation,
+    unconstrained_interval,
 )
 from theta_fbsde import sde
 from theta_fbsde._memo import LastEntry
@@ -155,6 +159,17 @@ class TestStageInputs:
         grid = self.GRID
         with pytest.raises(UsageError, match="noise increments"):
             simulate_forward(self.SPEC, grid, constant_controls(grid, 8), dirac_laws(grid, 8), 0)
+
+    def test_grid_must_span_the_horizon(self):
+        grid, n = TimeGrid(0.5, 5), 8
+        laws, increments = dirac_laws(grid, n), noise(grid, n, 0)
+        expected = "grid horizon 0.5 does not match the problem horizon 1.0"
+        with pytest.raises(UsageError, match=expected):
+            simulate_forward(self.SPEC, grid, constant_controls(grid, n), laws, increments)
+        driver = QuarticDriver(2.0, 1.0)
+        deterministic = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), 1.0)
+        with pytest.raises(UsageError, match=expected):
+            theta_expectation(deterministic, grid, xi=0.1)
 
 
 class TestCallableVolatility:
@@ -342,6 +357,26 @@ class TestFrozenSpecArrays:
             stored[...] = 7.0
         original[...] = 7.0
         assert np.array_equal(stored, before)
+
+
+class TestSpecIdentity:
+    """A ProblemSpec is compared and hashed by identity, as the array-holding
+    descriptors it bundles are."""
+
+    def test_two_dimensional_copy_compares_unequal_and_keys_a_dict(self):
+        spec = ProblemSpec(
+            horizon=1.0,
+            x0=np.array([1.0, -0.5]),
+            drift=AffineControlDrift(np.zeros(2), np.eye(2)),
+            volatility=ConstantVolatility(np.eye(2)),
+            driver=QuadraticPenaltyDriver(kappa=1.0, w0=1.0),
+            terminal=LinearTerminal(np.array([1.0, 0.5])),
+            ambiguity=static_set([(1.0, 1.0)]),
+        )
+        copy = dataclasses.replace(spec)
+        assert (spec == copy) is False and spec == spec
+        keyed = {spec: "spec", copy: "copy"}
+        assert keyed[spec] == "spec" and keyed[copy] == "copy"
 
 
 def reference_forward(spec, grid, controls, increments, volatility=None):
