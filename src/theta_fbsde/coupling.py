@@ -9,6 +9,12 @@ compared in a weighted norm whose decay diagnoses contraction.  When a sweep
 reads its iterate only through the laws of the value process, the value
 iterate is Anderson-mixed (depth 1) between sweeps.
 
+When no component reads the law (the ``reads_law`` flag, see
+:func:`_reads_law`), a sweep reads its iterate only through its controls.  A
+sweep whose controls repeat the last sweep's bit for bit would then return
+the current iterate bit for bit, so it is recorded with delta 0.0 and not
+run.
+
 Each spec object remembers its own last successful solve (weakly, see
 :func:`picard_solve`), so checks that re-solve the problem they were handed
 on the same noise reuse the solution their caller still holds.
@@ -80,6 +86,16 @@ def _state_free(spec: ProblemSpec) -> bool:
     return getattr(spec.driver, "state_free_argmax", False)
 
 
+def _reads_law(spec: ProblemSpec) -> bool:
+    """Whether the drift, the volatility or the driver's value may read the law.
+
+    A component declares ``reads_law = False`` to promise that it ignores its
+    ``mu``; one without the attribute counts as reading it.  Terminal maps
+    take no law, and the set's dependence on the law is seen in the controls.
+    """
+    return any(getattr(c, "reads_law", True) for c in (spec.drift, spec.volatility, spec.driver))
+
+
 # A state-dependent control stage maximizes as many whole nodes per
 # maximize_batch call as fit in this many elements: one call per stage at the
 # sizes numpy's call overhead dominates, one node per call from 2**16
@@ -143,21 +159,22 @@ def _initial_state(
 def _sweep(
     spec: ProblemSpec,
     grid: TimeGrid,
-    X: np.ndarray,
-    Y: np.ndarray,
-    Z: np.ndarray,
+    A: np.ndarray,
+    laws: list[EmpiricalMeasure],
     increments: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One sweep from an iterate: laws, controls, forward paths, then backward.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward paths under a control stage's controls and laws, then backward on them.
 
-    The backward solve runs on the forward paths just simulated.  Returns the
-    new X, Y and Z and the number of tied controls.
+    Returns the new X, Y and Z.
     """
-    laws = _node_laws(Y)
-    A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
     X_new = simulate_forward(spec, grid, A, laws, increments)
     Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
-    return X_new, Y_new, Z_new, ties
+    return X_new, Y_new, Z_new
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bytes, so ``-0.0`` differs from ``0.0``."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _anderson_step(
@@ -177,9 +194,11 @@ def _anderson_step(
     gamma = 0.0
     if r_prev is not None and contracting:
         dr = np.subtract(r, r_prev, out=r_prev)
-        den = float(np.vdot(dr, dr))
+        # einsum, not vdot: OpenBLAS splits a long dot product across its
+        # threads, so vdot's bits follow the thread count
+        den = float(np.einsum("ij,ij->", dr, dr))
         if den > 0.0:
-            gamma = float(np.vdot(r, dr)) / den
+            gamma = float(np.einsum("ij,ij->", r, dr)) / den
     if gamma == 0.0 or not math.isfinite(gamma):
         return 0.0, None
     if w is None:
@@ -212,6 +231,13 @@ def picard_solve(
     or above one for three consecutive iterations (shorten the horizon or
     reduce the damping), and :class:`NoConvergenceError` when the iteration
     budget runs out; both carry the report collected so far.
+
+    Each sweep runs its control stage first.  When no component reads the law,
+    ``damping`` is 1, the last step was plain (``mixing[-1] == 0.0``) and the
+    stage's controls equal the last stage's byte for byte, the forward and
+    backward passes are not run: the sweep is recorded as the loop would
+    record it (delta 0.0, ratio 0.0, mixing 0.0 and the stage's ties), and the
+    current iterate is returned with that stage's laws and controls.
 
     The returned arrays (``times``, ``X``, ``Y``, ``Z``, ``A``) are read-only.
     A call with equal remaining arguments as the last successful solve of the
@@ -247,20 +273,38 @@ def picard_solve(
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles)
     report = PicardReport(beta=beta)
+    state_free = _state_free(spec)
     # A state-free sweep reads its iterate only through the laws of Y, so Y
     # alone is the map's input and is mixed; r_prev and w are the last
     # residual and correction of Y.
-    mix = damping == 1.0 and _state_free(spec)
+    mix = damping == 1.0 and state_free
     r_prev = w = None
+    # Without a law-reading component an undamped sweep reads its iterate only
+    # through its controls.  After a plain step the iterate is the last sweep's
+    # output, so a stage that repeats that sweep's controls (last, one value
+    # per node when state-free) would return it again and is not run.
+    skip = damping == 1.0 and not _reads_law(spec)
+    last = None
+    repeat = False
 
     for iteration in range(1, max_iter + 1):
-        *new, ties = _sweep(spec, grid, X, Y, Z, increments)
+        laws = _node_laws(Y)
+        A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
         report.tie_events += ties
-        # The old iterates are dead after the sweep (the laws hold sorted
-        # copies), so they become the undamped steps.
-        for step, nxt in zip((X, Y, Z), new):
-            np.subtract(nxt, step, out=step)
-        delta = damping * weighted_delta(X, Y, Z, beta, grid.dt)
+        if skip:
+            controls = A[:, 0] if state_free else A
+            repeat = last is not None and report.mixing[-1] == 0.0 and _same_bits(controls, last)
+            last = controls
+        if repeat:
+            delta = 0.0  # what the sweep's zero differences would give
+        else:
+            new = _sweep(spec, grid, A, laws, increments)
+            laws = A = None
+            # The old iterates are dead after the sweep (the laws held sorted
+            # copies), so they become the undamped steps.
+            for step, nxt in zip((X, Y, Z), new):
+                np.subtract(nxt, step, out=step)
+            delta = damping * weighted_delta(X, Y, Z, beta, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         report.mixing.append(0.0)
@@ -269,8 +313,9 @@ def picard_solve(
             report.ratios.append(delta / prev if prev > 0 else 0.0)
 
         if delta < tol:
-            # the sweep's undamped outputs: Y and Z are solved on the returned X
-            X, Y, Z = new
+            if not repeat:
+                # the sweep's undamped outputs: Y and Z are solved on the returned X
+                X, Y, Z = new
             report.converged = True
             break
         diverged = not math.isfinite(delta)
@@ -297,9 +342,10 @@ def picard_solve(
             report=report,
         )
 
-    # laws and controls of the returned state
-    laws = _node_laws(Y)
-    A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
+    if not repeat:
+        # laws and controls of the returned state; a repeated stage's are its own
+        laws = _node_laws(Y)
+        A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     times = grid.times
     for arr in (times, X, Y, Z, A):
         arr.flags.writeable = False
@@ -319,5 +365,7 @@ def fixed_point_residual(
     increments = brownian_increments(
         seed, sol.n_particles, grid.n_steps, spec.noise_dim, grid.dt
     )
-    X_new, Y_new, Z_new, _ = _sweep(spec, grid, sol.X, sol.Y, sol.Z, increments)
+    laws = _node_laws(sol.Y)
+    A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
+    X_new, Y_new, Z_new = _sweep(spec, grid, A, laws, increments)
     return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, beta, grid.dt)

@@ -110,6 +110,7 @@ class QuadraticPenaltyDriver:
     f0: LinearF0 | TableF0 = LinearF0(0.0)
 
     state_free_argmax = True
+    reads_law = False
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and self.kappa > 0):
@@ -143,6 +144,8 @@ class QuarticDriver:
 
     lam: float
     gamma: float
+
+    reads_law = False
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > self.gamma > 0.0):

@@ -63,6 +63,8 @@ class AffineControlDrift:
     C0: np.ndarray
     C1: np.ndarray
 
+    reads_law = False
+
     def __post_init__(self):
         c0 = frozen_copy(self.C0, ndmin=1)
         c1 = frozen_copy(self.C1, ndmin=2)
@@ -101,6 +103,8 @@ class ConstantVolatility:
     """sigma(t, x, a, mu) = fixed (k, d) matrix."""
 
     matrix: np.ndarray
+
+    reads_law = False
 
     def __post_init__(self):
         m = frozen_copy(self.matrix, ndmin=2)

@@ -28,6 +28,7 @@ from theta_fbsde import (
     ProblemSpec,
     QuadraticPenaltyDriver,
     QuarticDriver,
+    TableF0,
     TimeGrid,
     UsageError,
     brownian_increments,
@@ -234,9 +235,9 @@ def anderson_reference_solve(spec, grid, n_particles, seed=0, tol=1e-6, max_iter
             raise NonContractionError("not contracting", report=report)
         if r_prev is not None and report.ratios[-1] < 1.0:
             dr = r - r_prev
-            den = float(np.vdot(dr, dr))
+            den = float(np.einsum("ij,ij->", dr, dr))
             if den > 0.0:
-                gamma = float(np.vdot(r, dr)) / den
+                gamma = float(np.einsum("ij,ij->", r, dr)) / den
             if not math.isfinite(gamma):
                 gamma = 0.0
         report.mixing.append(gamma)
@@ -656,7 +657,7 @@ class TestAndersonMixing:
         rng = np.random.default_rng(4)
         f, r, r_prev, w_prev = rng.normal(size=(4, 6, 5))
         dr = r - r_prev
-        gamma = float(np.vdot(r, dr)) / float(np.vdot(dr, dr))
+        gamma = float(np.einsum("ij,ij->", r, dr)) / float(np.einsum("ij,ij->", dr, dr))
         expected = f - gamma * (r - w_prev)
         got_gamma, w = _anderson_step(f, r, r_prev.copy(), w_prev.copy(), True)
         assert got_gamma == gamma != 0.0
@@ -1101,3 +1102,164 @@ class TestStackedControlStage:
         assert np.array_equal(point.z, Z[4, 17]) and np.array_equal(ref_point.z, Z[4, 17])
         assert a == ref_a
         assert str(err.value) == str(ref_err.value)
+
+
+def pinned_quartic_spec():
+    """State-dependent argmax over a point set: every control is 0.5 in every sweep."""
+    return dataclasses.replace(quartic_spec(), ambiguity=static_set([(0.5, 0.5)]))
+
+
+def law_reading_spec():
+    """The README problem with a drift that reads its law and adds nothing from it."""
+    affine = AffineControlDrift(np.array([0.0]), np.array([[0.25]]))
+    drift = CallableDrift(
+        fn=lambda t, x, a, mu: affine(t, x, a, mu) + 0.0 * float(np.mean(mu.samples)),
+        lipschitz=1.0,
+    )
+    return dataclasses.replace(application_spec(), drift=drift)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of the engine's control stage, forward pass and backward sweep."""
+    calls = {"stage": 0, "forward": 0, "backward": 0}
+    for key, name in (("stage", "_controls_stage"), ("forward", "simulate_forward"),
+                      ("backward", "solve_backward")):
+        def counted(*args, _key=key, _fn=getattr(coupling, name)):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(coupling, name, counted)
+    return calls
+
+
+class TestRepeatedControls:
+    """A sweep whose controls repeat the last sweep's is recorded, not run."""
+
+    def test_readme_solve_runs_one_sweep(self, stage_calls):
+        spec, grid = application_spec(), TimeGrid(1.0, 20)
+        sol, report = picard_solve(spec, grid, 400, seed=1)
+        assert stage_calls == {"stage": 2, "forward": 1, "backward": 1}
+        assert report.iterations == 2 and report.deltas[1] == 0.0 and report.converged
+        X, Y, Z, A, expected = anderson_reference_solve(spec, grid, 400, seed=1)
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert got.tobytes() == want.tobytes()
+        assert report.to_dict() == expected.to_dict()
+        for i, mu in enumerate(sol.measures):
+            assert mu.samples.tobytes() == np.sort(sol.Y[i]).tobytes()
+
+    def test_recorded_sweep_matches_a_run_one(self, stage_calls):
+        # the law-reading drift adds an exact zero, so its run second sweep
+        # computes what the skipped one records
+        grid = TimeGrid(1.0, 20)
+        sol, report = picard_solve(application_spec(), grid, 400, seed=1)
+        run, run_report = picard_solve(law_reading_spec(), grid, 400, seed=1)
+        assert stage_calls["forward"] == 1 + run_report.iterations == 3
+        assert report.to_dict() == run_report.to_dict()
+        for name in "XYZA":
+            assert getattr(sol, name).tobytes() == getattr(run, name).tobytes()
+
+    def test_no_skip_after_a_mixed_step(self, stage_calls):
+        # theta clamps at lo from the second stage on, so the third stage
+        # repeats the second's controls; the mixed step between them left an
+        # iterate that is not the second sweep's output, so the sweep runs
+        clamped = dataclasses.replace(application_spec(), ambiguity=AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))), endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=0.9, hi=2.0),
+        ))
+        grid = TimeGrid(1.0, 20)
+        sol, report = picard_solve(clamped, grid, 400, seed=1)
+        assert report.mixing[1] != 0.0 and report.deltas[2] > 0.0
+        assert stage_calls["forward"] == report.iterations
+        X, Y, Z, A, expected = anderson_reference_solve(clamped, grid, 400, seed=1)
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert got.tobytes() == want.tobytes()
+        assert report.to_dict() == expected.to_dict()
+
+    def test_state_dependent_repeat(self, stage_calls):
+        spec, grid = pinned_quartic_spec(), TimeGrid(0.5, 10)
+        sol, report = picard_solve(spec, grid, 200, seed=7)
+        assert stage_calls == {"stage": 2, "forward": 1, "backward": 1}
+        X, Y, Z, A, expected = reference_picard_solve(spec, grid, 200, seed=7)
+        for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.A, A)):
+            assert got.tobytes() == want.tobytes()
+        assert report.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize(
+        "make_spec, kwargs",
+        [(law_reading_spec, {}), (application_spec, {"damping": 0.5})],
+        ids=["law_reading_drift", "damped"],
+    )
+    def test_never_skips(self, stage_calls, make_spec, kwargs):
+        _, report = picard_solve(make_spec(), TimeGrid(1.0, 20), 400, seed=1, **kwargs)
+        assert report.iterations >= 2
+        assert stage_calls["forward"] == stage_calls["backward"] == report.iterations
+
+    def test_signed_zero_controls_differ(self):
+        assert coupling._same_bits(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert not coupling._same_bits(np.array([0.0, 1.0]), np.array([-0.0, 1.0]))
+        assert not coupling._same_bits(np.zeros(2), np.zeros(3))
+
+
+class _UnreadableLaw:
+    """A law whose every attribute access raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the law was read: .{name}")
+
+
+NO_LAW_STATE = DriverState(
+    t=0.25, x=np.array([[0.5], [1.5]]), y=np.array([0.3, -0.7]), z=np.array([[0.1], [0.2]]),
+    mu=_UnreadableLaw(),
+)
+
+
+class TestReadsLawContract:
+    """Each built-in that declares ``reads_law = False`` runs with an unreadable law."""
+
+    def test_drift_and_volatility(self):
+        x, a = NO_LAW_STATE.x, np.array([0.5, -1.5])
+        drift = AffineControlDrift(np.array([0.0]), np.array([[0.25]]))
+        volatility = ConstantVolatility(np.array([[0.3]]))
+        assert np.asarray(drift(0.25, x, a, _UnreadableLaw())).shape == (2, 1)
+        assert np.asarray(volatility(0.25, x, a, _UnreadableLaw())).shape == (1, 1)
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5)),
+            QuadraticPenaltyDriver(
+                kappa=1.0, w0=0.6, f0=TableF0(np.array([-1.0, 1.0]), np.array([0.5, -0.5]))
+            ),
+            QuarticDriver(2.0, 1.0),
+        ],
+        ids=["quadratic_linear_f0", "quadratic_table_f0", "quartic"],
+    )
+    def test_driver_value(self, driver):
+        value = driver.value(NO_LAW_STATE, np.array([0.5, -1.5]))
+        assert np.all(np.isfinite(value)) and np.shape(value) == (2,)
+
+    def test_declarations_are_the_checked_ones(self):
+        import theta_fbsde
+
+        declared = {
+            name for name, obj in vars(theta_fbsde).items()
+            if isinstance(obj, type) and getattr(obj, "reads_law", True) is False
+        }
+        assert declared == {
+            "AffineControlDrift", "ConstantVolatility", "QuadraticPenaltyDriver", "QuarticDriver"
+        }
+
+    @pytest.mark.parametrize(
+        "field, component",
+        [
+            ("drift", CallableDrift(fn=lambda t, x, a, mu: 0.0 * x, lipschitz=0.0)),
+            ("driver", GenericDriver(
+                value_fn=lambda s, a: -0.5 * a * a, d_da_fn=lambda s, a: -a,
+                d2_da2_fn=lambda s, a: -1.0 + 0.0 * a, kappa=1.0,
+            )),
+        ],
+        ids=["callable_drift", "generic_driver"],
+    )
+    def test_undeclared_component_reads_the_law(self, field, component):
+        assert not coupling._reads_law(application_spec())
+        assert coupling._reads_law(dataclasses.replace(application_spec(), **{field: component}))

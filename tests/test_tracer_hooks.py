@@ -43,9 +43,10 @@ def test_hooked_stages_run_in_a_solve(monkeypatch):
 
     Resolving is not enough: a refactor that stopped calling one of them (a
     fit that built its basis inline, say) would leave the traced layer
-    reading 0 without a warning.  Each sweep runs one forward pass and one
-    backward sweep of ``n_steps`` fits, and each fit builds one basis unless
-    its state cloud is frozen (node 0, where every particle sits at x0).
+    reading 0 without a warning.  Each sweep that runs (a sweep whose controls
+    repeat the last one's is counted but not run) makes one forward pass and
+    one backward sweep of ``n_steps`` fits, and each fit builds one basis
+    unless its state cloud is frozen (node 0, where every particle sits at x0).
     """
     import numpy as np
 
@@ -55,7 +56,12 @@ def test_hooked_stages_run_in_a_solve(monkeypatch):
     )
 
     forward, fit, basis = coupling.simulate_forward, bsde._node_regression, bsde.polynomial_basis
-    forward_calls, fits, basis_calls = [], [], []
+    sweep = coupling._sweep
+    sweeps, forward_calls, fits, basis_calls = [], [], [], []
+
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return sweep(*args, **kwargs)
 
     def counted_forward(*args, **kwargs):
         forward_calls.append(1)
@@ -71,6 +77,7 @@ def test_hooked_stages_run_in_a_solve(monkeypatch):
         basis_calls.append(1)
         return basis(*args, **kwargs)
 
+    monkeypatch.setattr(coupling, "_sweep", counted_sweep)
     monkeypatch.setattr(coupling, "simulate_forward", counted_forward)
     monkeypatch.setattr(bsde, "_node_regression", counted_fit)
     monkeypatch.setattr(bsde, "polynomial_basis", counted_basis)
@@ -85,8 +92,8 @@ def test_hooked_stages_run_in_a_solve(monkeypatch):
     )
     grid = TimeGrid(1.0, 6)
     _, report = picard_solve(spec, grid, 60, seed=2)
-    assert report.iterations >= 2
-    assert len(forward_calls) == report.iterations
-    assert len(fits) == report.iterations * grid.n_steps
+    assert report.iterations >= 2 and 1 <= len(sweeps) <= report.iterations
+    assert len(forward_calls) == len(sweeps)
+    assert len(fits) == len(sweeps) * grid.n_steps
     assert [moving for moving, _ in fits[:grid.n_steps]] == [True] * (grid.n_steps - 1) + [False]
     assert all(built == int(moving) for moving, built in fits)
