@@ -17,7 +17,7 @@ import numpy as np
 
 from ._atomic import atomic_write
 from . import _csv
-from ._csv import format_once, format_rows
+from ._csv import format_once, format_tables
 from .errors import GridError, UsageError
 from .measures import EmpiricalMeasure, check_array_size
 from .optimizer import DriverState, maximize_batch, maximize_over
@@ -204,7 +204,7 @@ def write_surface_csv(path, grid1d: Grid1D, horizon: float, surface: np.ndarray)
     """Dump the value surface as CSV rows (t, x, v), t = layer * dt.
 
     Every number is printed as ``'%.17g' % x`` prints it.  Only v is printed
-    cell by cell, by the vectorized formatter of ``_csv.format_rows``, a run
+    cell by cell, by the vectorized formatter of ``_csv.format_tables``, a run
     of whole layers per block; x is printed once per file and each layer's t
     once per layer, and their text is copied.  ``surface`` must be
     ``(grid1d.nt + 1, grid1d.nx)``, one row per time layer, or UsageError is
@@ -219,11 +219,15 @@ def write_surface_csv(path, grid1d: Grid1D, horizon: float, surface: np.ndarray)
     times = format_once(np.arange(n_layers) * grid1d.dt(horizon))
     step = max(1, _csv._BLOCK_ROWS // nx)  # layers per block
     xs = np.tile(format_once(grid1d.xs), (step, 1))
-    with atomic_write(path) as fh:
-        fh.write(b"t,x,v\n")
+
+    def blocks():
         for i in range(0, n_layers, step):
             v = surface[i:i + step].reshape(-1)
-            fh.writelines(format_rows(np.repeat(times[i:i + step], nx, axis=0), xs[:v.size], v))
+            yield np.repeat(times[i:i + step], nx, axis=0), xs[:v.size], v
+
+    with atomic_write(path) as fh:
+        fh.write(b"t,x,v\n")
+        fh.writelines(format_tables(blocks()))
 
 
 @dataclass(frozen=True, eq=False)

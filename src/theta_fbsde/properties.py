@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -93,10 +94,25 @@ def theta_expectation(
         sol = _deterministic_valuation(spec, float(xi), grid.n_steps)
         return sol.y0, sol
     if xi is not None:
-        terminal = ConstantTerminal(float(xi)) if np.isscalar(xi) else xi
-        spec = replace(spec, terminal=terminal)
+        spec = _with_constant_terminal(spec, xi) if np.isscalar(xi) else replace(spec, terminal=xi)
     sol, _report = picard_solve(spec, grid, n_particles, seed=seed)
     return sol.y0, sol
+
+
+# Per base spec object, the spec with each constant terminal value that
+# theta_expectation derived from it, keyed by float.hex(xi), which tells -0.0
+# from 0.0.  A repeated call then hands picard_solve the same spec object, so
+# its per-spec memo can serve it.  Weakly keyed, like that memo: no base spec
+# is kept alive.
+_constant_terminal_specs = weakref.WeakKeyDictionary()
+
+
+def _with_constant_terminal(spec: ProblemSpec, xi) -> ProblemSpec:
+    derived = _constant_terminal_specs.setdefault(spec, {})
+    key = float(xi).hex()
+    if key not in derived:
+        derived[key] = replace(spec, terminal=ConstantTerminal(float(xi)))
+    return derived[key]
 
 
 # Deterministic valuations kept per spec object; the property suite asks for

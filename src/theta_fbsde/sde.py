@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._atomic import atomic_write
-from ._csv import format_once, format_rows, rows_once_if_repeated
+from ._csv import format_once, format_tables, rows_once_if_repeated
 from ._memo import LastEntry
 from .errors import ConfigurationError, DivergenceError, UsageError
 from .measures import EmpiricalMeasure, check_array_size, frozen_copy
@@ -385,7 +385,7 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
     Every number is printed as ``'%.17g' % x`` prints it (the particle index
     as the integer it is), so identical runs produce byte-identical files.
     Only X, Y and Z, and A where it varies across particles, are printed cell
-    by cell, by the vectorized formatter of ``_csv.format_rows``, one block
+    by cell, by the vectorized formatter of ``_csv.format_tables``, one block
     per node.  Text that repeats is printed once and copied: the particle
     column once per file, each node's t once per node, and a node's A once
     when every particle holds the same bits (a state-free driver's control).
@@ -403,8 +403,10 @@ def write_paths_csv(path, sol: SolutionPaths) -> None:
     )
     particle = format_once(np.arange(sol.n_particles, dtype=float))
     times = format_once(sol.times)
+    nodes = (
+        (times[i:i + 1], particle, np.column_stack([sol.X[i], sol.Y[i], sol.Z[i]]), a)
+        for i, a in enumerate(rows_once_if_repeated(sol.A))
+    )
     with atomic_write(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for i, a in enumerate(rows_once_if_repeated(sol.A)):
-            values = np.column_stack([sol.X[i], sol.Y[i], sol.Z[i]])
-            fh.writelines(format_rows(times[i:i + 1], particle, values, a))
+        fh.writelines(format_tables(nodes))

@@ -1,6 +1,7 @@
 """The vectorized CSV formatter against ``'%.17g' % x``, cell by cell."""
 
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -82,6 +83,66 @@ class TestSameBytesAsPercentG:
     @settings(max_examples=300, deadline=None)
     def test_any_float(self, values):
         assert_same_bytes(values)
+
+
+def layout_value(negative, e, n_sig):
+    """A double whose %.17g text has the fixed-notation exponent e and n_sig
+    significant digits: the first k-digit decimal 1.0..0j e``e`` (j > 0)
+    that %.17g prints back as itself."""
+    for j in range(1, 10**4):
+        digits = str(j) if n_sig == 1 else "1" + str(j).rjust(n_sig - 1, "0")
+        if len(digits) != n_sig or digits.endswith("0"):
+            continue
+        decimal = Decimal(f"{'-' if negative else ''}{digits[0]}.{digits[1:]}e{e}")
+        value = float(decimal)
+        if "%.17g" % value == format(decimal, "f"):
+            return value
+    raise AssertionError(f"no double prints with e = {e} and {n_sig} significant digits")
+
+
+LAYOUTS = [
+    (negative, e, n_sig)
+    for negative in (False, True)
+    for e in range(_csv._E_MIN, _csv._E_MAX + 1)
+    for n_sig in range(1, 18)
+]
+# "-0.00012345678901234567," and "-2.2250738585072014e-308,": the longest
+# fast-path text fills a 24-byte slot, the longest fallback text one byte more
+LONGEST_FAST, LONGEST_FALLBACK = -0.00012345678901234567, -2.2250738585072014e-308
+
+
+class TestLayouts:
+    """Every sign x e x significant-digit count of the fast path, and the
+    longest texts, which pin the edges of the 24-byte slot."""
+
+    def test_one_value_per_fast_path_layout(self):
+        values = np.array([layout_value(*layout) for layout in LAYOUTS])
+        assert len(LAYOUTS) == 680
+        texts = ["%.17g" % v for v in values]
+        for (negative, e, n_sig), text in zip(LAYOUTS, texts):
+            digits = text.lstrip("-").replace(".", "").strip("0")
+            assert text.startswith("-") == negative and len(digits) == n_sig
+            assert np.floor(np.log10(abs(float(text)))) == e
+        assert_same_bytes(values)
+        assert_same_bytes(values[::-1].reshape(-1, 4), n_cols=4)
+
+    def test_longest_texts(self):
+        assert len("%.17g," % LONGEST_FAST) == 24 and len("%.17g," % LONGEST_FALLBACK) == 25
+        assert_same_bytes([LONGEST_FAST])
+        assert_same_bytes([LONGEST_FALLBACK])
+        assert_same_bytes([LONGEST_FAST, LONGEST_FALLBACK, 0.5, -0.0], n_cols=2)
+
+    def test_longest_text_changes_from_pass_to_pass(self, monkeypatch):
+        monkeypatch.setattr(_csv, "_BLOCK_ROWS", 3)
+        short, long_fallback, long_fast, mid_fallback = 0.5, LONGEST_FALLBACK, LONGEST_FAST, 1e-300
+        passes = [
+            [short, 1.25, -3.0, 7.0, 0.125, 2.0],  # 8 bytes at most
+            [long_fallback, short, 1.0, -0.0, 3.0, long_fast],  # a 25-byte cell widens the pass
+            [long_fast, 1 / 3, -2 / 3, 0.1, 12.5, 1e15],  # 24 bytes at most: back to three words
+            [mid_fallback, short, np.nan, -np.inf, short, long_fallback],
+            [short, 2.0],
+        ]
+        assert_same_bytes([v for cells in passes for v in cells], n_cols=2)
 
 
 class TestCellTypes:

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from theta_fbsde import properties
+from theta_fbsde import coupling, properties
 
 from theta_fbsde import (
     AffineControlDrift,
@@ -171,6 +171,49 @@ class TestValuationMemo:
     def test_nothing_held_once_the_spec_is_collected(self):
         spec = quartic_spec()
         _, sol = theta_expectation(spec, TimeGrid(1.0, 20), xi=0.1)
+        spec_ref, sol_ref = weakref.ref(spec), weakref.ref(sol)
+        del spec, sol
+        gc.collect()
+        assert spec_ref() is None and sol_ref() is None
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The argument tuples of every coupling sweep that runs."""
+    calls = []
+    original = coupling._sweep
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(coupling, "_sweep", counting)
+    return calls
+
+
+class TestConstantTerminalSpecs:
+    """A numeric terminal value derives one spec per base spec object and
+    value, so the solve memo of ``picard_solve`` serves a repeated call."""
+
+    def test_repeated_call_is_solved_once(self, sweeps):
+        spec, grid = zero_driver_problem(), TimeGrid(1.0, 10)
+        y1, sol1 = theta_expectation(spec, grid, n_particles=200, xi=0.5)
+        y2, sol2 = theta_expectation(spec, grid, n_particles=200, xi=np.float64(0.5))
+        assert sol2 is sol1 and y2 == y1
+        assert len(sweeps) == 1
+
+    def test_negative_zero_after_zero_is_solved_again(self, sweeps):
+        spec, grid = zero_driver_problem(), TimeGrid(1.0, 10)
+        _, plus = theta_expectation(spec, grid, n_particles=200, xi=0.0)
+        _, minus = theta_expectation(spec, grid, n_particles=200, xi=-0.0)
+        assert minus is not plus
+        assert math.copysign(1.0, plus.Y[-1, 0]) == 1.0
+        assert math.copysign(1.0, minus.Y[-1, 0]) == -1.0
+        assert len(sweeps) == 2
+
+    def test_nothing_held_once_the_spec_is_collected(self):
+        spec = zero_driver_problem()
+        _, sol = theta_expectation(spec, TimeGrid(1.0, 10), n_particles=200, xi=0.5)
         spec_ref, sol_ref = weakref.ref(spec), weakref.ref(sol)
         del spec, sol
         gc.collect()
