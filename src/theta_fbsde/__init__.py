@@ -2,7 +2,7 @@
 drift is a pointwise maximum over a law-dependent union of intervals."""
 
 from .bsde import solve_backward, solve_deterministic_ode
-from .coupling import PicardReport, fixed_point_residual, picard_solve, weighted_delta
+from .coupling import PicardReport, picard_solve, weighted_delta
 from .errors import (
     ConcavityError,
     ConfigurationError,
@@ -68,7 +68,6 @@ from .scenarios import (
     AssumptionLedger,
     CounterexampleReport,
     build_application_spec,
-    mean_feedback_ambiguity,
     run_application,
     run_counterexample,
     verify_global_assumptions,

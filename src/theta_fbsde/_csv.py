@@ -44,12 +44,9 @@ from typing import Iterator
 
 import numpy as np
 
-# Rows formatted per pass; memory grows with the block, not the file.  By rows
-# per pass, the 16.8 MB paths.csv of 2000 particles x 101 nodes took 0.20 s at
-# 512, 0.18 s at 1024 and 0.15-0.16 s from 2048 to 8192, and a 201 x 590-layer
-# value surface 0.09-0.10 s at 512, 0.06 s at 2048, 0.05 s at 4096 and 0.04 s
-# at 8192 (medians of 9 in-process writes, 2 vCPUs).  4096 rows hold one such
-# node, or 20 such layers, in one pass.
+# Rows formatted per pass; memory grows with the block, not the file.  4096
+# rows hold one 2000-particle node of paths.csv, or 20 layers of a 201-point
+# value surface, in one pass.
 _BLOCK_ROWS = 4096
 
 _E_MIN, _E_MAX = -4, 15

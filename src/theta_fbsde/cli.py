@@ -224,19 +224,25 @@ def _solve(spec: ProblemSpec, grid: TimeGrid, params: dict):
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise UsageError("--config is required for this subcommand")
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
-    with open(p, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise UsageError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -467,11 +473,15 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        message = str(exc)
         # non-contraction and an exhausted budget carry the iterations run so far
         report = getattr(exc, "report", None)
         if report is not None and args.out is not None:
-            _write_json(_out_dir(args) / "picard_report.json", report.to_dict())
+            try:
+                _write_json(_out_dir(args) / "picard_report.json", report.to_dict())
+            except UsageError as err:
+                message += f"; partial report not written: {err}"
+        print(f"numerical failure: {message}", file=sys.stderr)
         return 2
 
 

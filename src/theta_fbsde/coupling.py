@@ -352,20 +352,3 @@ def picard_solve(
     sol = SolutionPaths(times=times, X=X, Y=Y, Z=Z, A=A, measures=tuple(laws))
     _held[spec] = (key, weakref.ref(sol), report.copy())
     return sol, report
-
-
-def fixed_point_residual(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    sol: SolutionPaths,
-    seed: int,
-    beta: float = 1.0,
-) -> float:
-    """Weighted-norm change of one extra sweep applied to a solution."""
-    increments = brownian_increments(
-        seed, sol.n_particles, grid.n_steps, spec.noise_dim, grid.dt
-    )
-    laws = _node_laws(sol.Y)
-    A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
-    X_new, Y_new, Z_new = _sweep(spec, grid, A, laws, increments)
-    return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, beta, grid.dt)

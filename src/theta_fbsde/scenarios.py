@@ -37,7 +37,7 @@ from .sde import (
     SolutionPaths,
     TimeGrid,
 )
-from .uncertainty import AffineTheta, AmbiguityMap, IntervalUnion, static_set
+from .uncertainty import AmbiguityMap, IntervalUnion, static_set
 
 
 @dataclass(frozen=True)
@@ -117,23 +117,6 @@ class ApplicationReport:
     def to_dict(self) -> dict:
         skip = {"solution_nonconvex", "solution_hull"}
         return {k: getattr(self, k) for k in self.__dataclass_fields__ if k not in skip}
-
-
-def mean_feedback_ambiguity(
-    base: IntervalUnion, sensitivity: float, theta_lo: float, theta_hi: float
-) -> AmbiguityMap:
-    """Law-coupled variant of an otherwise static set.
-
-    Every endpoint moves with the clamped mean of the value-process law scaled
-    by ``sensitivity``, which closes the loop from the collective valuation
-    back to the feasible models.
-    """
-    shifts = (sensitivity,) * (2 * len(base.intervals))
-    return AmbiguityMap(
-        base=base,
-        endpoint_shifts=shifts,
-        theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=theta_lo, hi=theta_hi),
-    )
 
 
 def build_application_spec(

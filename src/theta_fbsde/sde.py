@@ -16,7 +16,6 @@ import numpy as np
 
 from ._atomic import atomic_write
 from ._csv import format_once, format_tables, rows_once_if_repeated
-from ._memo import LastEntry
 from .errors import ConfigurationError, DivergenceError, UsageError
 from .measures import EmpiricalMeasure, check_array_size, frozen_copy
 from .uncertainty import AmbiguityMap
@@ -239,9 +238,9 @@ class ProblemSpec:
 # noise and forward integration
 
 
-# the last noise draw, which solves of a new spec object on the same seed and
-# grid (a shifted terminal, the convex hull, an extra sweep) ask for again
-_last_draw = LastEntry()
+# (key, array) of the last noise draw, which solves of a new spec object on
+# the same seed and grid (a shifted terminal, the convex hull) ask for again
+_last_draw: tuple | None = None
 
 
 def brownian_increments(
@@ -256,13 +255,13 @@ def brownian_increments(
     """
     if not 0 <= int(seed) < 2**64:
         raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    global _last_draw
     key = (seed, n_particles, n_steps, noise_dim, dt)
-    out = _last_draw.get(key)
-    if out is None:
+    if _last_draw is None or _last_draw[0] != key:
         out = _draw_increments(seed, n_particles, n_steps, noise_dim, dt)
         out.flags.writeable = False
-        _last_draw.put(key, out)
-    return out
+        _last_draw = (key, out)
+    return _last_draw[1]
 
 
 def _draw_increments(

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from theta_fbsde import coupling, properties, sde
-from theta_fbsde._memo import LastEntry
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,7 +48,7 @@ def test_smoke_body_passes_its_gates(workload, tmp_path, monkeypatch):
     monkeypatch.setattr(
         coupling, "brownian_increments", counting(draws, coupling.brownian_increments)
     )
-    monkeypatch.setattr(sde, "_last_draw", LastEntry())
+    monkeypatch.setattr(sde, "_last_draw", None)
     monkeypatch.setattr(sde, "_draw_increments", counting(real_draws, sde._draw_increments))
     monkeypatch.setattr(
         properties,

@@ -248,6 +248,48 @@ class TestMalformedInputs:
         code = main(["counterexample", "--lambda", "2", "--gamma", "1", *flags])
         self.assert_one_line_failure(code, capsys.readouterr().err, expected)
 
+    def test_config_names_a_directory(self, tmp_path, capsys):
+        code = main(["solve", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "config file" in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.json"
+        cfg_path.write_bytes(json.dumps(APP_CONFIG).replace("linear", "lin\xe9ar").encode("latin-1"))
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--config", None], ["counterexample", "--lambda", "2", "--gamma", "1"]],
+        ids=["solve", "counterexample"],
+    )
+    def test_out_names_an_existing_file(self, command, app_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        argv = [str(app_config) if arg is None else arg for arg in command]
+        code = main([*argv, "--out", str(taken)])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert str(taken) in err
+        assert taken.read_text() == "kept\n"
+
+    def test_out_names_an_existing_file_after_a_numerical_failure(self, app_config, tmp_path,
+                                                                  capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code = main([
+            "solve", "--config", str(app_config), "--tol", "1e-18", "--max-iter", "1",
+            "--out", str(taken),
+        ])
+        err = capsys.readouterr().err
+        self.assert_one_line_failure(code, err, 2)
+        assert "partial report not written" in err and str(taken) in err
+        assert taken.read_text() == "kept\n"
+
     @pytest.mark.parametrize("c", [float("nan"), float("-inf")])
     def test_properties_counterexample_split(self, c, tmp_path, capsys):
         cfg_path = tmp_path / "props.json"

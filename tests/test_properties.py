@@ -1,14 +1,16 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from theta_fbsde import coupling, properties
+from theta_fbsde import properties
 
 from theta_fbsde import (
     AffineControlDrift,
+    ConstantTerminal,
     ConstantVolatility,
     DeterministicSolution,
     DeterministicSpec,
@@ -177,39 +179,22 @@ class TestValuationMemo:
         assert spec_ref() is None and sol_ref() is None
 
 
-@pytest.fixture
-def sweeps(monkeypatch):
-    """The argument tuples of every coupling sweep that runs."""
-    calls = []
-    original = coupling._sweep
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(coupling, "_sweep", counting)
-    return calls
-
-
 class TestConstantTerminalSpecs:
-    """A numeric terminal value derives one spec per base spec object and
-    value, so the solve memo of ``picard_solve`` serves a repeated call."""
+    """A numeric terminal value solves the spec with that constant terminal."""
 
-    def test_repeated_call_is_solved_once(self, sweeps):
+    def test_same_bits_as_the_replaced_spec(self):
         spec, grid = zero_driver_problem(), TimeGrid(1.0, 10)
-        y1, sol1 = theta_expectation(spec, grid, n_particles=200, xi=0.5)
-        y2, sol2 = theta_expectation(spec, grid, n_particles=200, xi=np.float64(0.5))
-        assert sol2 is sol1 and y2 == y1
-        assert len(sweeps) == 1
+        y0, sol = theta_expectation(spec, grid, n_particles=200, seed=3, xi=0.5)
+        want, _ = picard_solve(replace(spec, terminal=ConstantTerminal(0.5)), grid, 200, seed=3)
+        assert y0 == want.y0
+        for name in "XYZA":
+            assert np.array_equal(getattr(sol, name), getattr(want, name))
 
-    def test_negative_zero_after_zero_is_solved_again(self, sweeps):
+    def test_negative_zero_keeps_its_sign(self):
         spec, grid = zero_driver_problem(), TimeGrid(1.0, 10)
-        _, plus = theta_expectation(spec, grid, n_particles=200, xi=0.0)
         _, minus = theta_expectation(spec, grid, n_particles=200, xi=-0.0)
-        assert minus is not plus
-        assert math.copysign(1.0, plus.Y[-1, 0]) == 1.0
-        assert math.copysign(1.0, minus.Y[-1, 0]) == -1.0
-        assert len(sweeps) == 2
+        assert np.all(np.signbit(minus.Y[-1]))
+        assert repr(float(minus.Y[-1, 0])) == "-0.0"
 
     def test_nothing_held_once_the_spec_is_collected(self):
         spec = zero_driver_problem()

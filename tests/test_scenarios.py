@@ -3,6 +3,8 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
+    AffineTheta,
+    AmbiguityMap,
     ConstantVolatility,
     EmpiricalMeasure,
     IntervalUnion,
@@ -25,6 +27,12 @@ from theta_fbsde import (
 )
 
 TWO_REGIME = IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
+# both endpoints of [1, 2] move by 0.5 times the clamped mean of the value law
+MEAN_FEEDBACK = AmbiguityMap(
+    base=IntervalUnion(((1.0, 2.0),)),
+    endpoint_shifts=(0.5, 0.5),
+    theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-0.4, hi=0.4),
+)
 
 
 def application_spec(w0, intervals=TWO_REGIME.intervals):
@@ -108,14 +116,11 @@ class TestApplicationScenario:
     def test_rejects_law_dependent_set_and_other_drivers(self):
         from dataclasses import replace
 
-        from theta_fbsde import QuarticDriver, mean_feedback_ambiguity
+        from theta_fbsde import QuarticDriver
 
         grid = TimeGrid(1.0, 10)
-        feedback = mean_feedback_ambiguity(
-            IntervalUnion(((1.0, 2.0),)), sensitivity=0.5, theta_lo=-0.4, theta_hi=0.4
-        )
         with pytest.raises(UsageError, match="static"):
-            run_application(replace(application_spec(0.6), ambiguity=feedback), grid, 100)
+            run_application(replace(application_spec(0.6), ambiguity=MEAN_FEEDBACK), grid, 100)
         quartic = replace(application_spec(0.6), driver=QuarticDriver(2.0, 1.0))
         with pytest.raises(UsageError, match="quadratic penalty"):
             run_application(quartic, grid, 100)
@@ -123,14 +128,9 @@ class TestApplicationScenario:
 
 class TestMeanFeedbackVariant:
     def test_closes_the_law_loop(self):
-        from theta_fbsde import TimeGrid, mean_feedback_ambiguity, picard_solve
-        
-        ambiguity = mean_feedback_ambiguity(
-            IntervalUnion(((1.0, 2.0),)), sensitivity=0.5, theta_lo=-0.4, theta_hi=0.4
-        )
         spec = build_application_spec(
             C0=[0.0], C1=[[0.25]], sigma=[[0.3]], kappa=1.0, w0=0.0,
-            f0=LinearF0(0.5), ambiguity=ambiguity, x0=[1.0], horizon=0.5,
+            f0=LinearF0(0.5), ambiguity=MEAN_FEEDBACK, x0=[1.0], horizon=0.5,
         )
         grid = TimeGrid(0.5, 25)
         sol, report = picard_solve(spec, grid, 600, seed=13)

@@ -30,7 +30,6 @@ from theta_fbsde import (
     unconstrained_interval,
 )
 from theta_fbsde import sde
-from theta_fbsde._memo import LastEntry
 
 
 def make_spec(drift, sigma, x0=1.0, horizon=1.0):
@@ -278,7 +277,7 @@ def real_draws(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(sde, "_last_draw", LastEntry())
+    monkeypatch.setattr(sde, "_last_draw", None)
     monkeypatch.setattr(sde, "_draw_increments", counting)
     return calls
 
