@@ -229,6 +229,14 @@ def solve_deterministic_ode(
     time zero.  A non-finite value, or an ``OverflowError`` from the driver
     (Python float powers raise one), raises :class:`DivergenceError` with the
     node being computed.
+
+    ``optimized_driver`` must be a pure function of y: the same float, sign
+    of zero included, always gives the same result.  Then the equation is
+    autonomous and h is fixed, so a step that returns its input y bit for bit
+    returns it at every later step too.  The integration stops there and
+    every node still unfilled takes y, which is exact.  This catches an
+    equilibrium (the zero payoff under a normalized driver) and a step whose
+    increment rounds away.
     """
     if n_steps < 1:
         raise UsageError("need at least one step")
@@ -239,9 +247,15 @@ def solve_deterministic_ode(
     y = float(terminal_value)
     try:
         for i in range(n_steps, 0, -1):
-            y = y + _rk4_increment(optimized_driver, y, h, optimized_driver(y))
-            if not math.isfinite(y):
+            y_next = y + _rk4_increment(optimized_driver, y, h, optimized_driver(y))
+            if not math.isfinite(y_next):
                 raise DivergenceError("deterministic value path became non-finite", node=i - 1)
+            # an ordinary step fails the == alone; the sign bits tell the
+            # equal floats -0.0 and 0.0 apart
+            if y_next == y and math.copysign(1.0, y_next) == math.copysign(1.0, y):
+                ys[:i] = y
+                break
+            y = y_next
             ys[i - 1] = y
     except OverflowError as exc:
         raise DivergenceError(

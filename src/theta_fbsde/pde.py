@@ -174,8 +174,9 @@ def solve_hjb(
             uset = spec.ambiguity.realize(mu)
         d_plus = np.empty_like(v)
         d_minus = np.empty_like(v)
-        d_plus[:-1] = (v[1:] - v[:-1]) / dx
-        d_minus[1:] = (v[1:] - v[:-1]) / dx
+        slope = (v[1:] - v[:-1]) / dx
+        d_plus[:-1] = slope
+        d_minus[1:] = slope
         # constant extrapolation beyond the box keeps the update monotone when
         # the drift points out of the domain
         d_plus[-1] = 0.0

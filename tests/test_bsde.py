@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from theta_fbsde import (
     AffineControlDrift,
     ConstantVolatility,
+    DeterministicSpec,
     DivergenceError,
     EmpiricalMeasure,
     LinearTerminal,
     ProblemSpec,
     QuadraticPenaltyDriver,
     QuadraticTerminal,
+    QuarticDriver,
     RegressionBasisError,
     TimeGrid,
     UsageError,
@@ -21,6 +23,7 @@ from theta_fbsde import (
     simulate_forward,
     solve_backward,
     solve_deterministic_ode,
+    unconstrained_interval,
 )
 from theta_fbsde import bsde
 from theta_fbsde.bsde import (
@@ -29,6 +32,7 @@ from theta_fbsde.bsde import (
     _node_regression,
     polynomial_basis,
 )
+from theta_fbsde.properties import optimized_driver_fn
 
 
 def zero_drift():
@@ -306,7 +310,66 @@ class TestNodeFit:
         assert np.array_equal(fit(np.ones((3, 2))), np.tile(np.mean(targets, axis=0), (3, 1)))
 
 
+def reference_ode_values(g, xi, horizon, n_steps):
+    """Classical RK4 backward from xi, every step taken, no stop at a fixed point."""
+    h = horizon / n_steps
+    ys = np.empty(n_steps + 1)
+    ys[-1] = y = float(xi)
+    for i in range(n_steps, 0, -1):
+        k1 = g(y)
+        k2 = g(y + 0.5 * h * k1)
+        k3 = g(y + 0.5 * h * k2)
+        k4 = g(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys[i - 1] = y
+    return ys
+
+
+_QUARTIC = QuarticDriver(2.0, 1.0)
+# the optimized quartic driver, normalized: g(0) = 0
+QUARTIC_G = optimized_driver_fn(
+    DeterministicSpec(_QUARTIC, unconstrained_interval(_QUARTIC, 1.0), 1.0)
+)
+
+
+def _square(y):
+    return y * y
+
+
+def _equilibrium_at_half(y):
+    return y * (y - 0.5)
+
+
 class TestDeterministicIntegrator:
+    @pytest.mark.parametrize(
+        "g, xi, horizon, calls",
+        [
+            # one step, which returns 0.0
+            (QUARTIC_G, 0.0, 1.0, 4),
+            # from -0.0 the first step gives +0.0, whose sign differs; the second repeats it
+            (QUARTIC_G, -0.0, 1.0, 8),
+            (_equilibrium_at_half, 0.5, 1.0, 4),
+            # the increment, about 2e-304, rounds away against 0.1
+            (_square, 0.1, 1e-300, 4),
+            (QUARTIC_G, 0.3, 1.0, 4 * 50),
+            (_square, 0.1, 1.0, 4 * 50),
+        ],
+        ids=["quartic-zero", "quartic-negative-zero", "equilibrium", "increment-rounds-away",
+             "quartic-moving", "square-moving"],
+    )
+    def test_stop_at_a_fixed_point_keeps_every_byte(self, g, xi, horizon, calls):
+        n_steps = 50
+        evaluations = []
+
+        def counted(y):
+            evaluations.append(y)
+            return g(y)
+
+        times, ys = solve_deterministic_ode(counted, xi, horizon, n_steps)
+        assert ys.tobytes() == reference_ode_values(g, xi, horizon, n_steps).tobytes()
+        assert times.tobytes() == np.linspace(0.0, horizon, n_steps + 1).tobytes()
+        assert len(evaluations) == calls
+
     def test_zero_terminal_stays_zero(self):
         def g(y):
             return y * y

@@ -97,3 +97,45 @@ def test_hooked_stages_run_in_a_solve(monkeypatch):
     assert len(fits) == len(sweeps) * grid.n_steps
     assert [moving for moving, _ in fits[:grid.n_steps]] == [True] * (grid.n_steps - 1) + [False]
     assert all(built == int(moving) for moving, built in fits)
+
+
+def test_deterministic_valuation_reaches_the_hooked_argmax(monkeypatch):
+    """One deterministic valuation makes one hooked ODE solve, and each of its
+    driver evaluations makes one hooked ``optimizer.maximize_over`` call.
+
+    The tracer counts ``optimizer.argmax_calls`` there; a refactor whose
+    optimized driver bypassed ``maximize_over`` would leave that count
+    reading 0 without a warning.
+    """
+    from theta_fbsde import (
+        DeterministicSpec, QuarticDriver, TimeGrid, optimizer, properties, theta_expectation,
+        unconstrained_interval,
+    )
+
+    assert ("theta_fbsde.properties", "solve_deterministic_ode") in HOOK_TARGETS
+    assert ("theta_fbsde.optimizer", "maximize_over") in HOOK_TARGETS
+    solve, maximize = properties.solve_deterministic_ode, optimizer.maximize_over
+    solves, argmax_per_evaluation, argmax_calls = [], [], []
+
+    def counted_solve(g, *args):
+        def counted_g(y):
+            before = len(argmax_calls)
+            value = g(y)
+            argmax_per_evaluation.append(len(argmax_calls) - before)
+            return value
+
+        solves.append(1)
+        return solve(counted_g, *args)
+
+    def counted_maximize(*args, **kwargs):
+        argmax_calls.append(1)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "solve_deterministic_ode", counted_solve)
+    monkeypatch.setattr(optimizer, "maximize_over", counted_maximize)
+    driver = QuarticDriver(2.0, 1.0)
+    spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), 1.0)
+    grid = TimeGrid(1.0, 20)
+    theta_expectation(spec, grid, xi=0.3)
+    assert len(solves) == 1
+    assert argmax_per_evaluation == [1] * (4 * grid.n_steps)
