@@ -7,6 +7,7 @@ reduction integrates an ODE with classical fourth-order steps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,9 +27,18 @@ _CONDITION_LIMIT = 1e12
 # the outputs promise.  Worse-conditioned nodes take the reduced QR (eps * cond).
 _MOMENT_FIT_COND = 64.0
 _DEGENERATE_SPREAD = 1e-13
+# Moment products with at least this many basis columns (k >= 2 at degree 3)
+# are summed over row blocks in a fixed order.  One product over every row
+# rounds differently at 1 and 2 OpenBLAS threads from p = 20 on; OpenBLAS runs
+# a gemm of at most _ONE_THREAD_GEMM multiply-adds on one thread, so blocks
+# within it give the same bits at any thread count.  The rule reads only the
+# shape; p = 4 fits, thread-stable as they are, keep the single product.
+_BLOCKED_MOMENT_COLS = 10
+_ONE_THREAD_GEMM = 65536 * 4
 
 
-def _monomial_parents(k: int, degree: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=None)
+def _monomial_parents(k: int, degree: int) -> tuple[tuple[int, int], ...]:
     """Recipe for the monomials up to the given total degree, graded order.
 
     Entry ``c`` of the result is ``(parent, j)``: column ``c + 1`` of the basis
@@ -40,22 +50,36 @@ def _monomial_parents(k: int, degree: int) -> list[tuple[int, int]]:
         for combo in itertools.combinations_with_replacement(range(k), total):
             recipe.append((index[combo[:-1]], combo[-1]))
             index[combo] = len(index)
-    return recipe
+    return tuple(recipe)
 
 
-def polynomial_basis(x: np.ndarray, degree: int) -> np.ndarray:
+def polynomial_basis(x: np.ndarray, degree: int, out: np.ndarray | None = None) -> np.ndarray:
     """Monomials of the state components up to the given total degree.
 
     Each monomial is a lower-degree one times one coordinate, so the basis
-    costs one product per column.
+    costs one product per column.  ``out``, an (n, p) array, receives the
+    columns instead of a fresh column-major array and is returned.
     """
     n, k = x.shape
     recipe = _monomial_parents(k, degree)
-    phi = np.empty((n, 1 + len(recipe)), order="F")
-    phi[:, 0] = 1.0
+    if out is None:
+        out = np.empty((n, 1 + len(recipe)), order="F")
+    out[:, 0] = 1.0
     for col, (parent, j) in enumerate(recipe, start=1):
-        np.multiply(phi[:, parent], x[:, j], out=phi[:, col])
-    return phi
+        np.multiply(out[:, parent], x[:, j], out=out[:, col])
+    return out
+
+
+def _moment_product(phi: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """``phi.T @ design``, summed over row blocks where ``phi`` is wide."""
+    n, p = phi.shape
+    if p < _BLOCKED_MOMENT_COLS:
+        return phi.T @ design
+    step = max(1, _ONE_THREAD_GEMM // (p * design.shape[1]))
+    moments = phi[:step].T @ design[:step]
+    for start in range(step, n, step):
+        moments += phi[start:start + step].T @ design[start:start + step]
+    return moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +123,8 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     gives the fitted values ``Q (Q^T T)``, the coefficients from
     ``R c = Q^T T`` and the condition number from the singular values of
     ``R``, which are those of ``Phi``.  Fewer rows than basis columns or a
-    condition number above 1e12 aborts the sweep.
+    condition number above 1e12 aborts the sweep.  The result holds no view
+    of ``targets``, which the backward sweep reuses at the next node.
     """
     # ndarray methods, not the np.* wrappers: at a few hundred particles the
     # wrappers' call overhead is a visible share of the fit.  With several
@@ -128,12 +153,11 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     std = np.sqrt((xs * xs).mean(axis=0))
     xs /= std
     design = np.empty((n, p + targets.shape[1]), order="F")
-    design[:, :p] = polynomial_basis(xs, degree)
+    phi = polynomial_basis(xs, degree, out=design[:, :p])
     design[:, p:] = targets
-    phi = design[:, :p]
     # phi^T phi alone would go to BLAS syrk, several times slower at these
     # shapes than this gemm, which also gives Phi^T T
-    moments = phi.T @ design
+    moments = _moment_product(phi, design)
     gram = moments[:, :p]
     eigen = np.linalg.eigvalsh(gram)
     if eigen[0] > 0:
@@ -183,23 +207,29 @@ def solve_backward(
     times = grid.times
     dt = grid.dt
     Y = np.empty((n_nodes, n))
-    Z = np.zeros((n_nodes, n, d))
+    Z = np.empty((n_nodes, n, d))
     Y[-1] = np.asarray(spec.terminal(x_paths[-1]), dtype=float)
     driver = spec.driver
+    # one row-major block [Y_{i+1} | Y_{i+1} dB_i] serves every node; a
+    # column-major one would change the bits of a frozen node's column means
+    targets = np.empty((n, 1 + d))
     for i in range(grid.n_steps - 1, -1, -1):
-        targets = np.column_stack([Y[i + 1]] + [Y[i + 1] * increments[i, :, j] for j in range(d)])
+        y_next = Y[i + 1]
+        targets[:, 0] = y_next
+        np.multiply(y_next[:, None], increments[i], out=targets[:, 1:])
         fitted = _node_regression(x_paths[i], targets, REGRESSION_DEGREE).values
         cont = fitted[:, 0]
-        z = fitted[:, 1:] / dt
+        z = np.divide(fitted[:, 1:], dt, out=Z[i])
         state = DriverState(t=times[i], x=x_paths[i], y=cont, z=z, mu=laws[i])
-        y_new = cont + np.asarray(driver.value(state, controls[i]), dtype=float) * dt
+        value = np.asarray(driver.value(state, controls[i]), dtype=float)
+        y_new = np.multiply(value, dt, out=Y[i])
+        y_new += cont
         if not np.all(np.isfinite(y_new)):
             raise DivergenceError("value process became non-finite", node=i)
-        Y[i] = y_new
-        Z[i] = z
-        # freed here, not when the next node rebinds the names, so the next
-        # fit does not run beside them: that set the sweep's peak memory
-        del targets, fitted, cont, z, state, y_new
+        # the fitted values and the driver's value are freed here, not when
+        # the next node rebinds the names, so the next fit does not run
+        # beside them; the rows themselves are written into Y and Z
+        del fitted, cont, state, value
     Z[-1] = Z[-2]
     return Y, Z
 

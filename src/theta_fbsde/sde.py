@@ -311,7 +311,8 @@ def simulate_forward(
     ``increments`` has shape (n_steps, n, noise_dim) and is already scaled by
     sqrt(dt), as :func:`brownian_increments` draws it; ``controls`` has shape
     (n_nodes, n), and its terminal row is unused.  Returns an (n_nodes, n, k)
-    array.
+    array.  The drift and the volatility are handed node i of that array as
+    ``x`` and must not write into it.
     """
     check_horizon(grid, spec.horizon)
     increments = np.asarray(increments, dtype=float)
@@ -325,10 +326,10 @@ def simulate_forward(
 
     k = spec.state_dim
     xs = np.empty((grid.n_nodes, n, k))
-    x = np.tile(spec.x0, (n, 1))
-    xs[0] = x
+    xs[0] = spec.x0
     times = grid.times
     for i in range(grid.n_steps):
+        x, x_next = xs[i], xs[i + 1]
         b = spec.drift(times[i], x, controls[i], laws[i])
         s = spec.volatility(times[i], x, controls[i], laws[i])
         if np.ndim(s) == 2:
@@ -338,10 +339,13 @@ def simulate_forward(
             diffusion = np.dot(increments[i], np.asarray(s).T)
         else:
             diffusion = np.einsum("nkd,nd->nk", np.asarray(s), increments[i])
-        x = x + np.asarray(b) * grid.dt + diffusion
-        if not np.all(np.isfinite(x)):
+        # b dt, then + x, then + diffusion: the bits of x + b dt + diffusion,
+        # written in node i + 1 without a fresh array
+        np.multiply(np.asarray(b), grid.dt, out=x_next)
+        x_next += x
+        x_next += diffusion
+        if not np.all(np.isfinite(x_next)):
             raise DivergenceError("state became non-finite", node=i + 1)
-        xs[i + 1] = x
     return xs
 
 

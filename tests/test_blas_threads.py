@@ -1,9 +1,9 @@
-"""The bits of a mixed solve do not depend on the BLAS thread count.
+"""The bits of a solve do not depend on the BLAS thread count.
 
-OpenBLAS splits a long dot product across its threads, so a reduction that
-goes through BLAS sums in an order that follows the thread count.  The same
-solve runs in two processes, at one and at two OpenBLAS threads, and must
-give the same report and arrays bit for bit.
+OpenBLAS splits a long dot product or a large matrix product across its
+threads, so a reduction that goes through BLAS may sum in an order that
+follows the thread count.  The same computation runs in two processes, at
+one and at two OpenBLAS threads, and must give the same bits.
 """
 
 import json
@@ -42,22 +42,74 @@ arrays = {name: hashlib.sha256(getattr(sol, name).tobytes()).hexdigest() for nam
 print(json.dumps({"report": report.to_dict(), "arrays": arrays, "y_size": sol.Y.size}))
 """
 
+# A node fit on three moving coordinates: 20 basis columns, 1e4 rows, the
+# shape whose single moment product rounded differently at 1 and 2 threads.
+FIT_K3 = """
+import hashlib, json
+import numpy as np
+from theta_fbsde.bsde import REGRESSION_DEGREE, _node_regression
+rng = np.random.default_rng(3)
+x = 1.0 + 0.5 * rng.standard_normal((10_000, 3))
+targets = np.column_stack([np.sin(x).sum(axis=1), x[:, 0] * rng.standard_normal(10_000)])
+fit = _node_regression(x, targets, REGRESSION_DEGREE)
+arrays = {name: hashlib.sha256(getattr(fit, name).tobytes()).hexdigest()
+          for name in ("mean", "std", "coef", "values")}
+print(json.dumps({"arrays": arrays, "cond": fit.cond, "columns": fit.coef.shape[0]}))
+"""
 
-def _solve_at(threads: int) -> dict:
+# The README problem in three dimensions (diagonal C1, sigma and x0): every
+# node after the first fits 20 columns and four targets on 6000 rows.
+SOLVE_K3 = """
+import hashlib, json
+import numpy as np
+from theta_fbsde import (
+    AffineControlDrift, ConstantVolatility, LinearF0, LinearTerminal, ProblemSpec,
+    QuadraticPenaltyDriver, TimeGrid, picard_solve, static_set,
+)
+spec = ProblemSpec(
+    horizon=1.0,
+    x0=np.array([1.0, 0.8, 1.2]),
+    drift=AffineControlDrift(np.zeros(3), np.diag([0.25, 0.2, 0.3])),
+    volatility=ConstantVolatility(np.diag([0.3, 0.25, 0.35])),
+    driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5)),
+    terminal=LinearTerminal(np.ones(3)),
+    ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
+)
+sol, report = picard_solve(spec, TimeGrid(1.0, 6), 6000, seed=5)
+arrays = {name: hashlib.sha256(getattr(sol, name).tobytes()).hexdigest() for name in "XYZA"}
+print(json.dumps({"report": report.to_dict(), "arrays": arrays, "shape": list(sol.X.shape)}))
+"""
+
+
+def _run_at(script: str, threads: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     result = subprocess.run(
-        [sys.executable, "-c", SOLVE], env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
 
 def test_mixed_solve_is_bit_identical_at_one_and_two_threads():
-    one, two = _solve_at(1), _solve_at(2)
+    one, two = _run_at(SOLVE, 1), _run_at(SOLVE, 2)
     assert one["y_size"] >= 50_000
     assert sum(g != 0.0 for g in one["report"]["mixing"]) >= 2
+    # json writes each float by repr, so equal dicts are equal bits
+    assert one["report"] == two["report"]
+    assert one["arrays"] == two["arrays"]
+
+
+def test_three_coordinate_fit_is_bit_identical_at_one_and_two_threads():
+    one, two = _run_at(FIT_K3, 1), _run_at(FIT_K3, 2)
+    assert one["columns"] == 20
+    assert one == two
+
+
+def test_three_coordinate_solve_is_bit_identical_at_one_and_two_threads():
+    one, two = _run_at(SOLVE_K3, 1), _run_at(SOLVE_K3, 2)
+    assert one["shape"] == [7, 6000, 3]
     # json writes each float by repr, so equal dicts are equal bits
     assert one["report"] == two["report"]
     assert one["arrays"] == two["arrays"]

@@ -253,7 +253,13 @@ class TestNodeFit:
         xa = x[:, fit.active]
         mean, std = np.mean(xa, axis=0), np.std(xa, axis=0)
         basis = bsde.polynomial_basis
-        monkeypatch.setattr(bsde, "polynomial_basis", lambda _, degree: basis((xa - mean) / std, degree))
+
+        def basis_of_np_std(_, degree, **kwargs):
+            # the fit's own standardized state replaced by (x - mean) / np.std,
+            # whatever keywords (out=) the fit passes on
+            return basis((xa - mean) / std, degree, **kwargs)
+
+        monkeypatch.setattr(bsde, "polynomial_basis", basis_of_np_std)
         reference = _node_regression(x, targets, REGRESSION_DEGREE)
         assert fit.mean.tobytes() == mean.tobytes()
         assert fit.std.tobytes() == std.tobytes()
