@@ -27,13 +27,14 @@ _CONDITION_LIMIT = 1e12
 # the outputs promise.  Worse-conditioned nodes take the reduced QR (eps * cond).
 _MOMENT_FIT_COND = 64.0
 _DEGENERATE_SPREAD = 1e-13
-# Moment products with at least this many basis columns (k >= 2 at degree 3)
-# are summed over row blocks in a fixed order.  One product over every row
-# rounds differently at 1 and 2 OpenBLAS threads from p = 20 on; OpenBLAS runs
-# a gemm of at most _ONE_THREAD_GEMM multiply-adds on one thread, so blocks
-# within it give the same bits at any thread count.  The rule reads only the
-# shape; p = 4 fits, thread-stable as they are, keep the single product.
-_BLOCKED_MOMENT_COLS = 10
+# Every moment product is summed over row blocks of at most _ONE_THREAD_GEMM
+# multiply-adds, added in a fixed order.  One product over every row rounds
+# differently at 1 and 2 OpenBLAS threads once it is split across threads;
+# numpy's bundled OpenBLAS, at its default GEMM_MULTITHREAD_THRESHOLD of 4,
+# runs a gemm of at most 65536 * 4 multiply-adds on one thread, so there the
+# blocks give the same bits at any thread count.  Another BLAS, or an OpenBLAS
+# built with another threshold, may split the blocks again.  The rule reads
+# only the shape; a product within one block is the single product.
 _ONE_THREAD_GEMM = 65536 * 4
 
 
@@ -71,10 +72,8 @@ def polynomial_basis(x: np.ndarray, degree: int, out: np.ndarray | None = None) 
 
 
 def _moment_product(phi: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """``phi.T @ design``, summed over row blocks where ``phi`` is wide."""
+    """``phi.T @ design``, summed over row blocks in order of the rows."""
     n, p = phi.shape
-    if p < _BLOCKED_MOMENT_COLS:
-        return phi.T @ design
     step = max(1, _ONE_THREAD_GEMM // (p * design.shape[1]))
     moments = phi[:step].T @ design[:step]
     for start in range(step, n, step):

@@ -42,15 +42,17 @@ arrays = {name: hashlib.sha256(getattr(sol, name).tobytes()).hexdigest() for nam
 print(json.dumps({"report": report.to_dict(), "arrays": arrays, "y_size": sol.Y.size}))
 """
 
-# A node fit on three moving coordinates: 20 basis columns, 1e4 rows, the
-# shape whose single moment product rounded differently at 1 and 2 threads.
-FIT_K3 = """
+# A node fit on K moving coordinates and N rows, run with "K, N = ..." in
+# front.  At K = 3 (20 basis columns, 1e4 rows) one moment product over every
+# row rounded differently at 1 and 2 threads; at K = 1 and 1e5 rows the
+# product is summed over about ten row blocks.
+FIT = """
 import hashlib, json
 import numpy as np
 from theta_fbsde.bsde import REGRESSION_DEGREE, _node_regression
 rng = np.random.default_rng(3)
-x = 1.0 + 0.5 * rng.standard_normal((10_000, 3))
-targets = np.column_stack([np.sin(x).sum(axis=1), x[:, 0] * rng.standard_normal(10_000)])
+x = 1.0 + 0.5 * rng.standard_normal((N, K))
+targets = np.column_stack([np.sin(x).sum(axis=1), x[:, 0] * rng.standard_normal(N)])
 fit = _node_regression(x, targets, REGRESSION_DEGREE)
 arrays = {name: hashlib.sha256(getattr(fit, name).tobytes()).hexdigest()
           for name in ("mean", "std", "coef", "values")}
@@ -102,8 +104,16 @@ def test_mixed_solve_is_bit_identical_at_one_and_two_threads():
 
 
 def test_three_coordinate_fit_is_bit_identical_at_one_and_two_threads():
-    one, two = _run_at(FIT_K3, 1), _run_at(FIT_K3, 2)
+    script = "K, N = 3, 10_000\n" + FIT
+    one, two = _run_at(script, 1), _run_at(script, 2)
     assert one["columns"] == 20
+    assert one == two
+
+
+def test_one_coordinate_fit_over_many_row_blocks_is_bit_identical_at_one_and_two_threads():
+    script = "K, N = 1, 100_000\n" + FIT
+    one, two = _run_at(script, 1), _run_at(script, 2)
+    assert one["columns"] == 4
     assert one == two
 
 

@@ -295,6 +295,23 @@ class TestNodeFit:
             atol=0.0,
         )
 
+    @pytest.mark.parametrize("n, k, m", [(10_000, 1, 2), (2_000, 2, 3), (100_000, 1, 2), (10_000, 3, 4)])
+    def test_moment_product_sums_row_blocks_in_order(self, n, k, m):
+        # blocks of at most 2^18 multiply-adds; a product within one block
+        # (every benchmark fit: at most 1e4 x 4 x 6) is the single product
+        rng = np.random.default_rng(4)
+        phi = polynomial_basis(rng.standard_normal((n, k)), REGRESSION_DEGREE)
+        design = np.asfortranarray(np.hstack([phi, rng.standard_normal((n, m))]))
+        phi = design[:, :phi.shape[1]]
+        step = max(1, 2**18 // (phi.shape[1] * design.shape[1]))
+        expected = phi[:step].T @ design[:step]
+        for start in range(step, n, step):
+            expected += phi[start:start + step].T @ design[start:start + step]
+        moments = bsde._moment_product(phi, design)
+        assert moments.tobytes() == expected.tobytes()
+        if n <= step:
+            assert moments.tobytes() == (phi.T @ design).tobytes()
+
     def test_cubic_targets_are_reproduced_at_new_states(self):
         rng = np.random.default_rng(2)
         x = np.column_stack([1.0 + 0.5 * rng.standard_normal(500), np.full(500, 3.0),
