@@ -21,7 +21,6 @@ from .optimizer import (
     DriverState,
     GenericDriver,
     LinearF0,
-    LipschitzProbe,
     OptimizerResult,
     QuadraticPenaltyDriver,
     QuarticDriver,
@@ -29,7 +28,6 @@ from .optimizer import (
     concavity_audit,
     driver_sup,
     envelope_derivative,
-    lipschitz_probe,
     maximize_batch,
     maximize_over,
     numeric_second_derivative,

@@ -19,7 +19,7 @@ from ._atomic import atomic_write
 from .coupling import picard_solve
 from .errors import NumericalError, UsageError
 from .optimizer import LinearF0, QuarticDriver, TableF0, unconstrained_interval
-from .pde import Grid1D, check_stability, default_grid, feynman_kac_check, write_surface_csv
+from .pde import Grid1D, check_contains_x0, check_stability, default_grid, feynman_kac_check, write_surface_csv
 from .properties import (
     DeterministicSpec,
     check_dynamic_consistency,
@@ -311,7 +311,7 @@ def _cmd_application(args) -> int:
 
 
 def _pde_grid(spec: ProblemSpec, pde_cfg: dict) -> Grid1D:
-    """The grid of a ``"pde"`` section, checked for stability before any solve.
+    """The grid of a ``"pde"`` section, checked to hold ``x0`` and be stable before any solve.
 
     ``nt``, ``x_min`` and ``x_max`` come together with ``nx`` (an explicit
     grid) or not at all (the default grid, built from ``nx`` and ``cfl``).
@@ -331,6 +331,7 @@ def _pde_grid(spec: ProblemSpec, pde_cfg: dict) -> Grid1D:
     else:
         nx = _field(pde_cfg, "nx", _integer, "pde", 201)
         grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", _number, "pde", 0.45))
+    check_contains_x0(spec, grid1d)
     check_stability(spec, grid1d)
     return grid1d
 
@@ -383,7 +384,7 @@ def _cmd_properties(args) -> int:
 
         disc = check_dynamic_consistency(spec, grid, c, split)
         results["dynamic_consistency"] = {"discrepancy": disc, "passed": disc <= 1e-8}
-        mono = check_monotonicity(spec, grid, c, -c)
+        mono = check_monotonicity(spec, grid, abs(c), -abs(c))
         results["monotonicity"] = {"margin": mono.margin, "passed": not mono.violated}
         sub = check_subadditivity(spec, c, grid)
         results["subadditivity_violation"] = subadditivity_gate(spec, c, grid, sub.gap)

@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConcavityError, ParameterError, UsageError
-from .measures import EmpiricalMeasure, frozen_copy, w2
-from .uncertainty import AmbiguityMap, IntervalUnion
+from .measures import frozen_copy
+from .uncertainty import IntervalUnion
 
 
 class DriverState(NamedTuple):
@@ -415,7 +415,7 @@ def numeric_second_derivative(driver) -> float:
 
 
 # ---------------------------------------------------------------------------
-# audits and probes
+# audits
 
 
 @dataclass(frozen=True)
@@ -447,81 +447,3 @@ def concavity_audit(
     passed = min_modulus >= driver.kappa - 1e-9
     witness = (DriverState(y=float(ys[worst])), float(controls[worst]))
     return ConcavityAudit(min_modulus, passed, None if passed else witness)
-
-
-@dataclass(frozen=True)
-class LipschitzProbe:
-    max_ratio: float
-    excluded: int
-    pairs_used: int
-
-
-def _state_distance(p1: DriverState, p2: DriverState) -> float:
-    d = abs(float(p1.y) - float(p2.y))
-    if p1.x is not None and p2.x is not None:
-        d += float(np.linalg.norm(np.asarray(p1.x, float) - np.asarray(p2.x, float)))
-    if p1.z is not None and p2.z is not None:
-        d += float(np.linalg.norm(np.asarray(p1.z, float) - np.asarray(p2.z, float)))
-    if p1.mu is not None and p2.mu is not None:
-        d += w2(p1.mu, p2.mu)
-    return d
-
-
-def _midpoint_state(p1: DriverState, p2: DriverState) -> DriverState:
-    def avg(a, b):
-        if a is None or b is None:
-            return None
-        return 0.5 * (np.asarray(a, float) + np.asarray(b, float))
-
-    mu = None
-    if p1.mu is not None and p2.mu is not None and p1.mu.size == p2.mu.size:
-        mu = EmpiricalMeasure(0.5 * (p1.mu.samples + p2.mu.samples))
-    return DriverState(
-        t=0.5 * (p1.t + p2.t), x=avg(p1.x, p2.x), y=0.5 * (float(p1.y) + float(p2.y)),
-        z=avg(p1.z, p2.z), mu=mu,
-    )
-
-
-def lipschitz_probe(
-    ambiguity: AmbiguityMap,
-    driver,
-    sampler: Callable[[np.random.Generator], DriverState],
-    n_pairs: int,
-    *,
-    seed: int = 0,
-) -> LipschitzProbe:
-    """Empirical Lipschitz ratio of the argmax map over sampled state pairs.
-
-    Pairs are dropped and counted when a tie flag fires at either endpoint or
-    at the segment midpoint, when the two optima land in different components
-    of the union (the segment crossed the discontinuity set), or when the
-    parameter distance vanishes.
-    """
-    rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    excluded = 0
-    used = 0
-    for _ in range(n_pairs):
-        p1 = sampler(rng)
-        p2 = sampler(rng)
-        denom = _state_distance(p1, p2)
-        if denom == 0.0:
-            excluded += 1
-            continue
-        u1 = ambiguity.realize(p1.mu) if p1.mu is not None else ambiguity.realize_at(
-            ambiguity.theta_bounds[0]
-        )
-        u2 = ambiguity.realize(p2.mu) if p2.mu is not None else ambiguity.realize_at(
-            ambiguity.theta_bounds[0]
-        )
-        r1 = maximize_over(u1, driver, p1)
-        r2 = maximize_over(u2, driver, p2)
-        mid = _midpoint_state(p1, p2)
-        u_mid = ambiguity.realize(mid.mu) if mid.mu is not None else u1
-        r_mid = maximize_over(u_mid, driver, mid)
-        if r1.tie_flag or r2.tie_flag or r_mid.tie_flag or r1.interval_index != r2.interval_index:
-            excluded += 1
-            continue
-        used += 1
-        max_ratio = max(max_ratio, abs(r1.a_star - r2.a_star) / denom)
-    return LipschitzProbe(max_ratio, excluded, used)

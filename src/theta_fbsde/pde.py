@@ -137,6 +137,17 @@ def check_stability(spec: ProblemSpec, grid1d: Grid1D) -> None:
         )
 
 
+def check_contains_x0(spec: ProblemSpec, grid1d: Grid1D) -> None:
+    """Raise :class:`GridError` unless ``x0`` lies in ``[x_min, x_max]``.
+
+    The grid value at (0, x0) is read by interpolation, which would clamp a
+    point outside the box to the nearest edge instead of failing.
+    """
+    x0 = float(spec.x0[0])
+    if not grid1d.x_min <= x0 <= grid1d.x_max:
+        raise GridError(f"x0 = {x0} lies outside the grid box [{grid1d.x_min}, {grid1d.x_max}]")
+
+
 def solve_hjb(
     spec: ProblemSpec, grid1d: Grid1D, measure_flow: MeasureFlow | None = None
 ) -> np.ndarray:
@@ -249,8 +260,10 @@ def feynman_kac_check(
     """Gap between the grid value at (0, x0) and the particle value.
 
     The measure flow fed to the grid solver is the one generated by the
-    particle run, so both sides describe the same frozen law.
+    particle run, so both sides describe the same frozen law.  Raises
+    :class:`GridError` when ``x0`` lies outside the grid box.
     """
+    check_contains_x0(spec, grid1d)
     flow = flow_from_solution(fbsde_grid, sol)
     surface = solve_hjb(spec, grid1d, flow)
     v0 = float(np.interp(float(spec.x0[0]), grid1d.xs, surface[0]))

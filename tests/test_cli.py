@@ -319,11 +319,13 @@ class TestMalformedInputs:
             # settings the chosen grid would not use
             {"nt": 1}, {"x_min": 0.0}, {"nx": 51, "nt": 400, "x_min": 0.0},
             {"nx": 51, "nt": 400, "x_min": 0.0, "x_max": 2.0, "cfl": 0.4},
+            # a box without x0 = 1, where the grid value would be clamped to an edge
+            {"nx": 41, "nt": 2000, "x_min": 5.0, "x_max": 6.0},
         ],
         ids=[
             "cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "nx=0", "nx=1", "nx=2", "x_max=inf",
             "nx=1e20", "nx=1e18", "nt=1e20", "cfl=0.9", "explicit_nt_too_small", "partial_nt", "partial_x_min",
-            "partial_no_x_max", "cfl_with_explicit_grid",
+            "partial_no_x_max", "cfl_with_explicit_grid", "box_without_x0",
         ],
     )
     def test_pde_grid_rejected_before_the_solve(self, pde, tmp_path, monkeypatch, capsys):
@@ -336,6 +338,16 @@ class TestMalformedInputs:
         code = main(["pde-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         self.assert_one_line_usage_error(code, capsys.readouterr().err)
         assert solves == []
+
+    @pytest.mark.parametrize("box", [(1.0, 3.0), (-1.0, 1.0)], ids=["x_min=x0", "x_max=x0"])
+    def test_pde_box_with_x0_on_an_edge_runs(self, box, tmp_path, capsys):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        cfg["pde"] = {"nx": 41, "nt": 100, "x_min": box[0], "x_max": box[1]}
+        cfg_path = tmp_path / "pde.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["pde-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "o" / "feynman_kac_report.json").exists()
 
     @pytest.mark.parametrize(
         "problem, named",
@@ -565,6 +577,22 @@ class TestPropertiesCommand:
         assert sub["passed"]
         assert set(sub) == {"gap", "expected", "floor", "passed"}
         assert sub["gap"] > 0.5 * sub["expected"] > 1e6 * sub["floor"]
+
+    def test_negative_split_passes_every_gate(self, tmp_path, capsys):
+        # the monotonicity check orders c and -c itself; the counterexample
+        # command takes the same negative c
+        reports = {}
+        for c in (-0.1, 0.1):
+            path = tmp_path / f"props{c}.json"
+            path.write_text(json.dumps({"counterexample": {"lambda": 2.0, "gamma": 1.0, "c": c}}))
+            out_dir = tmp_path / f"out{c}"
+            code = main(["properties", "--config", str(path), "--out", str(out_dir)])
+            assert code == 0
+            assert "5/5 checks passed" in capsys.readouterr().out
+            reports[c] = json.loads((out_dir / "property_report.json").read_text())
+        assert reports[-0.1]["failures"] == []
+        assert reports[-0.1]["results"]["monotonicity"] == reports[0.1]["results"]["monotonicity"]
+        assert reports[-0.1]["results"]["monotonicity"]["margin"] > 0.0
 
     def test_stochastic_martingale_section(self, tmp_path):
         cfg = json.loads(json.dumps(APP_CONFIG))

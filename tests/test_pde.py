@@ -171,6 +171,23 @@ class TestFeynmanKac:
         fine = feynman_kac_check(spec, default_grid(spec, nx=201), fbsde_grid, sol)
         assert fine.gap <= coarse.gap + 5e-3
 
+    def test_box_without_x0_is_rejected(self):
+        # np.interp would clamp x0 = 1 to the nearer box edge and report that value
+        spec = application_problem()
+        fbsde_grid = TimeGrid(1.0, 20)
+        sol, _ = picard_solve(spec, fbsde_grid, 500, seed=0)
+        for box in [(5.0, 6.0), (-3.0, 0.5)]:
+            with pytest.raises(GridError, match="outside the grid box"):
+                feynman_kac_check(spec, Grid1D(*box, 41, 2000), fbsde_grid, sol)
+
+    def test_x0_on_a_box_edge_is_accepted(self):
+        spec = grid_problem(sigma=0.5, x0=0.7)
+        fbsde_grid = TimeGrid(1.0, 10)
+        sol, _ = picard_solve(spec, fbsde_grid, 200, seed=0)
+        for box in [(0.7, 2.7), (-1.3, 0.7)]:
+            report = feynman_kac_check(spec, Grid1D(*box, 41, 400), fbsde_grid, sol)
+            assert report.v0 == pytest.approx(0.7, abs=1e-8)
+
 
 class TestLawsRealizedOnce:
     """``solve_hjb`` realizes the feasible set once per law object its flow hands it."""
