@@ -238,7 +238,9 @@ def _rk4_increment(g: Callable[[float], float], y: float, h: float, k1: float) -
 
     Takes the first stage from the caller, so a caller that needs g at the
     new point anyway evaluates g four times per step.  A negative h steps
-    the other way in time.
+    the other way in time.  ``y`` and ``k1`` may be arrays of equal shape
+    when ``g`` maps arrays element-wise; each element then gets the scalar
+    step's bits.
     """
     k2 = g(y + 0.5 * h * k1)
     k3 = g(y + 0.5 * h * k2)

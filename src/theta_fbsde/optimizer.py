@@ -119,7 +119,8 @@ class QuadraticPenaltyDriver:
             raise ParameterError(f"w0 must be finite, got {self.w0}")
 
     def value(self, state: DriverState, a):
-        return self.f0(state.y) - 0.5 * self.kappa * (a - self.w0) ** 2
+        d = a - self.w0
+        return self.f0(state.y) - 0.5 * self.kappa * (d * d)
 
     def d_da(self, state: DriverState, a):
         return -self.kappa * (a - self.w0)
@@ -152,6 +153,19 @@ class QuarticDriver:
             raise ParameterError(
                 f"need finite lam > gamma > 0, got lam={self.lam}, gamma={self.gamma}"
             )
+        # the constant factors of the root formula in stationary_control; plain
+        # attributes, not fields, so equality, hashing and the repr ignore them
+        p = (self.lam - self.gamma) / self.gamma
+        r = math.sqrt(p / 3.0)
+        object.__setattr__(self, "_root_scale", 2.0 * r)
+        object.__setattr__(self, "_root_gain", 1.5 * self.lam / (self.gamma * p * r))
+
+    def __getstate__(self):
+        # a pickle holds the fields only, so it loads into any version
+        return {"lam": self.lam, "gamma": self.gamma}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     @property
     def kappa(self) -> float:
@@ -159,7 +173,8 @@ class QuarticDriver:
 
     def value(self, state: DriverState, a):
         w = a * a - 1.0
-        return 0.25 * self.gamma - 0.25 * self.gamma * w * w - 0.5 * self.lam * (a - state.y) ** 2
+        d = a - state.y
+        return 0.25 * self.gamma - 0.25 * self.gamma * w * w - 0.5 * self.lam * (d * d)
 
     def d_da(self, state: DriverState, a):
         return -self.gamma * a * (a * a - 1.0) - self.lam * (a - state.y)
@@ -175,11 +190,11 @@ class QuarticDriver:
         here by one Newton step.  numpy's ``arcsinh`` and ``sinh`` serve a
         scalar ``y`` too (``math.asinh`` and ``math.sinh`` round differently
         on some inputs), so a float gets the bits of the same array element;
-        the rest of the scalar path stays in Python floats.
+        the rest of the scalar path stays in Python floats.  The constant
+        factors ``2 sqrt(p/3)`` and ``1.5 lam / (gamma p sqrt(p/3))`` are
+        computed once, at construction.
         """
-        p = (self.lam - self.gamma) / self.gamma
-        r = math.sqrt(p / 3.0)
-        s = 2.0 * r * np.sinh(np.arcsinh(1.5 * self.lam / (self.gamma * p * r) * state.y) / 3.0)
+        s = self._root_scale * np.sinh(np.arcsinh(self._root_gain * state.y) / 3.0)
         if s.ndim == 0:
             s = float(s)
         return s - self.d_da(state, s) / self.d2_da2(state, s)

@@ -18,7 +18,13 @@ import numpy as np
 from .bsde import REGRESSION_DEGREE, _node_regression, _rk4_increment, solve_deterministic_ode
 from .coupling import picard_solve
 from .errors import ParameterError, UsageError
-from .optimizer import DriverState, QuarticDriver, driver_sup, second_derivative_at_zero
+from .optimizer import (
+    DriverState,
+    QuarticDriver,
+    driver_sup,
+    maximize_batch,
+    second_derivative_at_zero,
+)
 from .sde import (
     CallableTerminal,
     ConstantTerminal,
@@ -63,10 +69,16 @@ class DeterministicSolution:
 
 
 def optimized_driver_fn(spec: DeterministicSpec) -> Callable[[float], float]:
-    """The optimized driver as a scalar function of the value variable."""
+    """The optimized driver as a scalar function of the value variable.
+
+    It calls :func:`driver_sup` by its module name at every evaluation, so a
+    profiler that replaces ``optimizer.maximize_over`` still counts each one.
+    """
+    uset, driver = spec.control_set, spec.driver
+    make_state = DriverState._make
 
     def g(y: float) -> float:
-        return driver_sup(spec.control_set, spec.driver, DriverState(y=y))
+        return driver_sup(uset, driver, make_state((0.0, None, y, None, None)))
 
     return g
 
@@ -383,24 +395,45 @@ def martingale_diagnostics(
     given path, M_i - M_0 = y_i - y_0 + sum_{j<i} I_j, where I_j is the
     solver's own RK4 quadrature of the optimized driver over step j, taken
     from y_{j+1}; the largest |M_i - M_0| is reported, so a path that does
-    not solve the value ODE shows its defect.
+    not solve the value ODE shows its defect.  The path must be finite and
+    hold one value per node of ``grid``, which must span the horizon.  Each RK4 stage is one
+    :func:`maximize_batch` call over the whole path, whose controls equal
+    the scalar argmax's bit for bit; so do the values wherever the driver's
+    ``value`` runs the same arithmetic on floats and arrays, as the built-in
+    families' does.  ``np.cumsum`` adds the quadratures in order, as a
+    running sum would, so the report has the bits of the scalar loop.
     """
     if isinstance(spec, DeterministicSpec):
         if not isinstance(sol, DeterministicSolution):
             raise UsageError("deterministic diagnostics need a deterministic solution")
-        g = optimized_driver_fn(spec)
-        n_steps = sol.times.size - 1
-        h = spec.horizon / n_steps
-        y0 = float(sol.values[0])
-        max_driver = abs(g(y0))
-        integral = 0.0
-        drift = 0.0
-        for y in sol.values[1:].tolist():
-            g_y = g(y)
-            max_driver = max(max_driver, abs(g_y))
-            integral += _rk4_increment(g, y, h, g_y)
-            drift = max(drift, abs(y - y0 + integral))
-        return MartingaleReport(max_abs_driver=max_driver, martingale_drift=drift)
+        check_horizon(grid, spec.horizon)
+        values = np.asarray(sol.values, dtype=float)
+        if values.shape != np.shape(sol.times):
+            raise UsageError(
+                f"the value path has {values.shape} values for {np.shape(sol.times)} times"
+            )
+        if values.shape != (grid.n_nodes,):
+            raise UsageError(
+                f"the value path needs one value per node of the grid, shape ({grid.n_nodes},), "
+                f"got {values.shape}"
+            )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise UsageError(f"the value path is not finite at node {bad[0]}: {values[bad[0]]}")
+        uset, driver = spec.control_set, spec.driver
+
+        def g(y: np.ndarray) -> np.ndarray:
+            state = DriverState(y=y)
+            a, _ = maximize_batch(uset, driver, state)
+            return np.broadcast_to(driver.value(state, a), y.shape)
+
+        h = spec.horizon / grid.n_steps
+        g_all = g(values)
+        increments = _rk4_increment(g, values[1:], h, g_all[1:])
+        drift = np.abs(values[1:] - values[0] + np.cumsum(increments))
+        return MartingaleReport(
+            max_abs_driver=float(np.max(np.abs(g_all))), martingale_drift=float(np.max(drift))
+        )
 
     if not isinstance(sol, SolutionPaths):
         raise UsageError("stochastic diagnostics need solved particle paths")

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -547,6 +549,80 @@ class TestClosedFormArgmax:
                 counted.clear()
                 maximize_over(uset, driver, DriverState(y=y))
                 assert len(counted) == calls
+
+
+class TestQuarticRootConstants:
+    """``QuarticDriver`` keeps the root formula's constant factors from construction."""
+
+    @staticmethod
+    def written_out(driver, y):
+        """The root formula with its constants computed at the call, then one Newton step."""
+        lam, gamma = driver.lam, driver.gamma
+        p = (lam - gamma) / gamma
+        r = math.sqrt(p / 3.0)
+        s = 2.0 * r * np.sinh(np.arcsinh(1.5 * lam / (gamma * p * r) * y) / 3.0)
+        if s.ndim == 0:
+            s = float(s)
+        state = DriverState(y=y)
+        return s - driver.d_da(state, s) / driver.d2_da2(state, s)
+
+    @pytest.mark.parametrize("lam,gamma", TestClosedFormArgmax.PAIRS)
+    def test_stationary_control_bits(self, lam, gamma):
+        driver = QuarticDriver(lam, gamma)
+        ys = np.linspace(-6.0, 6.0, 2401)
+        ref = self.written_out(driver, ys)
+        assert ref.tobytes() == driver.stationary_control(DriverState(y=ys)).tobytes()
+        scalar = [driver.stationary_control(DriverState(y=y)) for y in ys.tolist()]
+        assert all(type(s) is float for s in scalar)
+        assert np.array(scalar).tobytes() == ref.tobytes()
+        assert scalar == [self.written_out(driver, y) for y in ys.tolist()]
+
+    def test_replace_recomputes_the_constants(self):
+        driver = dataclasses.replace(QuarticDriver(2.0, 1.0), lam=3.0)
+        fresh = QuarticDriver(3.0, 1.0)
+        assert (driver._root_scale, driver._root_gain) == (fresh._root_scale, fresh._root_gain)
+        ys = np.linspace(-6.0, 6.0, 241)
+        assert driver.stationary_control(DriverState(y=ys)).tobytes() == (
+            self.written_out(fresh, ys).tobytes()
+        )
+        with pytest.raises(ParameterError):
+            dataclasses.replace(fresh, lam=0.5)
+
+    def test_equality_hash_repr_and_pickle_unchanged(self):
+        driver = QuarticDriver(2.0, 1.0)
+        assert driver == QuarticDriver(2.0, 1.0) and driver != QuarticDriver(3.0, 1.0)
+        assert hash(driver) == hash(QuarticDriver(2.0, 1.0)) == hash((2.0, 1.0))
+        assert repr(driver) == "QuarticDriver(lam=2.0, gamma=1.0)"
+        assert dataclasses.asdict(driver) == {"lam": 2.0, "gamma": 1.0}
+        # a pickle holds the two fields, as before the constants were kept
+        assert driver.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2] == {"lam": 2.0, "gamma": 1.0}
+        copy = pickle.loads(pickle.dumps(driver))
+        assert copy == driver and hash(copy) == hash(driver)
+        assert copy.__dict__ == driver.__dict__
+        assert copy.stationary_control(DriverState(y=0.7)) == driver.stationary_control(
+            DriverState(y=0.7)
+        )
+
+
+class TestScalarAndArrayValues:
+    """A built-in driver's value has the same bits at floats as at array elements.
+
+    Both families square by a product.  Python's float ``** 2`` goes through
+    libm's ``pow``, which rounds about 1 square in 1500 of these draws one ulp
+    away from the product that numpy's array square gives; the batched
+    martingale check then would not reproduce the scalar optimized driver.
+    """
+
+    @pytest.mark.parametrize("driver", [
+        QuarticDriver(2.0, 1.0), QuarticDriver(0.35, 0.25),
+        QuadraticPenaltyDriver(kappa=1.3, w0=0.6, f0=LinearF0(0.5)),
+    ], ids=["quartic", "quartic-near-degenerate", "quadratic-penalty"])
+    def test_value_bits(self, driver):
+        rng = np.random.default_rng(3)
+        ys, controls = rng.uniform(-6.0, 6.0, 20_000), rng.uniform(-3.0, 3.0, 20_000)
+        batched = driver.value(DriverState(y=ys), controls).tolist()
+        scalar = [driver.value(DriverState(y=y), a) for y, a in zip(ys.tolist(), controls.tolist())]
+        assert scalar == batched
 
 
 class TestTableF0:

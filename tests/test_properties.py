@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from theta_fbsde import properties
+from theta_fbsde.bsde import _rk4_increment
 
 from theta_fbsde import (
     AffineControlDrift,
@@ -15,6 +16,8 @@ from theta_fbsde import (
     DeterministicSolution,
     DeterministicSpec,
     DivergenceError,
+    GenericDriver,
+    IntervalUnion,
     LinearF0,
     LinearTerminal,
     ParameterError,
@@ -409,39 +412,91 @@ class TestTranslationDefectGate:
         assert not result["passed"]
 
 
-class TestSharedRK4Stepper:
-    @pytest.mark.parametrize(
-        "lam, gamma, xi, steps",
-        [(2.0, 1.0, 0.1, 1000), (2.0, 1.0, -0.3, 37), (3.0, 1.0, 0.05, 400), (2.0, 1.0, 0.1, 10)],
+def scalar_martingale_loop(spec, sol):
+    """``(max_abs_driver, martingale_drift)`` from one scalar optimized-driver call per
+    RK4 stage and node, summed in order: the check as a loop over the path."""
+    g = properties.optimized_driver_fn(spec)
+    h = spec.horizon / (sol.times.size - 1)
+    y0 = float(sol.values[0])
+    max_driver, integral, drift = abs(g(y0)), 0.0, 0.0
+    for y in sol.values[1:].tolist():
+        g_y = g(y)
+        max_driver = max(max_driver, abs(g_y))
+        integral += _rk4_increment(g, y, h, g_y)
+        drift = max(drift, abs(y - y0 + integral))
+    return max_driver, drift
+
+
+def checked_paths(spec, grid, xi):
+    """The solved path, a flat one and the solved one with one node moved by 1e-6."""
+    _, sol = theta_expectation(spec, grid, xi=xi)
+    moved = sol.values.copy()
+    moved[grid.n_steps // 2] += 1e-6
+    return {
+        "solved": sol,
+        "flat": DeterministicSolution(sol.times, np.full_like(sol.values, xi)),
+        "moved": DeterministicSolution(sol.times, moved),
+    }
+
+
+def generic_quartic(lam, gamma):
+    """The quartic family as a :class:`GenericDriver`, so the argmax runs Newton.
+
+    Written with products, not ``**``: a Python or numpy float power goes
+    through libm's ``pow``, which rounds some squares differently from
+    numpy's array square, so scalar and batched values would not share bits.
+    """
+
+    def value(s, a):
+        w, d = a * a - 1.0, a - s.y
+        return 0.25 * gamma - 0.25 * gamma * w * w - 0.5 * lam * (d * d)
+
+    return GenericDriver(
+        value_fn=value,
+        d_da_fn=lambda s, a: -gamma * a * (a * a - 1.0) - lam * (a - s.y),
+        d2_da2_fn=lambda s, a: -gamma * (3.0 * a * a - 1.0) - lam,
+        kappa=lam - gamma,
     )
+
+
+class TestSharedRK4Stepper:
+    CASES = [(2.0, 1.0, 0.1, 1000), (2.0, 1.0, -0.3, 37), (3.0, 1.0, 0.05, 400), (2.0, 1.0, 0.1, 10)]
+
+    @pytest.mark.parametrize("lam, gamma, xi, steps", CASES)
     def test_perturbed_path_fails_the_gate(self, lam, gamma, xi, steps):
         # the properties gate is drift <= 1e-8: the solved path passes with
         # rounding to spare, a flat path or one node moved by 1e-6 fails
         spec = quartic_spec(lam, gamma)
         grid = TimeGrid(1.0, steps)
-        _, sol = theta_expectation(spec, grid, xi=xi)
-        assert martingale_diagnostics(spec, grid, sol).martingale_drift <= 1e-14
-        flat = DeterministicSolution(sol.times, np.full_like(sol.values, xi))
-        assert martingale_diagnostics(spec, grid, flat).martingale_drift > 1e-4
-        moved = sol.values.copy()
-        moved[steps // 2] += 1e-6
-        report = martingale_diagnostics(spec, grid, DeterministicSolution(sol.times, moved))
+        paths = checked_paths(spec, grid, xi)
+        assert martingale_diagnostics(spec, grid, paths["solved"]).martingale_drift <= 1e-14
+        assert martingale_diagnostics(spec, grid, paths["flat"]).martingale_drift > 1e-4
+        report = martingale_diagnostics(spec, grid, paths["moved"])
         assert report.martingale_drift == pytest.approx(1e-6, rel=0.05)
 
-    def test_four_driver_calls_per_step(self, monkeypatch):
-        spec = quartic_spec()
-        grid = TimeGrid(1.0, 50)
-        _, sol = theta_expectation(spec, grid, xi=0.1)
-        calls = []
-        original = properties.driver_sup
+    def assert_scalar_bits(self, spec, grid, xi):
+        for name, sol in checked_paths(spec, grid, xi).items():
+            report = martingale_diagnostics(spec, grid, sol)
+            batched = (report.max_abs_driver.hex(), report.martingale_drift.hex())
+            assert batched == tuple(v.hex() for v in scalar_martingale_loop(spec, sol)), name
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+    @pytest.mark.parametrize("lam, gamma, xi, steps", CASES)
+    def test_batched_check_equals_the_scalar_loop(self, lam, gamma, xi, steps):
+        # one maximize_batch call per RK4 stage over the whole path gives
+        # the bits of 4 * n_steps + 1 scalar optimized-driver calls
+        self.assert_scalar_bits(quartic_spec(lam, gamma), TimeGrid(1.0, steps), xi)
 
-        monkeypatch.setattr(properties, "driver_sup", counting)
-        martingale_diagnostics(spec, grid, sol)
-        assert len(calls) == 4 * grid.n_steps + 1
+    def test_batched_check_equals_the_scalar_loop_on_a_generic_driver(self):
+        uset = unconstrained_interval(QuarticDriver(2.0, 1.0), 1.0)
+        spec = DeterministicSpec(generic_quartic(2.0, 1.0), uset, 1.0)
+        self.assert_scalar_bits(spec, TimeGrid(1.0, 60), 0.2)
+
+    def test_batched_check_equals_the_scalar_loop_on_two_intervals(self):
+        # the value path runs from 0.05 at T to about -0.061 at 0, so the
+        # argmax moves from the endpoint 0.5 across the gap to -0.5
+        uset = IntervalUnion(((-2.0, -0.5), (0.5, 2.0)))
+        spec = DeterministicSpec(QuarticDriver(2.0, 1.0), uset, 1.0)
+        self.assert_scalar_bits(spec, TimeGrid(1.0, 300), 0.05)
 
 
 class TestMartingaleDiagnostics:
@@ -452,6 +507,41 @@ class TestMartingaleDiagnostics:
         report = martingale_diagnostics(spec, grid, sol)
         assert report.max_abs_driver == 0.0
         assert report.within_three_fraction >= 0.95
+
+    def test_one_node_path_is_rejected(self):
+        # it used to divide by its zero step count
+        sol = DeterministicSolution(np.array([0.0]), np.array([0.1]))
+        with pytest.raises(UsageError, match="one value per node"):
+            martingale_diagnostics(quartic_spec(), TimeGrid(1.0, 1), sol)
+
+    def test_values_and_times_must_match(self):
+        # two times and one value used to report a drift of 0.0
+        sol = DeterministicSolution(np.array([0.0, 1.0]), np.array([0.1]))
+        with pytest.raises(UsageError, match="values for"):
+            martingale_diagnostics(quartic_spec(), TimeGrid(1.0, 1), sol)
+
+    def test_node_count_must_match_the_grid(self):
+        spec = quartic_spec()
+        _, sol = theta_expectation(spec, TimeGrid(1.0, 50), xi=0.1)
+        with pytest.raises(UsageError, match=r"shape \(41,\)"):
+            martingale_diagnostics(spec, TimeGrid(1.0, 40), sol)
+
+    def test_grid_must_span_the_horizon(self):
+        spec = quartic_spec()
+        _, sol = theta_expectation(spec, TimeGrid(1.0, 40), xi=0.1)
+        with pytest.raises(UsageError, match="does not match the problem horizon"):
+            martingale_diagnostics(spec, TimeGrid(2.0, 40), sol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_rejected(self, bad):
+        # np.max would carry a NaN into the drift, where max() skipped it
+        spec = quartic_spec()
+        grid = TimeGrid(1.0, 20)
+        _, sol = theta_expectation(spec, grid, xi=0.1)
+        values = sol.values.copy()
+        values[7] = bad
+        with pytest.raises(UsageError, match="not finite at node 7"):
+            martingale_diagnostics(spec, grid, DeterministicSolution(sol.times, values))
 
     def test_deterministic_corrected_path_is_flat(self):
         spec = quartic_spec()

@@ -139,3 +139,49 @@ def test_deterministic_valuation_reaches_the_hooked_argmax(monkeypatch):
     theta_expectation(spec, grid, xi=0.3)
     assert len(solves) == 1
     assert argmax_per_evaluation == [1] * (4 * grid.n_steps)
+
+
+def test_properties_counterexample_reaches_the_hooked_ode_and_argmax(monkeypatch, tmp_path):
+    """The ``properties`` counterexample suite reaches the hooked ODE solve and argmax.
+
+    The tracer reads ``bsde.ode_calls`` and ``bsde.ode_s`` from
+    ``properties.solve_deterministic_ode`` and ``optimizer.argmax_calls`` from
+    ``optimizer.maximize_over``, both patched as module attributes.  A check
+    that bound either one locally (or an optimized driver that did) would
+    leave them reading 0.  Every scalar argmax call of the suite comes from a
+    driver evaluation inside a hooked solve, one call each; the martingale
+    check evaluates the driver with the batched kernel instead.
+    """
+    import json
+
+    from theta_fbsde import cli, optimizer, properties
+
+    solve, maximize = properties.solve_deterministic_ode, optimizer.maximize_over
+    solves, argmax_per_evaluation, argmax_calls = [], [], []
+
+    def counted_solve(g, *args):
+        def counted_g(y):
+            before = len(argmax_calls)
+            value = g(y)
+            argmax_per_evaluation.append(len(argmax_calls) - before)
+            return value
+
+        solves.append(1)
+        return solve(counted_g, *args)
+
+    def counted_maximize(*args, **kwargs):
+        argmax_calls.append(1)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "solve_deterministic_ode", counted_solve)
+    monkeypatch.setattr(optimizer, "maximize_over", counted_maximize)
+    config = tmp_path / "properties.json"
+    config.write_text(json.dumps({"counterexample": {
+        "lambda": 2.0, "gamma": 1.0, "c": 0.1, "T": 1.0, "steps": 20,
+    }}))
+    assert cli.main(["properties", "--config", str(config), "--out", str(tmp_path)]) == 0
+    # 5 distinct valuations (E[c], E[-c] and E[0], then E[c] and E[0] at half
+    # the steps) plus the dynamic consistency check's two composed segments
+    assert len(solves) == 7
+    assert argmax_per_evaluation and set(argmax_per_evaluation) == {1}
+    assert len(argmax_calls) == len(argmax_per_evaluation)
