@@ -463,7 +463,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every stage raises NumericalError on a non-finite value, so numpy's
+        # overflow and invalid-value warnings would only repeat that error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

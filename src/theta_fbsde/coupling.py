@@ -300,8 +300,8 @@ def picard_solve(
         else:
             new = _sweep(spec, grid, A, laws, increments)
             laws = A = None
-            # The old iterates are dead after the sweep (the laws held sorted
-            # copies), so they become the undamped steps.
+            # The old iterates are dead after the sweep (each law owns a copy
+            # of its samples), so they become the undamped steps.
             for step, nxt in zip((X, Y, Z), new):
                 np.subtract(nxt, step, out=step)
             delta = damping * weighted_delta(X, Y, Z, beta, grid.dt)

@@ -1,8 +1,8 @@
 """Empirical measures on the real line.
 
-A measure is a uniformly weighted sample cloud stored sorted ascending, which
-makes the quadratic-cost optimal transport distance an order-statistics
-computation.
+A measure is a uniformly weighted sample cloud, kept in the order it was
+given.  Its mean and standard deviation do not depend on that order; the
+quadratic-cost optimal transport distance sorts the two clouds it compares.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ def check_array_size(shape, what: str, error: type = UsageError) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Uniform-weight sample cloud, sorted ascending at construction."""
+    """Uniform-weight sample cloud: a read-only copy, in the order given."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.sort(np.asarray(self.samples, dtype=float).ravel())
+        arr = np.array(self.samples, dtype=float).ravel()
         if arr.size == 0:
             raise UsageError("an empirical measure needs at least one sample")
         if not np.all(np.isfinite(arr)):
@@ -75,11 +75,11 @@ def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
         raise UsageError(
             f"sample counts differ ({mu.size} vs {nu.size}); resampling is unsupported"
         )
-    return float(np.sqrt(np.mean((mu.samples - nu.samples) ** 2)))
+    return float(np.sqrt(np.mean((np.sort(mu.samples) - np.sort(nu.samples)) ** 2)))
 
 
 def moments(mu: EmpiricalMeasure) -> tuple[float, float]:
-    """Population mean and standard deviation (divide by n) of the sorted samples.
+    """Population mean and standard deviation (divide by n) of the samples.
 
     Computed once per measure and kept, so asking again costs nothing.
     """

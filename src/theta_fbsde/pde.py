@@ -92,7 +92,8 @@ def default_grid(
     The domain is widened to include the drift's stationary means at the
     extreme controls, and the step count is chosen so both the diffusion and
     the advection stability ratios stay below ``cfl``.  Needs ``nx >= 3`` and
-    a finite positive ``cfl``.
+    a finite positive ``cfl``; raises :class:`GridError` where the problem's
+    scales overflow the step count.
     """
     if nx < 3:
         raise GridError("need at least three space nodes")
@@ -116,11 +117,17 @@ def default_grid(
     dx = (hi - lo) / (nx - 1)
     x_abs = max(abs(lo), abs(hi))
     b_max = abs(c0) + abs(c1) * max(abs(1 + 3 * w_lo), abs(1 + 3 * w_hi)) * x_abs
-    dt_diff = cfl * dx * dx / (sigma * sigma) if sigma != 0.0 else math.inf
+    # a sigma whose square underflows sets no diffusion limit, as sigma = 0
+    dt_diff = cfl * dx * dx / (sigma * sigma) if sigma * sigma != 0.0 else math.inf
     dt_adv = cfl * dx / b_max if b_max > 0 else math.inf
     dt_cap = min(dt_diff, dt_adv, spec.horizon)
-    nt = max(1, math.ceil(spec.horizon / dt_cap))
-    return Grid1D(lo, hi, nx, nt)
+    steps = spec.horizon / dt_cap if dt_cap > 0 else math.inf
+    if not math.isfinite(steps):
+        raise GridError(
+            f"the stability limits give no finite time step count (dt = {dt_cap}); "
+            "the problem's scales overflow the grid arithmetic"
+        )
+    return Grid1D(lo, hi, nx, max(1, math.ceil(steps)))
 
 
 def check_stability(spec: ProblemSpec, grid1d: Grid1D) -> None:

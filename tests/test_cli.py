@@ -161,6 +161,25 @@ MALFORMED = [
 ]
 
 
+# finite configs whose solves overflow: each stage raises a NumericalError
+DIVERGING = [
+    *(
+        (path, value, ("solve", "pde-check", "properties", "application"))
+        for path, value in [
+            (("problem", "w0"), 1e308),
+            (("problem", "kappa"), 1e308),
+            (("problem", "f0", "slope"), 1e308),
+            (("problem", "terminal", "coeffs"), [1e308]),
+            (("problem", "terminal"), {"kind": "constant", "value": 1e308}),
+            (("problem", "x0"), [1e308]),
+        ]
+    ),
+    # pde-check refuses these two before the solve: their grids have no finite step count
+    (("problem", "T"), 1e308, ("solve", "properties", "application")),
+    (("problem", "C1"), [[1e308]], ("solve", "properties", "application")),
+]
+
+
 # float() takes strings and booleans; a config number must be a JSON number
 NOT_NUMBERS = [
     ("solve", ("solver",), "tol", True),
@@ -304,6 +323,67 @@ class TestMalformedInputs:
         cfg_path.write_text(json.dumps({"counterexample": {"lambda": 2.0, "gamma": 1.0, "c": 3.0}}))
         code = main(["properties", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         self.assert_one_line_failure(code, capsys.readouterr().err, 2)
+
+    @staticmethod
+    def run_config_with(command, path, value, tmp_path):
+        cfg = json.loads(json.dumps(APP_CONFIG))
+        section = cfg
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = value
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [
+            (command, path, value)
+            for path, value, commands in DIVERGING
+            for command in commands
+        ],
+        ids=[
+            f"{command}:{path[-1]}={value!r}"
+            for path, value, commands in DIVERGING
+            for command in commands
+        ],
+    )
+    def test_divergence_prints_one_line(self, command, path, value, tmp_path, capsys):
+        # under the suite's warnings-as-errors filter a numpy RuntimeWarning
+        # would escape main; outside it, it would print above the failure line
+        code = self.run_config_with(command, path, value, tmp_path)
+        self.assert_one_line_failure(code, capsys.readouterr().err, 2)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("problem", "T"), 1e308),
+            (("problem", "C0"), [1e308]),
+            (("problem", "C1"), [[1e308]]),
+            (("problem", "ambiguity", "intervals"), [[-1e308, -1.0], [1.0, 1e308]]),
+            (("problem", "sigma"), [[1e200]]),
+        ],
+        ids=["T=1e308", "C0=1e308", "C1=1e308", "intervals=1e308", "sigma=1e200"],
+    )
+    def test_pde_grid_without_a_finite_step_count(self, path, value, tmp_path, monkeypatch,
+                                                  capsys):
+        solves = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *args, **kwargs: solves.append(args))
+        code = self.run_config_with("pde-check", path, value, tmp_path)
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "time step count" in err
+        assert solves == []
+
+    def test_pde_sigma_whose_square_underflows_runs_as_sigma_zero(self, tmp_path, capsys):
+        surfaces = []
+        for run, sigma in enumerate((1e-300, 0.0)):
+            (tmp_path / str(run)).mkdir()
+            code = self.run_config_with("pde-check", ("problem", "sigma"), [[sigma]], tmp_path / str(run))
+            assert code == 0
+            surfaces.append((tmp_path / str(run) / "o" / "value_surface.csv").read_bytes())
+        assert capsys.readouterr().err == ""
+        assert surfaces[0] == surfaces[1]
 
     @pytest.mark.parametrize(
         "pde",

@@ -33,16 +33,19 @@ from theta_fbsde import (
     UsageError,
     brownian_increments,
     check_translation_invariance,
+    default_grid,
+    flow_from_solution,
     maximize_batch,
     maximize_over,
     picard_solve,
     simulate_forward,
     solve_backward,
+    solve_hjb,
     static_set,
     weighted_delta,
     y0_standard_error,
 )
-from theta_fbsde import coupling
+from theta_fbsde import coupling, uncertainty
 from theta_fbsde.coupling import PicardReport, _anderson_step, _controls_stage, _node_laws
 
 
@@ -559,7 +562,7 @@ class TestInPlaceUpdate:
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
         for i, mu in enumerate(sol.measures):
-            assert np.array_equal(mu.samples, np.sort(sol.Y[i]))
+            assert mu.samples.tobytes() == sol.Y[i].tobytes()
             assert not np.shares_memory(mu.samples, sol.Y)
 
     def test_same_seed_same_solution(self):
@@ -1142,7 +1145,7 @@ class TestRepeatedControls:
             assert got.tobytes() == want.tobytes()
         assert report.to_dict() == expected.to_dict()
         for i, mu in enumerate(sol.measures):
-            assert mu.samples.tobytes() == np.sort(sol.Y[i]).tobytes()
+            assert mu.samples.tobytes() == sol.Y[i].tobytes()
 
     def test_recorded_sweep_matches_a_run_one(self, stage_calls):
         # the law-reading drift adds an exact zero, so its run second sweep
@@ -1260,3 +1263,34 @@ class TestReadsLawContract:
     def test_undeclared_component_reads_the_law(self, field, component):
         assert not coupling._reads_law(application_spec())
         assert coupling._reads_law(dataclasses.replace(application_spec(), **{field: component}))
+
+
+class TestStaticSetsReadNoMoments:
+    """A static set never reads a law's moments.
+
+    So the order in which a law holds its samples cannot move the bits of a
+    static-set solve or of its grid check.
+    """
+
+    @staticmethod
+    def forbid_moments(monkeypatch):
+        def unread(law):
+            raise AssertionError("a law's moments were read")
+
+        monkeypatch.setattr(uncertainty, "moments", unread)
+        monkeypatch.setattr(EmpiricalMeasure, "_moments", property(unread))
+
+    def test_readme_solve_and_its_grid_check(self, monkeypatch):
+        self.forbid_moments(monkeypatch)
+        spec, grid = application_spec(), TimeGrid(1.0, 20)
+        sol, report = picard_solve(spec, grid, 400, seed=5)
+        assert report.converged
+        grid1d = default_grid(spec, nx=41)
+        surface = solve_hjb(spec, grid1d, flow_from_solution(grid, sol))
+        assert np.all(np.isfinite(surface))
+
+    def test_a_law_dependent_solve_reads_them(self, monkeypatch):
+        # the patch bites: the same solve on a law-dependent set fails
+        self.forbid_moments(monkeypatch)
+        with pytest.raises(AssertionError, match="moments were read"):
+            picard_solve(feedback_spec(), TimeGrid(0.5, 10), 200, seed=5)

@@ -1,8 +1,8 @@
-"""Every function the package exports has a caller in the code that ships.
+"""Every function and class the package exports has a reference in the code that ships.
 
-A reference is a name, an attribute, or a string equal to the function's name
+A reference is a name, an attribute, or a string equal to the exported name
 (the benchmark tracer patches functions by name) in a module under ``src/``,
-``scripts/`` or ``perfbench/``.  The function's own definition and body and
+``scripts/`` or ``perfbench/``.  The object's own definition and body and
 the package ``__init__`` re-export do not count.  Tests do not count either:
 a helper only tests call is dead code.
 """
@@ -22,10 +22,13 @@ ALLOWED_WITHOUT_CALLER = {
     "hausdorff": "acceptance criterion 8: checked against a grid oracle",
     "w2": "acceptance criterion 8, and ROADMAP item 2's stability ratios over solved laws",
     "verify_global_assumptions": "ROADMAP item 1b: the application output is to carry its ledger",
+    "GenericDriver": "the paper's general strongly concave driver: library users build it, "
+    "and no config kind reaches it",
 }
 
 
-def exported_functions() -> set[str]:
+def exported(kind) -> set[str]:
+    """Names the package ``__init__`` re-exports whose object passes ``kind``."""
     tree = ast.parse(PACKAGE_INIT.read_text())
     names = {
         alias.asname or alias.name
@@ -33,11 +36,11 @@ def exported_functions() -> set[str]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    return {name for name in names if inspect.isfunction(getattr(theta_fbsde, name))}
+    return {name for name in names if kind(getattr(theta_fbsde, name))}
 
 
 class _References(ast.NodeVisitor):
-    """Names a module refers to, outside the body of a function of that name."""
+    """Names a module refers to, outside the body of a function or class of that name."""
 
     def __init__(self):
         self.found: set[str] = set()
@@ -51,6 +54,8 @@ class _References(ast.NodeVisitor):
         self.inside.append(node.name)
         self.generic_visit(node)
         self.inside.pop()
+
+    visit_ClassDef = visit_FunctionDef
 
     def visit_Name(self, node):
         self._add(node.id)
@@ -76,21 +81,31 @@ def referenced_names() -> set[str]:
     return found
 
 
-def test_every_exported_function_has_a_caller():
-    exported = exported_functions()
-    assert set(ALLOWED_WITHOUT_CALLER) <= exported
-    uncalled = exported - referenced_names() - set(ALLOWED_WITHOUT_CALLER)
+def assert_referenced(kind):
+    uncalled = exported(kind) - referenced_names() - set(ALLOWED_WITHOUT_CALLER)
     assert not uncalled, f"exported but referenced nowhere in src/, scripts/ or perfbench/: {sorted(uncalled)}"
 
 
+def test_every_exported_function_has_a_caller():
+    assert_referenced(inspect.isfunction)
+
+
+def test_every_exported_class_has_a_reference():
+    assert_referenced(inspect.isclass)
+
+
 def test_allow_list_holds_only_uncalled_functions():
-    # a function that gained a caller leaves the list
+    assert set(ALLOWED_WITHOUT_CALLER) <= exported(inspect.isfunction) | exported(inspect.isclass)
+    # a name that gained a reference leaves the list
     called = set(ALLOWED_WITHOUT_CALLER) & referenced_names()
     assert not called, f"remove from the allow-list, these now have callers: {sorted(called)}"
 
 
 def test_own_definition_is_not_a_reference():
     visitor = _References()
-    visitor.visit(ast.parse("def f(n):\n    return f(n - 1) if n else 'f'\n\ndef g():\n    return h\n"))
-    assert "f" not in visitor.found
-    assert "h" in visitor.found
+    visitor.visit(ast.parse(
+        "def f(n):\n    return f(n - 1) if n else 'f'\n\ndef g():\n    return h\n\n"
+        "class C:\n    def copy(self):\n        return C()\n\nclass D(E):\n    pass\n"
+    ))
+    assert not {"f", "C", "D"} & visitor.found
+    assert {"h", "E"} <= visitor.found

@@ -31,9 +31,17 @@ samples_strategy = st.lists(
 
 
 class TestConstruction:
-    def test_sorted_on_creation(self):
-        mu = EmpiricalMeasure(np.array([3.0, 1.0, 2.0]))
-        assert list(mu.samples) == [1.0, 2.0, 3.0]
+    def test_keeps_the_given_order_in_a_read_only_copy(self):
+        source = np.array([3.0, 1.0, 2.0, -0.5])
+        mu = EmpiricalMeasure(source)
+        assert mu.samples.tobytes() == source.tobytes()
+        assert not np.shares_memory(mu.samples, source)
+        assert not mu.samples.flags.writeable
+        with pytest.raises(ValueError):
+            mu.samples[0] = 0.0
+        source[:] = 7.0  # before the moments are first computed
+        assert mu.samples.tolist() == [3.0, 1.0, 2.0, -0.5]
+        assert moments(mu) == (1.375, float(np.std([3.0, 1.0, 2.0, -0.5])))
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -54,6 +62,15 @@ class TestW2:
 
     def test_shifted_pair(self):
         assert w2(EmpiricalMeasure([0.0, 1.0]), EmpiricalMeasure([1.0, 2.0])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 9, 1000])
+    def test_shuffled_clouds_give_the_sorted_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n) * 2.0 + 0.3
+        expected = float(np.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2)))
+        for _ in range(3):
+            got = w2(EmpiricalMeasure(rng.permutation(a)), EmpiricalMeasure(rng.permutation(b)))
+            assert got.hex() == expected.hex()
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(UsageError):
