@@ -27,18 +27,13 @@ from .optimizer import (
     TableF0,
     concavity_audit,
     driver_sup,
-    envelope_derivative,
     maximize_batch,
     maximize_over,
-    numeric_second_derivative,
-    second_derivative_at_zero,
-    unconstrained_interval,
 )
 from .pde import (
     FeynmanKacReport,
     Grid1D,
     check_stability,
-    constant_flow,
     default_grid,
     feynman_kac_check,
     flow_from_solution,
@@ -66,6 +61,7 @@ from .scenarios import (
     AssumptionLedger,
     CounterexampleReport,
     build_application_spec,
+    quartic_reduction,
     run_application,
     run_counterexample,
     verify_global_assumptions,

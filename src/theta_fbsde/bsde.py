@@ -121,9 +121,10 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     gives both ``G`` and ``Phi^T T``.  Otherwise one reduced QR of ``Phi``
     gives the fitted values ``Q (Q^T T)``, the coefficients from
     ``R c = Q^T T`` and the condition number from the singular values of
-    ``R``, which are those of ``Phi``.  Fewer rows than basis columns or a
-    condition number above 1e12 aborts the sweep.  The result holds no view
-    of ``targets``, which the backward sweep reuses at the next node.
+    ``R``, which are those of ``Phi``.  Fewer rows than basis columns, a
+    state whose mean square overflows or a condition number above 1e12
+    aborts the sweep.  The result holds no view of ``targets``, which the
+    backward sweep reuses at the next node.
     """
     # ndarray methods, not the np.* wrappers: at a few hundred particles the
     # wrappers' call overhead is a visible share of the fit.  With several
@@ -150,6 +151,11 @@ def _node_regression(x: np.ndarray, targets: np.ndarray, degree: int) -> NodeFit
     xs -= mean
     # the arithmetic of np.std, which would centre the state again
     std = np.sqrt((xs * xs).mean(axis=0))
+    if not np.isfinite(std).all():
+        raise RegressionBasisError(
+            f"the state's mean square overflows (spread up to {float((hi - lo).max()):.3e}); "
+            "the regression cannot standardize it"
+        )
     xs /= std
     design = np.empty((n, p + targets.shape[1]), order="F")
     phi = polynomial_basis(xs, degree, out=design[:, :p])

@@ -18,10 +18,9 @@ import numpy as np
 from ._atomic import atomic_write
 from .coupling import picard_solve
 from .errors import NumericalError, UsageError
-from .optimizer import LinearF0, QuarticDriver, TableF0, unconstrained_interval
+from .optimizer import LinearF0, TableF0
 from .pde import Grid1D, check_contains_x0, check_stability, default_grid, feynman_kac_check, write_surface_csv
 from .properties import (
-    DeterministicSpec,
     check_dynamic_consistency,
     check_monotonicity,
     check_subadditivity,
@@ -31,7 +30,7 @@ from .properties import (
     theta_expectation,
     translation_defect_gate,
 )
-from .scenarios import build_application_spec, run_application, run_counterexample
+from .scenarios import build_application_spec, quartic_reduction, run_application, run_counterexample
 from .sde import (
     ConstantTerminal,
     LinearTerminal,
@@ -378,8 +377,7 @@ def _cmd_properties(args) -> int:
         horizon = _field(ce, "T", _number, "counterexample", 1.0)
         steps = _field(ce, "steps", _integer, "counterexample", 1000)
         split = _field(ce, "split", _number, "counterexample", horizon / 2)
-        driver = QuarticDriver(lam, gamma)
-        spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), horizon)
+        spec = quartic_reduction(lam, gamma, c, horizon)
         grid = TimeGrid(horizon, steps)
 
         disc = check_dynamic_consistency(spec, grid, c, split)

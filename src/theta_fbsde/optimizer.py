@@ -199,6 +199,43 @@ class QuarticDriver:
             s = float(s)
         return s - self.d_da(state, s) / self.d2_da2(state, s)
 
+    def interior_set(self, y: float) -> IntervalUnion:
+        """Interval wide enough that the argmax at any value up to |y| is interior.
+
+        From the stationarity condition, |a*| <= max(1, cbrt(lam |y| / gamma)).
+        """
+        r = 2.0 * (1.0 + max(1.0, (self.lam * abs(y) / self.gamma) ** (1.0 / 3.0)))
+        return IntervalUnion(((-r, r),))
+
+    def envelope_slope(self, y: float) -> float:
+        """d/dy of the optimized driver.
+
+        Differentiating through the maximizer leaves only the explicit y
+        dependence of the anchor term: lam * (a*(y) - y).  The maximizer is
+        taken over :meth:`interior_set`, where it is interior.
+        """
+        res = maximize_over(self.interior_set(y), self, DriverState(y=y))
+        return self.lam * (res.a_star - y)
+
+    @property
+    def curvature_at_zero(self) -> float:
+        """Curvature of the optimized driver at y = 0.
+
+        Implicit differentiation of the stationarity condition gives
+        lam * gamma / (lam - gamma), strictly positive as lam > gamma > 0.
+        """
+        return self.lam * self.gamma / (self.lam - self.gamma)
+
+    def numeric_curvature(self) -> float:
+        """Central second difference of the optimized driver at y = 0, step 1e-3."""
+        h = 1e-3
+        uset = self.interior_set(h)
+
+        def g(y: float) -> float:
+            return driver_sup(uset, self, DriverState(y=y))
+
+        return (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
+
 
 @dataclass(frozen=True)
 class GenericDriver:
@@ -379,54 +416,6 @@ def maximize_batch(uset, driver, state: DriverState) -> tuple[np.ndarray, np.nda
 def driver_sup(uset: IntervalUnion, driver, state: DriverState) -> float:
     """Optimized driver: the objective evaluated at its constrained argmax."""
     return maximize_over(uset, driver, state).value
-
-
-def unconstrained_interval(driver: "QuarticDriver", y: float) -> IntervalUnion:
-    """Interval wide enough that the quartic argmax is interior.
-
-    From the stationarity condition, |a*| <= max(1, cbrt(lam |y| / gamma)).
-    """
-    r = 2.0 * (1.0 + max(1.0, (driver.lam * abs(y) / driver.gamma) ** (1.0 / 3.0)))
-    return IntervalUnion(((-r, r),))
-
-
-def envelope_derivative(driver, y: float) -> float:
-    """d/dy of the optimized quartic driver.
-
-    Differentiating through the maximizer leaves only the explicit y
-    dependence of the anchor term: lam * (a*(y) - y).  The maximizer is taken
-    over :func:`unconstrained_interval`, where it is interior.
-    """
-    if not isinstance(driver, QuarticDriver):
-        raise UsageError("the envelope derivative is available for the quartic family only")
-    res = maximize_over(unconstrained_interval(driver, y), driver, DriverState(y=y))
-    return driver.lam * (res.a_star - y)
-
-
-def second_derivative_at_zero(driver) -> float:
-    """Curvature of the optimized quartic driver at y = 0.
-
-    Implicit differentiation of the stationarity condition gives
-    lam * gamma / (lam - gamma), strictly positive on the admissible range.
-    """
-    if not isinstance(driver, QuarticDriver):
-        raise UsageError("curvature formula is available for the quartic family only")
-    if not driver.lam > driver.gamma:
-        raise ParameterError("curvature at zero requires lam > gamma")
-    return driver.lam * driver.gamma / (driver.lam - driver.gamma)
-
-
-def numeric_second_derivative(driver) -> float:
-    """Central second difference of the optimized quartic driver at y = 0, step 1e-3."""
-    if not isinstance(driver, QuarticDriver):
-        raise UsageError("the numeric curvature is available for the quartic family only")
-    h = 1e-3
-    uset = unconstrained_interval(driver, h)
-
-    def g(y: float) -> float:
-        return driver_sup(uset, driver, DriverState(y=y))
-
-    return (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
 
-def constant_flow(mu: EmpiricalMeasure) -> MeasureFlow:
-    return lambda t: mu
-
-
 def flow_from_solution(grid: TimeGrid, sol: SolutionPaths) -> MeasureFlow:
     """Nearest-node lookup of the per-node value laws of a particle run."""
 
@@ -155,15 +151,15 @@ def check_contains_x0(spec: ProblemSpec, grid1d: Grid1D) -> None:
         raise GridError(f"x0 = {x0} lies outside the grid box [{grid1d.x_min}, {grid1d.x_max}]")
 
 
-def solve_hjb(
-    spec: ProblemSpec, grid1d: Grid1D, measure_flow: MeasureFlow | None = None
-) -> np.ndarray:
+def solve_hjb(spec: ProblemSpec, grid1d: Grid1D, measure_flow: MeasureFlow) -> np.ndarray:
     """Explicit backward sweep of the optimized terminal-value problem.
 
     At every node the control comes from the pointwise argmax of the coupled
     system, one batched call per time layer; the drift at that control picks
-    the upwind direction of the advection term.  Returns the
-    value surface as an (nt + 1, nx) array, row 0 at time zero.  The boundary
+    the upwind direction of the advection term.  ``measure_flow`` maps a time
+    to the value law the set is realized from (:func:`flow_from_solution`
+    builds it from a particle run).  Returns the value surface as an
+    (nt + 1, nx) array, row 0 at time zero.  The boundary
     second derivative is extrapolated to zero and the missing one-sided slopes
     are extrapolated as constants.
     """
@@ -171,8 +167,6 @@ def solve_hjb(
     sigma, c0, c1 = _problem_pieces(spec)
     dt = grid1d.dt(spec.horizon)
     dx = grid1d.dx
-    if measure_flow is None:
-        measure_flow = constant_flow(EmpiricalMeasure(np.array([spec.terminal_at_start()])))
 
     xs = grid1d.xs
     drift_const = c0 - c1 * xs

@@ -23,7 +23,6 @@ from .optimizer import (
     QuarticDriver,
     driver_sup,
     maximize_batch,
-    second_derivative_at_zero,
 )
 from .sde import (
     CallableTerminal,
@@ -295,8 +294,8 @@ def translation_defect_gate(
     """Scale-aware verdict on a quartic translation defect E[c] - (E[0] + c).
 
     Near zero the optimized driver is g''(0) y^2 / 2 with g''(0) from
-    :func:`second_derivative_at_zero`, so the defect is g''(0) c^2 T / 2 to
-    leading order in c.  ``defect`` is measured on ``grid`` and
+    :attr:`QuarticDriver.curvature_at_zero`, so the defect is
+    g''(0) c^2 T / 2 to leading order in c.  ``defect`` is measured on ``grid`` and
     ``coarse_defect`` on half its steps.  The floor bounds the error of the
     RK4 defect by three terms:
     - truncation: the change between the two step counts, about 15 times
@@ -311,7 +310,7 @@ def translation_defect_gate(
     the predicted size and clears the floor, so a c too small to resolve
     fails instead of passing vacuously.
     """
-    expected = second_derivative_at_zero(spec.driver) * c * c * spec.horizon / 2.0
+    expected = spec.driver.curvature_at_zero * c * c * spec.horizon / 2.0
     eps = sys.float_info.epsilon
     stepping = (grid.n_steps + 2) * eps * (abs(c) + abs(defect))
     floor = abs(defect - coarse_defect) + stepping + spec.horizon * eps * spec.driver.gamma
@@ -324,8 +323,8 @@ def subadditivity_gate(spec: DeterministicSpec, c: float, grid: TimeGrid, gap: f
 
     To leading order in c, E[c] and E[-c] are +c and -c plus
     g''(0) c^2 T / 2 each and E[0] = 0, so the gap is g''(0) c^2 T, with
-    g''(0) from :func:`second_derivative_at_zero`.  ``gap`` is measured on
-    ``grid``.  The floor bounds the rounding of the two RK4 solves at scale
+    g''(0) from :attr:`QuarticDriver.curvature_at_zero`.  ``gap`` is
+    measured on ``grid``.  The floor bounds the rounding of the two RK4 solves at scale
     |c| (the terms of :func:`translation_defect_gate`, once per solve):
     - stepping: one rounding at the scale of |c| per step and two for the
       differences;
@@ -338,7 +337,7 @@ def subadditivity_gate(spec: DeterministicSpec, c: float, grid: TimeGrid, gap: f
     T = 1 the floor is about 4.4e-16, so c above about 1.5e-8 is resolvable
     and a smaller c fails.
     """
-    expected = second_derivative_at_zero(spec.driver) * c * c * spec.horizon
+    expected = spec.driver.curvature_at_zero * c * c * spec.horizon
     eps = sys.float_info.epsilon
     stepping = 2.0 * (grid.n_steps + 2) * eps * (abs(c) + abs(gap))
     floor = stepping + 2.0 * spec.horizon * eps * spec.driver.gamma

@@ -20,13 +20,11 @@ from .optimizer import (
     QuadraticPenaltyDriver,
     QuarticDriver,
     concavity_audit,
-    numeric_second_derivative,
-    second_derivative_at_zero,
-    unconstrained_interval,
 )
 from .properties import (
     DeterministicSpec,
     check_subadditivity,
+    check_translation_invariance,
     theta_expectation,
 )
 from .sde import (
@@ -62,15 +60,26 @@ class CounterexampleReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+def quartic_reduction(lam: float, gamma: float, c: float, horizon: float) -> DeterministicSpec:
+    """Deterministic quartic reduction that both quartic suites value.
+
+    The control set is the driver's interior set at 1 + |c|, so while a value
+    path keeps |y| <= 1 + |c| its argmax is interior and each valuation is
+    that of the problem over all of R.  The sub-additivity guard already
+    stops a path at |y| > 0.5.
+    """
+    if not math.isfinite(c):
+        raise ParameterError(f"c must be finite, got {c}")
+    driver = QuarticDriver(lam, gamma)
+    return DeterministicSpec(driver, driver.interior_set(1.0 + abs(c)), horizon)
+
+
 def run_counterexample(
     lam: float, gamma: float, c: float = 0.1, horizon: float = 1.0, n_steps: int = 1000
 ) -> CounterexampleReport:
     """Deterministic quartic system: curvature and additivity diagnostics."""
-    if not math.isfinite(c):
-        raise ParameterError(f"c must be finite, got {c}")
-    driver = QuarticDriver(lam, gamma)
-    control_set = unconstrained_interval(driver, 1.0 + abs(c))
-    spec = DeterministicSpec(driver, control_set, horizon)
+    spec = quartic_reduction(lam, gamma, c, horizon)
+    driver = spec.driver
     grid = TimeGrid(horizon, n_steps)
 
     sub = check_subadditivity(spec, c, grid)
@@ -83,13 +92,13 @@ def run_counterexample(
         c=c,
         horizon=horizon,
         n_steps=n_steps,
-        curvature_analytic=second_derivative_at_zero(driver),
-        curvature_numeric=numeric_second_derivative(driver),
+        curvature_analytic=driver.curvature_at_zero,
+        curvature_numeric=driver.numeric_curvature(),
         e_zero=sub.e_sum,
         e_plus=e_plus,
         e_minus=e_minus,
         subadditivity_gap=sub.gap,
-        translation_defect=e_plus - (sub.e_sum + c),
+        translation_defect=check_translation_invariance(spec, 0.0, c, grid),
         concavity_modulus=driver.kappa,
         concavity_min_observed=audit.min_modulus,
         concavity_passed=audit.passed,

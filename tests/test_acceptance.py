@@ -29,17 +29,13 @@ from theta_fbsde import (
     check_subadditivity,
     default_grid,
     driver_sup,
-    envelope_derivative,
     feynman_kac_check,
     hausdorff,
     martingale_diagnostics,
     maximize_over,
-    numeric_second_derivative,
     picard_solve,
-    second_derivative_at_zero,
     static_set,
     theta_expectation,
-    unconstrained_interval,
     w2,
     y0_standard_error,
 )
@@ -91,9 +87,9 @@ def test_criterion_2_counterexample_derivatives():
     with criterion(2, "optimized-driver derivatives at the origin"):
         start = time.perf_counter()
         driver = QuarticDriver(2.0, 1.0)
-        uset = unconstrained_interval(driver, 0.01)
+        uset = driver.interior_set(0.01)
         assert driver_sup(uset, driver, DriverState(y=0.0)) == pytest.approx(0.0, abs=1e-12)
-        slope = envelope_derivative(driver, 0.0)
+        slope = driver.envelope_slope(0.0)
         h = 1e-4
         fd = (
             driver_sup(uset, driver, DriverState(y=h))
@@ -101,9 +97,9 @@ def test_criterion_2_counterexample_derivatives():
         ) / (2.0 * h)
         assert abs(slope) <= 1e-6
         assert abs(slope - fd) <= 1e-6
-        curvature = numeric_second_derivative(driver)
-        assert curvature == pytest.approx(second_derivative_at_zero(driver), rel=1e-4)
-        assert second_derivative_at_zero(driver) == pytest.approx(2.0)
+        curvature = driver.numeric_curvature()
+        assert curvature == pytest.approx(driver.curvature_at_zero, rel=1e-4)
+        assert driver.curvature_at_zero == pytest.approx(2.0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -111,7 +107,7 @@ def test_criterion_3_subadditivity_violation():
     with criterion(3, "strict sub-additivity violation"):
         start = time.perf_counter()
         driver = QuarticDriver(2.0, 1.0)
-        spec = DeterministicSpec(driver, unconstrained_interval(driver, 0.2), 1.0)
+        spec = DeterministicSpec(driver, driver.interior_set(0.2), 1.0)
         res = check_subadditivity(spec, 0.1, TimeGrid(1.0, 1000))
         assert abs(res.e_sum) <= 1e-8
         assert 0.015 <= res.split_sum <= 0.025
@@ -125,7 +121,7 @@ def test_criterion_4_translation_defect():
     with criterion(4, "translation-invariance defect"):
         start = time.perf_counter()
         driver = QuarticDriver(2.0, 1.0)
-        spec = DeterministicSpec(driver, unconstrained_interval(driver, 0.2), 1.0)
+        spec = DeterministicSpec(driver, driver.interior_set(0.2), 1.0)
         value, _ = theta_expectation(spec, TimeGrid(1.0, 1000), xi=0.1)
         defect = value - 0.1
         assert 0.008 <= defect <= 0.014
@@ -165,7 +161,7 @@ def test_criterion_6_picard_contraction():
 def test_criterion_7_property_suite():
     with criterion(7, "operator property suite"):
         driver = QuarticDriver(2.0, 1.0)
-        det_spec = DeterministicSpec(driver, unconstrained_interval(driver, 0.3), 1.0)
+        det_spec = DeterministicSpec(driver, driver.interior_set(0.3), 1.0)
         det_grid = TimeGrid(1.0, 1000)
 
         disc = check_dynamic_consistency(det_spec, det_grid, 0.1, 0.5)

@@ -18,6 +18,7 @@ from theta_fbsde import (
     AffineControlDrift,
     ConstantVolatility,
     DeterministicSpec,
+    EmpiricalMeasure,
     LinearF0,
     LinearTerminal,
     ProblemSpec,
@@ -29,7 +30,6 @@ from theta_fbsde import (
     solve_hjb,
     static_set,
     theta_expectation,
-    unconstrained_interval,
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -96,19 +96,21 @@ def test_time_step_error_rate_is_one():
 def test_grid_solver_error_rate_is_one():
     """|v(0, x0) - CLOSED_FORM_Y0| of ``solve_hjb`` on ``default_grid`` at nx 51 to 401.
 
-    The README problem's set is static, so the grid solve needs no measure
-    flow and carries no Monte Carlo noise.  The monotone explicit scheme
-    converges at first order (Barles-Souganidis 1991), and here its error is
+    The README problem's set is static, so the grid solve reads no law from
+    its measure flow (a point law here) and carries no Monte Carlo noise.
+    The monotone explicit scheme converges at first order
+    (Barles-Souganidis 1991), and here its error is
     set by the time step: about 0.043 dt on every grid.  The least-squares
     slope of log error against log dt must lie in [0.9, 1.1]; it read 1.002
     when written.  A change that trades grid accuracy for speed bends it.
     """
     spec = readme_spec()
     target = _workloads()["CLOSED_FORM_Y0"]
+    law = EmpiricalMeasure(np.zeros(1))
     steps, errors = [], []
     for nx in (51, 101, 201, 401):
         grid1d = default_grid(spec, nx=nx)
-        v0 = float(np.interp(1.0, grid1d.xs, solve_hjb(spec, grid1d)[0]))
+        v0 = float(np.interp(1.0, grid1d.xs, solve_hjb(spec, grid1d, lambda t: law)[0]))
         steps.append(grid1d.nt)
         errors.append(abs(v0 - target))
     slope = _slope(np.array(steps), errors)
@@ -119,14 +121,14 @@ def test_grid_solver_error_rate_is_one():
 def test_quartic_rk4_error_rate_is_four():
     """E[0.1] of the quartic reduction at 8, 16 and 32 RK4 steps against 4096.
 
-    lambda = 2, gamma = 1, T = 1 on ``unconstrained_interval(driver, 1.0)``.
+    lambda = 2, gamma = 1, T = 1 on ``driver.interior_set(1.0)``.
     The slope of log error against log h must lie in [3.5, 4.5] and each
     halving of h must cut the error by a factor in [12, 20]; they read 3.996
     and 15.95 when written.  At 64 steps the error (3e-15) nears rounding, so
     the fit stops at 32.
     """
     driver = QuarticDriver(2.0, 1.0)
-    spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), 1.0)
+    spec = DeterministicSpec(driver, driver.interior_set(1.0), 1.0)
     reference, _ = theta_expectation(spec, TimeGrid(1.0, 4096), xi=0.1)
     steps = np.array([8, 16, 32])
     errors = [abs(theta_expectation(spec, TimeGrid(1.0, int(n)), xi=0.1)[0] - reference)

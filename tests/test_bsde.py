@@ -23,7 +23,6 @@ from theta_fbsde import (
     simulate_forward,
     solve_backward,
     solve_deterministic_ode,
-    unconstrained_interval,
 )
 from theta_fbsde import bsde
 from theta_fbsde.bsde import (
@@ -351,7 +350,7 @@ def reference_ode_values(g, xi, horizon, n_steps):
 _QUARTIC = QuarticDriver(2.0, 1.0)
 # the optimized quartic driver, normalized: g(0) = 0
 QUARTIC_G = optimized_driver_fn(
-    DeterministicSpec(_QUARTIC, unconstrained_interval(_QUARTIC, 1.0), 1.0)
+    DeterministicSpec(_QUARTIC, _QUARTIC.interior_set(1.0), 1.0)
 )
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,20 @@ class TestExitCodes:
         partial = json.loads((tmp_path / "o" / "picard_report.json").read_text())
         assert partial["iterations"] == 1
         assert partial["converged"] is False
+
+
+class TestEntryPoint:
+    """The installed ``theta-fbsde`` script calls ``entry``, which exits with ``main``'s code."""
+
+    @pytest.mark.parametrize(
+        "flags, expected", [(["--steps", "50"], 0), (["--bogus", "3"], 1)], ids=["ok", "unknown_flag"]
+    )
+    def test_exit_code_is_mains(self, flags, expected, monkeypatch, capsys):
+        argv = ["counterexample", "--lambda", "2", "--gamma", "1", *flags]
+        monkeypatch.setattr(sys, "argv", ["theta-fbsde", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == expected == main(argv)
 
 
 class TestPicardReportArtifact:
@@ -353,6 +368,16 @@ class TestMalformedInputs:
         # would escape main; outside it, it would print above the failure line
         code = self.run_config_with(command, path, value, tmp_path)
         self.assert_one_line_failure(code, capsys.readouterr().err, 2)
+
+    @pytest.mark.parametrize("command", ["solve", "properties", "application"])
+    def test_state_whose_mean_square_overflows(self, command, tmp_path, capsys):
+        # at sigma = 1e200 the paths are finite but their squares are not, so
+        # the regression cannot standardize them; more particles would not help
+        code = self.run_config_with(command, ("problem", "sigma"), [[1e200]], tmp_path)
+        err = capsys.readouterr().err
+        self.assert_one_line_failure(code, err, 2)
+        assert "mean square overflows" in err
+        assert "particles" not in err
 
     @pytest.mark.parametrize(
         "path, value",
@@ -673,6 +698,25 @@ class TestPropertiesCommand:
         assert reports[-0.1]["failures"] == []
         assert reports[-0.1]["results"]["monotonicity"] == reports[0.1]["results"]["monotonicity"]
         assert reports[-0.1]["results"]["monotonicity"]["margin"] > 0.0
+
+    @pytest.mark.parametrize(
+        "lam, gamma, c", [(2.0, 1.0, 0.1), (3.0, 1.0, -0.2), (4.0, 0.5, 0.05), (1.5, 1.0, 0.3)]
+    )
+    def test_gap_and_defect_equal_the_counterexample_commands(self, lam, gamma, c, tmp_path,
+                                                              capsys):
+        # both suites value one quartic reduction, so they report the same floats
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps({"counterexample": {"lambda": lam, "gamma": gamma, "c": c,
+                                                       "steps": 400}}))
+        assert main(["properties", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main([
+            "counterexample", f"--lambda={lam}", f"--gamma={gamma}", f"--c={c}", "--steps=400",
+            f"--out={tmp_path}",
+        ]) == 0
+        results = json.loads((tmp_path / "property_report.json").read_text())["results"]
+        report = json.loads((tmp_path / "counterexample_report.json").read_text())
+        assert results["subadditivity_violation"]["gap"].hex() == report["subadditivity_gap"].hex()
+        assert results["translation_defect"]["defect"].hex() == report["translation_defect"].hex()
 
     def test_stochastic_martingale_section(self, tmp_path):
         cfg = json.loads(json.dumps(APP_CONFIG))

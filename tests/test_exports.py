@@ -1,4 +1,5 @@
-"""Every function and class the package exports has a reference in the code that ships.
+"""Every function and class the package exports, and every public method and
+property of an exported class, has a reference in the code that ships.
 
 A reference is a name, an attribute, or a string equal to the exported name
 (the benchmark tracer patches functions by name) in a module under ``src/``,
@@ -18,7 +19,10 @@ PACKAGE_INIT = ROOT / "src" / "theta_fbsde" / "__init__.py"
 
 # exported for the paper's claims and checked by tests only; one reason each
 ALLOWED_WITHOUT_CALLER = {
-    "envelope_derivative": "acceptance criterion 2: the optimized quartic's slope at the origin",
+    "QuarticDriver.envelope_slope": "acceptance criterion 2: the optimized quartic's slope at "
+    "the origin",
+    "IntervalUnion.project": "kept public for library users, with its exact-distance tie rule "
+    "documented; the solver's argmax ties within 1e-12 instead",
     "hausdorff": "acceptance criterion 8: checked against a grid oracle",
     "w2": "acceptance criterion 8, and ROADMAP item 2's stability ratios over solved laws",
     "verify_global_assumptions": "ROADMAP item 1b: the application output is to carry its ledger",
@@ -81,23 +85,45 @@ def referenced_names() -> set[str]:
     return found
 
 
-def assert_referenced(kind):
-    uncalled = exported(kind) - referenced_names() - set(ALLOWED_WITHOUT_CALLER)
+def exported_members() -> set[str]:
+    """``Class.member`` for each public method and property an exported class defines itself."""
+    members = set()
+    for name in exported(inspect.isclass):
+        for attr, value in vars(getattr(theta_fbsde, name)).items():
+            routine = isinstance(value, (property, classmethod, staticmethod))
+            if (routine or inspect.isfunction(value)) and not attr.startswith("_"):
+                members.add(f"{name}.{attr}")
+    return members
+
+
+def unreferenced(names) -> set[str]:
+    """The names, or ``Class.member`` entries, whose last part nothing references."""
+    found = referenced_names()
+    return {name for name in names if name.rpartition(".")[2] not in found}
+
+
+def assert_referenced(names):
+    uncalled = unreferenced(names) - set(ALLOWED_WITHOUT_CALLER)
     assert not uncalled, f"exported but referenced nowhere in src/, scripts/ or perfbench/: {sorted(uncalled)}"
 
 
 def test_every_exported_function_has_a_caller():
-    assert_referenced(inspect.isfunction)
+    assert_referenced(exported(inspect.isfunction))
 
 
 def test_every_exported_class_has_a_reference():
-    assert_referenced(inspect.isclass)
+    assert_referenced(exported(inspect.isclass))
+
+
+def test_every_public_member_of_an_exported_class_has_a_reference():
+    assert_referenced(exported_members())
 
 
 def test_allow_list_holds_only_uncalled_functions():
-    assert set(ALLOWED_WITHOUT_CALLER) <= exported(inspect.isfunction) | exported(inspect.isclass)
+    names = exported(inspect.isfunction) | exported(inspect.isclass) | exported_members()
+    assert set(ALLOWED_WITHOUT_CALLER) <= names
     # a name that gained a reference leaves the list
-    called = set(ALLOWED_WITHOUT_CALLER) & referenced_names()
+    called = set(ALLOWED_WITHOUT_CALLER) - unreferenced(ALLOWED_WITHOUT_CALLER)
     assert not called, f"remove from the allow-list, these now have callers: {sorted(called)}"
 
 

@@ -23,12 +23,8 @@ from theta_fbsde import (
     UsageError,
     concavity_audit,
     driver_sup,
-    envelope_derivative,
     maximize_batch,
     maximize_over,
-    numeric_second_derivative,
-    second_derivative_at_zero,
-    unconstrained_interval,
     w2,
 )
 
@@ -668,7 +664,7 @@ class TestDriverSup:
 
 class TestEnvelope:
     def test_derivative_at_origin(self):
-        assert envelope_derivative(QuarticDriver(2.0, 1.0), 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert QuarticDriver(2.0, 1.0).envelope_slope(0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_finite_difference_at_origin(self):
         driver = QuarticDriver(2.0, 1.0)
@@ -677,27 +673,23 @@ class TestEnvelope:
             driver_sup(WIDE, driver, DriverState(y=h))
             - driver_sup(WIDE, driver, DriverState(y=-h))
         ) / (2 * h)
-        assert abs(envelope_derivative(driver, 0.0) - fd) <= 1e-6
+        assert abs(driver.envelope_slope(0.0) - fd) <= 1e-6
 
     def test_value_from_cubic_root(self):
         driver = QuarticDriver(2.0, 1.0)
         root = cubic_root_bisection(2.0, 1.0, 0.1)
-        assert envelope_derivative(driver, 0.1) == pytest.approx(2.0 * (root - 0.1), abs=1e-9)
-
-    def test_rejects_other_families(self):
-        with pytest.raises(UsageError):
-            envelope_derivative(QuadraticPenaltyDriver(kappa=1.0, w0=0.0), 0.0)
+        assert driver.envelope_slope(0.1) == pytest.approx(2.0 * (root - 0.1), abs=1e-9)
 
 
 class TestSecondDerivative:
     @pytest.mark.parametrize("lam,gamma,expected", [(2.0, 1.0, 2.0), (3.0, 1.0, 1.5)])
     def test_closed_form(self, lam, gamma, expected):
-        assert second_derivative_at_zero(QuarticDriver(lam, gamma)) == pytest.approx(expected)
+        assert QuarticDriver(lam, gamma).curvature_at_zero == pytest.approx(expected)
 
     def test_numeric_agreement(self):
         driver = QuarticDriver(2.0, 1.0)
-        numeric = numeric_second_derivative(driver)
-        assert numeric == pytest.approx(second_derivative_at_zero(driver), rel=1e-4)
+        numeric = driver.numeric_curvature()
+        assert numeric == pytest.approx(driver.curvature_at_zero, rel=1e-4)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):

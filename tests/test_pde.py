@@ -19,7 +19,6 @@ from theta_fbsde import (
     QuadraticPenaltyDriver,
     QuadraticTerminal,
     TimeGrid,
-    constant_flow,
     default_grid,
     feynman_kac_check,
     flow_from_solution,
@@ -50,6 +49,14 @@ def grid_problem(
     )
 
 
+# a static set reads no law, so one point law serves every layer of its grid solve
+POINT_LAW = EmpiricalMeasure(np.zeros(1))
+
+
+def static_flow(t):
+    return POINT_LAW
+
+
 def application_problem(horizon=1.0):
     return grid_problem(
         sigma=0.3,
@@ -66,19 +73,19 @@ class TestSolveHjb:
     def test_linear_data_is_invariant(self):
         spec = grid_problem(sigma=1.0, terminal=LinearTerminal(np.array([1.0])))
         grid1d = default_grid(spec, nx=101)
-        surface = solve_hjb(spec, grid1d)
+        surface = solve_hjb(spec, grid1d, static_flow)
         exact = grid1d.xs
         assert np.max(np.abs(surface - exact[None, :])) <= 1e-8
 
     def test_constant_data_is_exact(self):
         spec = grid_problem(sigma=0.8, terminal=ConstantTerminal(2.5))
-        surface = solve_hjb(spec, default_grid(spec, nx=51))
+        surface = solve_hjb(spec, default_grid(spec, nx=51), static_flow)
         assert np.all(surface == 2.5)
 
     def test_cfl_violation_rejected(self):
         spec = grid_problem(sigma=1.0)
         with pytest.raises(GridError):
-            solve_hjb(spec, Grid1D(-3.0, 3.0, 61, 5))
+            solve_hjb(spec, Grid1D(-3.0, 3.0, 61, 5), static_flow)
 
     def test_one_step_truncation_vanishes_on_quadratic_data(self):
         # quadratic space, linear time: both difference quotients are exact,
@@ -86,7 +93,7 @@ class TestSolveHjb:
         dt = 4e-4
         spec = grid_problem(sigma=1.0, terminal=QuadraticTerminal(), horizon=dt)
         grid1d = Grid1D(-3.0, 3.0, 101, 1)
-        surface = solve_hjb(spec, grid1d)
+        surface = solve_hjb(spec, grid1d, static_flow)
         exact = grid1d.xs**2 + dt
         interior = slice(1, -1)
         assert np.max(np.abs(surface[0][interior] - exact[interior])) <= 1e-12
@@ -103,7 +110,7 @@ class TestSolveHjb:
                 sigma=sigma, terminal=CallableTerminal(quartic), horizon=horizon
             )
             grid1d = default_grid(spec, nx=nx, half_width=4.0)
-            surface = solve_hjb(spec, grid1d)
+            surface = solve_hjb(spec, grid1d, static_flow)
             tau = horizon
             exact = 3.0 * sigma**4 * tau**2  # E[(x0 + sigma B_tau)^4] at x0 = 0
             center = np.argmin(np.abs(grid1d.xs))
@@ -123,8 +130,8 @@ class TestSolveHjb:
             terminal=CallableTerminal(bumped),
         )
         grid1d = default_grid(spec_lo, nx=101)
-        v_lo = solve_hjb(spec_lo, grid1d)
-        v_hi = solve_hjb(spec_hi, grid1d)
+        v_lo = solve_hjb(spec_lo, grid1d, static_flow)
+        v_hi = solve_hjb(spec_hi, grid1d, static_flow)
         assert np.all(v_hi >= v_lo - 1e-12)
 
     def test_pointwise_fallback_matches_vectorized_path(self):
@@ -141,13 +148,13 @@ class TestSolveHjb:
             ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
         )
         grid1d = default_grid(spec_fast, nx=61)
-        v_fast = solve_hjb(spec_fast, grid1d)
-        v_slow = solve_hjb(spec_slow, grid1d)
+        v_fast = solve_hjb(spec_fast, grid1d, static_flow)
+        v_slow = solve_hjb(spec_slow, grid1d, static_flow)
         assert np.max(np.abs(v_fast - v_slow)) <= 1e-9
 
     def test_application_value_close_to_closed_form(self):
         spec = application_problem()
-        surface = solve_hjb(spec, default_grid(spec, nx=201))
+        surface = solve_hjb(spec, default_grid(spec, nx=201), static_flow)
         grid1d = default_grid(spec, nx=201)
         v0 = float(np.interp(1.0, grid1d.xs, surface[0]))
         target = np.exp(-0.5) - 0.16 * (np.exp(0.5) - 1.0)

@@ -37,14 +37,13 @@ from theta_fbsde import (
     subadditivity_gate,
     theta_expectation,
     translation_defect_gate,
-    unconstrained_interval,
     y0_standard_error,
 )
 
 
 def quartic_spec(lam=2.0, gamma=1.0, horizon=1.0):
     driver = QuarticDriver(lam, gamma)
-    return DeterministicSpec(driver, unconstrained_interval(driver, 1.0), horizon)
+    return DeterministicSpec(driver, driver.interior_set(1.0), horizon)
 
 
 def linear_driver_spec(slope, horizon=1.0):
@@ -487,7 +486,7 @@ class TestSharedRK4Stepper:
         self.assert_scalar_bits(quartic_spec(lam, gamma), TimeGrid(1.0, steps), xi)
 
     def test_batched_check_equals_the_scalar_loop_on_a_generic_driver(self):
-        uset = unconstrained_interval(QuarticDriver(2.0, 1.0), 1.0)
+        uset = QuarticDriver(2.0, 1.0).interior_set(1.0)
         spec = DeterministicSpec(generic_quartic(2.0, 1.0), uset, 1.0)
         self.assert_scalar_bits(spec, TimeGrid(1.0, 60), 0.2)
 

@@ -27,7 +27,6 @@ from theta_fbsde import (
     solve_hjb,
     static_set,
     theta_expectation,
-    unconstrained_interval,
 )
 from theta_fbsde import sde
 
@@ -166,7 +165,7 @@ class TestStageInputs:
         with pytest.raises(UsageError, match=expected):
             simulate_forward(self.SPEC, grid, constant_controls(grid, n), laws, increments)
         driver = QuarticDriver(2.0, 1.0)
-        deterministic = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), 1.0)
+        deterministic = DeterministicSpec(driver, driver.interior_set(1.0), 1.0)
         with pytest.raises(UsageError, match=expected):
             theta_expectation(deterministic, grid, xi=0.1)
 
@@ -229,7 +228,7 @@ class TestCallableVolatility:
     def test_grid_solver_rejects_it(self):
         _, generic = self.specs(np.array([[0.3]]))
         with pytest.raises(UsageError, match="constant volatility"):
-            solve_hjb(generic, Grid1D(-3.0, 3.0, 61, 5))
+            solve_hjb(generic, Grid1D(-3.0, 3.0, 61, 5), lambda t: EmpiricalMeasure(np.zeros(1)))
 
 
 class TestNoiseStreams:

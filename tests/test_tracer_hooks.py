@@ -109,7 +109,6 @@ def test_deterministic_valuation_reaches_the_hooked_argmax(monkeypatch):
     """
     from theta_fbsde import (
         DeterministicSpec, QuarticDriver, TimeGrid, optimizer, properties, theta_expectation,
-        unconstrained_interval,
     )
 
     assert ("theta_fbsde.properties", "solve_deterministic_ode") in HOOK_TARGETS
@@ -134,7 +133,7 @@ def test_deterministic_valuation_reaches_the_hooked_argmax(monkeypatch):
     monkeypatch.setattr(properties, "solve_deterministic_ode", counted_solve)
     monkeypatch.setattr(optimizer, "maximize_over", counted_maximize)
     driver = QuarticDriver(2.0, 1.0)
-    spec = DeterministicSpec(driver, unconstrained_interval(driver, 1.0), 1.0)
+    spec = DeterministicSpec(driver, driver.interior_set(1.0), 1.0)
     grid = TimeGrid(1.0, 20)
     theta_expectation(spec, grid, xi=0.3)
     assert len(solves) == 1
