@@ -83,9 +83,7 @@ from .sde import (
     write_paths_csv,
 )
 from .uncertainty import (
-    AffineTheta,
     AmbiguityMap,
-    ConstantTheta,
     IntervalUnion,
     hausdorff,
     static_set,

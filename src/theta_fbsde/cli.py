@@ -39,7 +39,7 @@ from .sde import (
     TimeGrid,
     write_paths_csv,
 )
-from .uncertainty import AffineTheta, AmbiguityMap, ConstantTheta, IntervalUnion
+from .uncertainty import AmbiguityMap, IntervalUnion
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,21 +123,20 @@ _F0_FIELDS = {"zero": (), "linear": ("slope",), "table": ("ys", "values")}
 _TERMINAL_FIELDS = {"linear": ("coeffs",), "quadratic": (), "constant": ("value",)}
 
 
-def _build_theta_rule(cfg: dict):
-    kind = _kind(cfg, _THETA_RULE_FIELDS, "constant", "theta_rule")
-    if kind == "constant":
-        return ConstantTheta(_field(cfg, "value", _number, "theta_rule", 0.0))
-    lo, hi = _field(cfg, "bounds", _pair, "theta_rule")
-    alpha = _field(cfg, "alpha", _number, "theta_rule", 0.0)
-    return AffineTheta(alpha, _field(cfg, "beta", _number, "theta_rule", 0.0), lo, hi)
-
-
 def build_ambiguity(cfg: dict) -> AmbiguityMap:
+    """The map of an ``ambiguity`` section; its ``theta_rule`` is ``constant``
+    (``value``) or ``affine`` (``alpha``, ``beta``, ``bounds``)."""
     _reject_unknown(cfg, {"intervals", "theta_rule", "endpoint_shifts"}, "ambiguity")
     base = IntervalUnion(_field(cfg, "intervals", _pairs, "ambiguity"))
     shifts = _field(cfg, "endpoint_shifts", lambda v: tuple(_number(s) for s in v), "ambiguity", ())
-    rule = _build_theta_rule(cfg.get("theta_rule", {}))
-    return AmbiguityMap(base=base, endpoint_shifts=shifts, theta_rule=rule)
+    rule = cfg.get("theta_rule", {})
+    if _kind(rule, _THETA_RULE_FIELDS, "constant", "theta_rule") == "constant":
+        value = _field(rule, "value", _finite, "theta_rule", 0.0)
+        return AmbiguityMap(base, shifts, theta_bounds=(value, value))
+    bounds = _field(rule, "bounds", _pair, "theta_rule")
+    alpha = _field(rule, "alpha", _number, "theta_rule", 0.0)
+    beta = _field(rule, "beta", _number, "theta_rule", 0.0)
+    return AmbiguityMap(base, shifts, alpha=alpha, beta=beta, theta_bounds=bounds)
 
 
 def _build_f0(cfg: dict):

@@ -80,9 +80,7 @@ def _problem_pieces(spec: ProblemSpec):
     return sigma, c0, c1
 
 
-def default_grid(
-    spec: ProblemSpec, *, nx: int = 201, cfl: float = 0.45, half_width: float | None = None
-) -> Grid1D:
+def default_grid(spec: ProblemSpec, *, nx: int = 201, cfl: float = 0.45) -> Grid1D:
     """Grid centered on x0, spanning six noise standard deviations.
 
     The domain is widened to include the drift's stationary means at the
@@ -98,9 +96,7 @@ def default_grid(
         raise GridError(f"cfl must be a finite positive number, got {cfl}")
     sigma, c0, c1 = _problem_pieces(spec)
     x0 = float(spec.x0[0])
-    if half_width is None:
-        half_width = 6.0 * abs(sigma) * math.sqrt(spec.horizon)
-        half_width = max(half_width, 1e-3)
+    half_width = max(6.0 * abs(sigma) * math.sqrt(spec.horizon), 1e-3)
     lo, hi = x0 - half_width, x0 + half_width
     w_lo, w_hi = spec.ambiguity.control_range()
     for w in (w_lo, w_hi):

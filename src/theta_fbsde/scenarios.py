@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import picard_solve
-from .errors import ParameterError, UsageError
+from .errors import ConfigurationError, ParameterError, UsageError
 from .optimizer import (
     LinearF0,
     QuadraticPenaltyDriver,
@@ -71,7 +71,13 @@ def quartic_reduction(lam: float, gamma: float, c: float, horizon: float) -> Det
     if not math.isfinite(c):
         raise ParameterError(f"c must be finite, got {c}")
     driver = QuarticDriver(lam, gamma)
-    return DeterministicSpec(driver, driver.interior_set(1.0 + abs(c)), horizon)
+    try:
+        control_set = driver.interior_set(1.0 + abs(c))
+    except ConfigurationError as exc:  # the set's radius overflowed
+        raise ParameterError(
+            f"c is too large: the control set radius at 1 + |c| = {1.0 + abs(c)} overflows"
+        ) from exc
+    return DeterministicSpec(driver, control_set, horizon)
 
 
 def run_counterexample(

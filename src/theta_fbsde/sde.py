@@ -171,7 +171,6 @@ class QuadraticTerminal:
 @dataclass(frozen=True)
 class CallableTerminal:
     fn: Callable
-    lipschitz: float = math.inf
 
     def __call__(self, x):
         return self.fn(x)

@@ -110,67 +110,28 @@ def _directed(a: IntervalUnion, b: IntervalUnion) -> float:
 
 
 @dataclass(frozen=True)
-class ConstantTheta:
-    """Fixed ambiguity parameter; the law is ignored."""
-
-    value: float = 0.0
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.value, self.value)
-
-    def __call__(self, law: EmpiricalMeasure) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class AffineTheta:
-    """theta = clip(alpha * mean + beta * stddev, lo, hi).
-
-    Clamping keeps theta in a compact range; mean and stddev are both
-    1-Lipschitz under the quadratic transport distance, so the rule is
-    Lipschitz in the law.
-    """
-
-    alpha: float
-    beta: float
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ConfigurationError(
-                f"theta rule weights must be finite, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ConfigurationError("theta bounds must be finite")
-        if self.lo > self.hi:
-            raise ConfigurationError(f"theta bounds out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    def __call__(self, law: EmpiricalMeasure) -> float:
-        mean, std = moments(law)
-        return min(max(self.alpha * mean + self.beta * std, self.lo), self.hi)
-
-
-@dataclass(frozen=True)
 class AmbiguityMap:
     """Law-dependent feasible set: a base union with affine endpoint motion.
 
-    Each endpoint moves as ``base + shift * theta``.  Affine motion keeps the
-    family Lipschitz in theta with respect to the Hausdorff distance, and a
-    disjointness violation anywhere in the theta range would already show at
-    one of the two extremes, which the constructor checks.  When the map
-    :attr:`is_static` (a constant theta, ``lo == hi``, or no shifts),
-    :meth:`realize` returns the set that check built, the same for every law.
+    The ambiguity parameter of a law is
+    ``theta = clip(alpha * mean + beta * stddev, lo, hi)`` with
+    ``(lo, hi) = theta_bounds``.  Mean and stddev are both 1-Lipschitz under
+    the quadratic transport distance, so theta is Lipschitz in the law, and
+    the clamp keeps it in a compact range.  Each endpoint moves as
+    ``base + shift * theta``.  Affine motion keeps the family Lipschitz in
+    theta with respect to the Hausdorff distance, and a disjointness violation
+    anywhere in the theta range would already show at one of the two extremes,
+    which the constructor builds.  When the map :attr:`is_static` (``lo == hi``,
+    so theta is constant, or no shifts), :meth:`realize` returns the first of
+    them, the same for every law, and reads no moments.
     """
 
     base: IntervalUnion
     endpoint_shifts: tuple[float, ...] = ()
-    theta_rule: ConstantTheta | AffineTheta = field(default_factory=ConstantTheta)
+    alpha: float = 0.0
+    beta: float = 0.0
+    theta_bounds: tuple[float, float] = (0.0, 0.0)
+    _extremes: tuple[IntervalUnion, IntervalUnion] = field(init=False, repr=False, compare=False)
     _static: IntervalUnion | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -184,13 +145,19 @@ class AmbiguityMap:
         if not all(math.isfinite(s) for s in shifts):
             raise ConfigurationError("endpoint shifts must be finite")
         object.__setattr__(self, "endpoint_shifts", shifts)
-        extremes = [self.realize_at(theta) for theta in self.theta_bounds]
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ConfigurationError(
+                f"theta rule weights must be finite, got alpha={self.alpha}, beta={self.beta}"
+            )
+        lo, hi = (float(b) for b in self.theta_bounds)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigurationError("theta bounds must be finite")
+        if lo > hi:
+            raise ConfigurationError(f"theta bounds out of order: [{lo}, {hi}]")
+        object.__setattr__(self, "theta_bounds", (lo, hi))
+        object.__setattr__(self, "_extremes", (self.realize_at(lo), self.realize_at(hi)))
         if self.is_static:
-            object.__setattr__(self, "_static", extremes[0])
-
-    @property
-    def theta_bounds(self) -> tuple[float, float]:
-        return self.theta_rule.bounds
+            object.__setattr__(self, "_static", self._extremes[0])
 
     @property
     def is_static(self) -> bool:
@@ -211,7 +178,11 @@ class AmbiguityMap:
 
     def realize(self, law: EmpiricalMeasure) -> IntervalUnion:
         """Set realized for the given law of the value process."""
-        return self._static or self.realize_at(self.theta_rule(law))
+        if self._static is not None:
+            return self._static
+        mean, std = moments(law)
+        lo, hi = self.theta_bounds
+        return self.realize_at(min(max(self.alpha * mean + self.beta * std, lo), hi))
 
     def control_range(self) -> tuple[float, float]:
         """Extreme feasible controls over the whole theta range.
@@ -219,12 +190,7 @@ class AmbiguityMap:
         Endpoints are affine in theta, so the extremes occur at the theta
         bounds.
         """
-        lows, highs = [], []
-        for theta in self.theta_bounds:
-            u = self.realize_at(theta)
-            lows.append(u.lower)
-            highs.append(u.upper)
-        return min(lows), max(highs)
+        return min(u.lower for u in self._extremes), max(u.upper for u in self._extremes)
 
 
 def static_set(intervals) -> AmbiguityMap:

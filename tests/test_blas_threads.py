@@ -21,7 +21,7 @@ SOLVE = """
 import hashlib, json
 import numpy as np
 from theta_fbsde import (
-    AffineControlDrift, AffineTheta, AmbiguityMap, ConstantVolatility, IntervalUnion, LinearF0,
+    AffineControlDrift, AmbiguityMap, ConstantVolatility, IntervalUnion, LinearF0,
     LinearTerminal, ProblemSpec, QuadraticPenaltyDriver, TimeGrid, picard_solve,
 )
 spec = ProblemSpec(
@@ -34,7 +34,7 @@ spec = ProblemSpec(
     ambiguity=AmbiguityMap(
         base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
         endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
-        theta_rule=AffineTheta(alpha=1.0, beta=1.0, lo=-0.5, hi=0.5),
+        alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
     ),
 )
 sol, report = picard_solve(spec, TimeGrid(1.0, 25), 2000, seed=5)

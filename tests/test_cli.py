@@ -115,6 +115,20 @@ class TestEntryPoint:
         assert exc.value.code == expected == main(argv)
 
 
+class TestThetaRuleConfig:
+    """Both ``theta_rule`` kinds build one :class:`AmbiguityMap`."""
+
+    @pytest.mark.parametrize("v", [0.0, 0.4, -0.8])
+    def test_constant_is_affine_with_zero_weights_and_pinned_bounds(self, v):
+        section = {"intervals": [[-2.0, -1.0], [1.0, 2.0]], "endpoint_shifts": [0.5, 0.0, -0.5, 0.5]}
+        constant = cli.build_ambiguity({**section, "theta_rule": {"kind": "constant", "value": v}})
+        affine = cli.build_ambiguity({**section, "theta_rule": {
+            "kind": "affine", "alpha": 0.0, "beta": 0.0, "bounds": [v, v],
+        }})
+        assert constant == affine and constant.is_static
+        assert constant.realize(EmpiricalMeasure(np.array([3.0]))) == affine.realize_at(v)
+
+
 class TestPicardReportArtifact:
     """picard_report.json carries the per-sweep Anderson coefficients."""
 
@@ -173,6 +187,9 @@ MALFORMED = [
     (("problem", "terminal"), "value", 3.0),
     (("problem",), "f0", {"kind": "zero", "slope": 7.0}),
     (("problem", "ambiguity"), "theta_rule", {"kind": "constant", "alpha": 5.0, "bounds": [0, 1]}),
+    (("problem", "ambiguity", "theta_rule"), "value", float("nan")),
+    (("problem", "ambiguity", "theta_rule"), "value", float("inf")),
+    (("problem", "ambiguity", "theta_rule"), "value", float("-inf")),
 ]
 
 
@@ -332,6 +349,21 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         self.assert_one_line_usage_error(code, err)
         assert "'c'" in err
+
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    @pytest.mark.parametrize("command", ["counterexample", "properties"])
+    def test_counterexample_c_too_large(self, command, c, tmp_path, capsys):
+        # finite, but the quartic control set's radius at 1 + |c| overflows
+        if command == "counterexample":
+            argv = ["counterexample", "--lambda", "2", "--gamma", "1", f"--c={c!r}"]
+        else:
+            cfg_path = tmp_path / "props.json"
+            cfg_path.write_text(json.dumps({"counterexample": {"lambda": 2.0, "gamma": 1.0, "c": c}}))
+            argv = ["properties", "--config", str(cfg_path)]
+        code = main([*argv, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert "c is too large" in err
 
     def test_properties_counterexample_divergence(self, tmp_path, capsys):
         cfg_path = tmp_path / "props.json"

@@ -11,10 +11,8 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
-    AffineTheta,
     AmbiguityMap,
     CallableDrift,
-    ConstantTheta,
     ConstantVolatility,
     DriverState,
     ConcavityError,
@@ -73,7 +71,7 @@ def feedback_spec(horizon=0.5):
         ambiguity=AmbiguityMap(
             base=IntervalUnion(((0.5, 1.5),)),
             endpoint_shifts=(1.0, 1.0),
-            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-0.25, hi=0.25),
+            alpha=1.0, beta=0.0, theta_bounds=(-0.25, 0.25),
         ),
     )
 
@@ -136,7 +134,7 @@ def law_shifted_spec():
         ambiguity=AmbiguityMap(
             base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
             endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
-            theta_rule=AffineTheta(alpha=1.0, beta=1.0, lo=-0.5, hi=0.5),
+            alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
         ),
     )
 
@@ -911,7 +909,7 @@ def shifted_quartic_spec(driver=QuarticDriver(2.0, 1.0)):
         ambiguity=AmbiguityMap(
             base=IntervalUnion(((-2.0, -0.5), (0.5, 2.0))),
             endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
-            theta_rule=AffineTheta(alpha=1.0, beta=1.0, lo=-0.5, hi=0.5),
+            alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
         ),
     )
 
@@ -933,7 +931,7 @@ def pinched_spec(driver=QuarticDriver(2.0, 1.0)):
         ambiguity=AmbiguityMap(
             base=IntervalUnion(((-2.0, -1.0), (0.0, 0.4), (1.0, 2.0))),
             endpoint_shifts=(0.0, 0.0, 0.0, -0.4, 0.0, 0.0),
-            theta_rule=AffineTheta(alpha=1.515, beta=0.0, lo=0.0, hi=1.0),
+            alpha=1.515, beta=0.0, theta_bounds=(0.0, 1.0),
         ),
     )
 
@@ -1052,14 +1050,16 @@ class TestStackedControlStage:
     @pytest.mark.parametrize("ambiguity", [
         static_set([(-2.0, -0.5), (0.5, 2.0)]),
         AmbiguityMap(
-            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (0.0, 0.5, -0.5, 0.0), ConstantTheta(0.4)
+            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (0.0, 0.5, -0.5, 0.0),
+            theta_bounds=(0.4, 0.4),
         ),
         AmbiguityMap(
-            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (), AffineTheta(1.0, 1.0, -0.5, 0.5)
+            IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (),
+            alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
         ),
         AmbiguityMap(
             IntervalUnion(((-2.0, -0.5), (0.5, 2.0))), (0.0, 0.5, -0.5, 0.0),
-            AffineTheta(1.0, 1.0, 0.3, 0.3),
+            alpha=1.0, beta=1.0, theta_bounds=(0.3, 0.3),
         ),
     ], ids=["unshifted", "shifted", "affine_unshifted", "affine_pinned"])
     def test_constant_theta_set_is_not_built_again(self, driver, ambiguity, monkeypatch):
@@ -1164,7 +1164,7 @@ class TestRepeatedControls:
         # iterate that is not the second sweep's output, so the sweep runs
         clamped = dataclasses.replace(application_spec(), ambiguity=AmbiguityMap(
             base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))), endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
-            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=0.9, hi=2.0),
+            alpha=1.0, beta=0.0, theta_bounds=(0.9, 2.0),
         ))
         grid = TimeGrid(1.0, 20)
         sol, report = picard_solve(clamped, grid, 400, seed=1)
@@ -1287,6 +1287,19 @@ class TestStaticSetsReadNoMoments:
         assert report.converged
         grid1d = default_grid(spec, nx=41)
         surface = solve_hjb(spec, grid1d, flow_from_solution(grid, sol))
+        assert np.all(np.isfinite(surface))
+
+    def test_pinned_theta_with_shifts_reads_none(self, monkeypatch):
+        # equal theta bounds make a shifted, law-weighted map static
+        self.forbid_moments(monkeypatch)
+        pinned = AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))), endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            alpha=1.0, beta=1.0, theta_bounds=(0.3, 0.3),
+        )
+        spec, grid = dataclasses.replace(application_spec(), ambiguity=pinned), TimeGrid(1.0, 20)
+        sol, report = picard_solve(spec, grid, 400, seed=5)
+        assert report.converged
+        surface = solve_hjb(spec, default_grid(spec, nx=41), flow_from_solution(grid, sol))
         assert np.all(np.isfinite(surface))
 
     def test_a_law_dependent_solve_reads_them(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Every function and class the package exports, and every public method and
-property of an exported class, has a reference in the code that ships.
+property of an exported class, has a reference in the code that ships.  Every
+parameter default of an exported function or class constructor is overridden
+by some call in that code.
 
 A reference is a name, an attribute, or a string equal to the exported name
 (the benchmark tracer patches functions by name) in a module under ``src/``,
@@ -11,6 +13,8 @@ a helper only tests call is dead code.
 import ast
 import inspect
 from pathlib import Path
+
+import pytest
 
 import theta_fbsde
 
@@ -28,6 +32,16 @@ ALLOWED_WITHOUT_CALLER = {
     "verify_global_assumptions": "ROADMAP item 1b: the application output is to carry its ledger",
     "GenericDriver": "the paper's general strongly concave driver: library users build it, "
     "and no config kind reaches it",
+}
+
+# parameters whose default no shipped call overrides; one reason each
+ALLOWED_UNPASSED_DEFAULTS = {
+    "concavity_audit.control_range": "README documents it for library users auditing a driver "
+    "over a wider control range",
+    "check_dynamic_consistency.n_particles": "ROADMAP item 9 gives the stochastic branch a caller",
+    "check_dynamic_consistency.seed": "ROADMAP item 9 gives the stochastic branch a caller",
+    "check_monotonicity.n_particles": "ROADMAP item 9 gives the stochastic branch a caller",
+    "check_monotonicity.seed": "ROADMAP item 9 gives the stochastic branch a caller",
 }
 
 
@@ -125,6 +139,84 @@ def test_allow_list_holds_only_uncalled_functions():
     # a name that gained a reference leaves the list
     called = set(ALLOWED_WITHOUT_CALLER) - unreferenced(ALLOWED_WITHOUT_CALLER)
     assert not called, f"remove from the allow-list, these now have callers: {sorted(called)}"
+
+
+def shipped_calls() -> list[ast.Call]:
+    calls = []
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return calls
+
+
+def called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def passed_parameters(signature: inspect.Signature, call: ast.Call) -> set[str]:
+    """Parameters a call passes, by position, by keyword, or through ``*`` or ``**``."""
+    params = list(signature.parameters.values())
+    positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    passed = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed.update(positional[i:])
+            break
+        passed.update(positional[i:i + 1])
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            passed.update(p.name for p in params if p.kind != p.POSITIONAL_ONLY)
+        else:
+            passed.add(keyword.arg)
+    return passed
+
+
+def unpassed_defaults(calls) -> set[str]:
+    """``name.parameter`` for each default of an exported function or class
+    constructor that no call in ``calls`` passes."""
+    unpassed = set()
+    for name in exported(lambda obj: inspect.isfunction(obj) or inspect.isclass(obj)):
+        try:
+            signature = inspect.signature(getattr(theta_fbsde, name))
+        except (TypeError, ValueError):  # a builtin constructor without a signature
+            continue
+        passed = set()
+        for call in calls:
+            if called_name(call) == name:
+                passed |= passed_parameters(signature, call)
+        unpassed |= {
+            f"{name}.{p.name}" for p in signature.parameters.values()
+            if p.default is not p.empty and p.name not in passed
+        }
+    return unpassed
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    unpassed = unpassed_defaults(shipped_calls()) - set(ALLOWED_UNPASSED_DEFAULTS)
+    assert not unpassed, f"defaults no call in src/, scripts/ or perfbench/ overrides: {sorted(unpassed)}"
+
+
+def test_default_allow_list_holds_only_unpassed_defaults():
+    # a default that some call now passes leaves the list
+    assert set(ALLOWED_UNPASSED_DEFAULTS) <= unpassed_defaults(shipped_calls())
+
+
+@pytest.mark.parametrize("source, passed", [
+    ("f(1, 2)", {"a", "b"}),
+    ("f(1, c=3)", {"a", "c"}),
+    ("f(*args)", {"a", "b", "c"}),
+    ("f(1, *args)", {"a", "b", "c"}),
+    ("f(**options)", {"a", "b", "c", "d"}),
+    ("f()", set()),
+])
+def test_a_call_passes_by_position_keyword_or_unpacking(source, passed):
+    def f(a, b=1, c=2, *, d=3):
+        pass
+
+    call = ast.parse(source).body[0].value
+    assert passed_parameters(inspect.signature(f), call) == passed
 
 
 def test_own_definition_is_not_a_reference():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_fbsde import (
-    AffineTheta,
     AmbiguityMap,
     EmpiricalMeasure,
     IntervalUnion,
@@ -145,7 +144,7 @@ class TestMoments:
         ambiguity = AmbiguityMap(
             base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
             endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
-            theta_rule=AffineTheta(1.0, 1.0, -0.5, 0.5),
+            alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
         )
         rng = np.random.default_rng(3)
         laws = [EmpiricalMeasure(rng.standard_normal(50)) for _ in range(3)]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from theta_fbsde import optimizer
 from theta_fbsde import (
-    AffineTheta,
     AmbiguityMap,
     ConcavityError,
     DriverState,
@@ -283,7 +282,7 @@ class TestMaximizeBatch:
 PINCHED = AmbiguityMap(
     base=IntervalUnion(((-2.0, -1.0), (0.0, 0.4), (1.0, 2.0))),
     endpoint_shifts=(0.0, 0.0, 0.0, -0.4, 0.0, 0.0),
-    theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=0.0, hi=1.0),
+    alpha=1.0, beta=0.0, theta_bounds=(0.0, 1.0),
 )
 
 
@@ -787,7 +786,7 @@ class TestArgmaxStability:
         ambiguity = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
             endpoint_shifts=(1.0, 1.0),
-            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-3.0, hi=3.0),
+            alpha=1.0, beta=0.0, theta_bounds=(-3.0, 3.0),
         )
         driver = QuadraticPenaltyDriver(kappa=1.0, w0=0.5)
         samples = np.random.default_rng(1).uniform(-2.0, 2.0, size=(300, 2, 8))

@@ -3,7 +3,6 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
-    AffineTheta,
     AmbiguityMap,
     CallableTerminal,
     ConstantTerminal,
@@ -19,6 +18,7 @@ from theta_fbsde import (
     QuadraticPenaltyDriver,
     QuadraticTerminal,
     TimeGrid,
+    check_stability,
     default_grid,
     feynman_kac_check,
     flow_from_solution,
@@ -105,11 +105,13 @@ class TestSolveHjb:
             return x[:, 0] ** 4
 
         errors = []
-        for nx in (101, 201):
+        # sigma^2 dt / dx^2 = 0.449 on both grids
+        for nx, nt in ((101, 87), (201, 348)):
             spec = grid_problem(
                 sigma=sigma, terminal=CallableTerminal(quartic), horizon=horizon
             )
-            grid1d = default_grid(spec, nx=nx, half_width=4.0)
+            grid1d = Grid1D(-4.0, 4.0, nx, nt)
+            check_stability(spec, grid1d)
             surface = solve_hjb(spec, grid1d, static_flow)
             tau = horizon
             exact = 3.0 * sigma**4 * tau**2  # E[(x0 + sigma B_tau)^4] at x0 = 0
@@ -218,7 +220,7 @@ class TestLawsRealizedOnce:
             ambiguity=AmbiguityMap(
                 base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
                 endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
-                theta_rule=AffineTheta(1.0, 1.0, -0.5, 0.5),
+                alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
             ),
         )
         fbsde_grid = TimeGrid(1.0, 5)

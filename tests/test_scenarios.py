@@ -3,7 +3,6 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
-    AffineTheta,
     AmbiguityMap,
     ConstantVolatility,
     EmpiricalMeasure,
@@ -31,7 +30,7 @@ TWO_REGIME = IntervalUnion(((-2.0, -1.0), (1.0, 2.0)))
 MEAN_FEEDBACK = AmbiguityMap(
     base=IntervalUnion(((1.0, 2.0),)),
     endpoint_shifts=(0.5, 0.5),
-    theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-0.4, hi=0.4),
+    alpha=1.0, beta=0.0, theta_bounds=(-0.4, 0.4),
 )
 
 

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from theta_fbsde import (
-    AffineTheta,
     AmbiguityMap,
     ConfigurationError,
-    ConstantTheta,
     DriverState,
     EmpiricalMeasure,
     IntervalUnion,
@@ -217,7 +215,7 @@ class TestAmbiguityMap:
         m = AmbiguityMap(
             base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
             endpoint_shifts=(0.0, 0.5, -0.5, 0.0),
-            theta_rule=ConstantTheta(0.4),
+            theta_bounds=(0.4, 0.4),
         )
         u = m.realize(EmpiricalMeasure(np.array([3.0])))
         assert u is m.realize(EmpiricalMeasure(np.array([-1.0, 2.0])))
@@ -228,7 +226,7 @@ class TestAmbiguityMap:
         m = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
             endpoint_shifts=(0.0, 0.0),
-            theta_rule=AffineTheta(alpha=0.0, beta=0.0, lo=0.0, hi=0.0),
+            alpha=0.0, beta=0.0, theta_bounds=(0.0, 0.0),
         )
         u = m.realize(EmpiricalMeasure(np.array([42.0])))
         assert u.intervals == ((0.0, 1.0),)
@@ -237,7 +235,7 @@ class TestAmbiguityMap:
         m = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
             endpoint_shifts=(1.0, 1.0),
-            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-5.0, hi=5.0),
+            alpha=1.0, beta=0.0, theta_bounds=(-5.0, 5.0),
         )
         u = m.realize(EmpiricalMeasure(np.array([1.0, 1.0, 1.0])))
         assert u.intervals == ((1.0, 2.0),)
@@ -247,7 +245,7 @@ class TestAmbiguityMap:
             AmbiguityMap(
                 base=IntervalUnion(((0.0, 1.0), (1.5, 2.0))),
                 endpoint_shifts=(0.0, 1.0, 0.0, 0.0),
-                theta_rule=ConstantTheta(2.0),
+                theta_bounds=(2.0, 2.0),
             )
 
     @pytest.mark.parametrize(
@@ -255,7 +253,9 @@ class TestAmbiguityMap:
     )
     def test_non_finite_theta_weights_rejected(self, alpha, beta):
         with pytest.raises(ConfigurationError, match="weights must be finite"):
-            AffineTheta(alpha=alpha, beta=beta, lo=-1.0, hi=1.0)
+            AmbiguityMap(
+                IntervalUnion(((0.0, 1.0),)), alpha=alpha, beta=beta, theta_bounds=(-1.0, 1.0)
+            )
 
     def test_wrong_shift_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -268,7 +268,7 @@ class TestAmbiguityMap:
         m = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
             endpoint_shifts=(1.0, 1.0),
-            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-1.0, hi=1.0),
+            alpha=1.0, beta=0.0, theta_bounds=(-1.0, 1.0),
         )
         u = m.realize(EmpiricalMeasure(np.array([100.0])))
         assert u.intervals == ((1.0, 2.0),)
@@ -277,7 +277,7 @@ class TestAmbiguityMap:
         m = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
             endpoint_shifts=(1.0, 1.0),
-            theta_rule=AffineTheta(alpha=1.0, beta=0.0, lo=-1.0, hi=2.0),
+            alpha=1.0, beta=0.0, theta_bounds=(-1.0, 2.0),
         )
         assert m.control_range() == (-1.0, 3.0)
 
@@ -285,10 +285,45 @@ class TestAmbiguityMap:
         m = AmbiguityMap(
             base=IntervalUnion(((0.0, 1.0),)),
             endpoint_shifts=(1.0, 1.0),
-            theta_rule=AffineTheta(alpha=0.0, beta=1.0, lo=-5.0, hi=5.0),
+            alpha=0.0, beta=1.0, theta_bounds=(-5.0, 5.0),
         )
         tight = m.realize(EmpiricalMeasure(np.array([3.0, 3.0, 3.0])))
         wide = m.realize(EmpiricalMeasure(np.array([-2.0, 0.0, 2.0])))
         assert tight.intervals == ((0.0, 1.0),)
         spread = float(np.std([-2.0, 0.0, 2.0]))
         assert wide.intervals == ((spread, 1.0 + spread),)
+
+    def test_law_dependent_endpoints_follow_the_written_out_rule(self):
+        # the law-dependent benchmark map: theta = clip(mean + std, -0.5, 0.5)
+        m = AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+            endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            alpha=1.0, beta=1.0, theta_bounds=(-0.5, 0.5),
+        )
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            law = EmpiricalMeasure(rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.6), 64))
+            mean, std = float(np.mean(law.samples)), float(np.std(law.samples))
+            theta = min(max(1.0 * mean + 1.0 * std, -0.5), 0.5)
+            assert m.realize(law).intervals == (
+                (-2.0 + 0.5 * theta, -1.0 + 0.5 * theta), (1.0 + 0.5 * theta, 2.0 + 0.5 * theta)
+            )
+
+    def test_equal_theta_bounds_make_a_static_map(self):
+        m = AmbiguityMap(
+            base=IntervalUnion(((-2.0, -1.0), (1.0, 2.0))),
+            endpoint_shifts=(0.5, 0.5, 0.5, 0.5),
+            alpha=1.0, beta=1.0, theta_bounds=(0.3, 0.3),
+        )
+        assert m.is_static
+        u = m.realize(EmpiricalMeasure(np.array([5.0, -3.0])))
+        assert u is m.realize(EmpiricalMeasure(np.array([0.0]))) and u == m.realize_at(0.3)
+
+    @pytest.mark.parametrize("bounds", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_non_finite_theta_bounds_rejected(self, bounds):
+        with pytest.raises(ConfigurationError, match="theta bounds must be finite"):
+            AmbiguityMap(IntervalUnion(((0.0, 1.0),)), theta_bounds=bounds)
+
+    def test_theta_bounds_out_of_order_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"out of order: \[0.5, -0.5\]"):
+            AmbiguityMap(IntervalUnion(((0.0, 1.0),)), theta_bounds=(0.5, -0.5))
