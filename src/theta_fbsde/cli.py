@@ -185,8 +185,7 @@ _SOLVER_FLAGS = ("particles", "steps", "seed", "tol", "max_iter")
 def _solver_params(cfg: dict, args) -> dict:
     defaults = {
         "particles": (_integer, 10_000), "steps": (_integer, 100), "seed": (_integer, 0),
-        "tol": (_number, 1e-6), "max_iter": (_integer, 50), "beta": (_number, 1.0),
-        "damping": (_number, 1.0),
+        "tol": (_number, 1e-6), "max_iter": (_integer, 50), "damping": (_number, 1.0),
     }
     _reject_unknown(cfg, set(defaults), "solver")
     params = {
@@ -202,7 +201,7 @@ def _solver_params(cfg: dict, args) -> dict:
 
 def _picard_options(params: dict) -> dict:
     """The fixed-point options of :func:`picard_solve` among the solver parameters."""
-    return {name: params[name] for name in ("tol", "max_iter", "beta", "damping")}
+    return {name: params[name] for name in ("tol", "max_iter", "damping")}
 
 
 def _configured(cfg: dict, args):
@@ -312,7 +311,7 @@ def _pde_grid(spec: ProblemSpec, pde_cfg: dict) -> Grid1D:
     """The grid of a ``"pde"`` section, checked to hold ``x0`` and be stable before any solve.
 
     ``nt``, ``x_min`` and ``x_max`` come together with ``nx`` (an explicit
-    grid) or not at all (the default grid, built from ``nx`` and ``cfl``).
+    grid) or not at all (the default grid, built from ``nx``).
     """
     if {"nt", "x_min", "x_max"} & set(pde_cfg):
         missing = sorted({"nx", "nt", "x_min", "x_max"} - set(pde_cfg))
@@ -320,15 +319,12 @@ def _pde_grid(spec: ProblemSpec, pde_cfg: dict) -> Grid1D:
             raise UsageError(
                 f"an explicit pde grid needs nx, nt, x_min and x_max; missing {', '.join(missing)}"
             )
-        if "cfl" in pde_cfg:
-            raise UsageError("cfl sets the default pde grid only; drop it or nt, x_min and x_max")
         grid1d = Grid1D(
             _field(pde_cfg, "x_min", _number, "pde"), _field(pde_cfg, "x_max", _number, "pde"),
             _field(pde_cfg, "nx", _integer, "pde"), _field(pde_cfg, "nt", _integer, "pde"),
         )
     else:
-        nx = _field(pde_cfg, "nx", _integer, "pde", 201)
-        grid1d = default_grid(spec, nx=nx, cfl=_field(pde_cfg, "cfl", _number, "pde", 0.45))
+        grid1d = default_grid(spec, nx=_field(pde_cfg, "nx", _integer, "pde", 201))
     check_contains_x0(spec, grid1d)
     check_stability(spec, grid1d)
     return grid1d
@@ -338,7 +334,7 @@ def _cmd_pde_check(args) -> int:
     cfg = _load_config(args.config)
     _reject_unknown(cfg, {"problem", "solver", "pde"}, "config")
     pde_cfg = cfg.get("pde", {})
-    _reject_unknown(pde_cfg, {"nx", "nt", "x_min", "x_max", "cfl"}, "pde")
+    _reject_unknown(pde_cfg, {"nx", "nt", "x_min", "x_max"}, "pde")
     spec, grid, params = _configured(cfg, args)
     grid1d = _pde_grid(spec, pde_cfg)
     sol, _ = _solve(spec, grid, params)

@@ -42,7 +42,6 @@ class PicardReport:
     iterations: int = 0
     deltas: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
-    beta: float = 1.0
     converged: bool = False
     tie_events: int = 0
     # per sweep: the Anderson coefficient of the step that followed it, 0.0
@@ -60,21 +59,20 @@ class PicardReport:
         return asdict(self)
 
 
-def weighted_delta(
-    dX: np.ndarray, dY: np.ndarray, dZ: np.ndarray, beta: float, dt: float
-) -> float:
+def weighted_delta(dX: np.ndarray, dY: np.ndarray, dZ: np.ndarray, dt: float) -> float:
     """Discrete weighted norm of an iterate difference.
 
-    Max over nodes of the particle mean of |dX|^2, plus beta times the same
-    for |dY|^2 and the time sum of mean |dZ|^2 dt over the stepped nodes.
-    The squares are summed per node by ``einsum``, so no array of the
-    iterates' size is allocated.
+    The square root of the max over nodes of the particle mean of |dX|^2,
+    plus the same for |dY|^2, plus the time sum of mean |dZ|^2 dt over the
+    stepped nodes.  The squares are summed per node by ``einsum``, so no
+    array of the iterates' size is allocated.
     """
     n = dY.shape[1]
     x_part = float(np.max(np.einsum("ink,ink->i", dX, dX))) / n
     y_part = float(np.max(np.einsum("in,in->i", dY, dY))) / n
     z_part = float(np.sum(np.einsum("ink,ink->i", dZ[:-1], dZ[:-1]))) / n * dt
-    return math.sqrt(x_part + beta * (y_part + z_part))
+    # Y and Z first: the grouping fixes the rounding of every recorded delta
+    return math.sqrt(x_part + (y_part + z_part))
 
 
 def _node_laws(Y: np.ndarray) -> list[EmpiricalMeasure]:
@@ -222,7 +220,6 @@ def picard_solve(
     seed: int = 0,
     tol: float = 1e-6,
     max_iter: int = 50,
-    beta: float = 1.0,
     damping: float = 1.0,
 ) -> tuple[SolutionPaths, PicardReport]:
     """Iterate the three-stage sweep to a fixed point.
@@ -255,8 +252,6 @@ def picard_solve(
         raise UsageError("max_iter must be at least 1")
     if not 0.0 < damping <= 1.0:
         raise UsageError("damping must lie in (0, 1]")
-    if not (math.isfinite(beta) and beta > 0):
-        raise UsageError(f"beta must be a finite positive number, got {beta}")
     basis_size = math.comb(spec.state_dim + REGRESSION_DEGREE, REGRESSION_DEGREE)
     if n_particles < basis_size:
         raise UsageError(
@@ -265,14 +260,14 @@ def picard_solve(
     k = max(spec.state_dim, spec.noise_dim)
     check_array_size((grid.n_nodes, n_particles, k), "the particles' paths")
 
-    key = (grid, n_particles, seed, tol, max_iter, beta, damping)
+    key = (grid, n_particles, seed, tol, max_iter, damping)
     held_key, sol_ref, held_report = _held.get(spec, (None, None, None))
     if held_key == key and (sol := sol_ref()) is not None:
         return sol, held_report.copy()
 
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = _initial_state(spec, grid, n_particles)
-    report = PicardReport(beta=beta)
+    report = PicardReport()
     state_free = _state_free(spec)
     # A state-free sweep reads its iterate only through the laws of Y, so Y
     # alone is the map's input and is mixed; r_prev and w are the last
@@ -304,7 +299,7 @@ def picard_solve(
             # of its samples), so they become the undamped steps.
             for step, nxt in zip((X, Y, Z), new):
                 np.subtract(nxt, step, out=step)
-            delta = damping * weighted_delta(X, Y, Z, beta, grid.dt)
+            delta = damping * weighted_delta(X, Y, Z, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         report.mixing.append(0.0)

@@ -80,20 +80,23 @@ def _problem_pieces(spec: ProblemSpec):
     return sigma, c0, c1
 
 
-def default_grid(spec: ProblemSpec, *, nx: int = 201, cfl: float = 0.45) -> Grid1D:
+# The default grid keeps its diffusion and advection stability ratios below
+# this, under check_stability's 0.5.
+DEFAULT_GRID_CFL = 0.45
+
+
+def default_grid(spec: ProblemSpec, *, nx: int = 201) -> Grid1D:
     """Grid centered on x0, spanning six noise standard deviations.
 
     The domain is widened to include the drift's stationary means at the
     extreme controls, and the step count is chosen so both the diffusion and
-    the advection stability ratios stay below ``cfl``.  Needs ``nx >= 3`` and
-    a finite positive ``cfl``; raises :class:`GridError` where the problem's
-    scales overflow the step count.
+    the advection stability ratios stay below ``DEFAULT_GRID_CFL``.  Needs
+    ``nx >= 3``; raises :class:`GridError` where the problem's scales
+    overflow the step count.
     """
     if nx < 3:
         raise GridError("need at least three space nodes")
     check_array_size((nx,), "the space grid", GridError)
-    if not (math.isfinite(cfl) and cfl > 0):
-        raise GridError(f"cfl must be a finite positive number, got {cfl}")
     sigma, c0, c1 = _problem_pieces(spec)
     x0 = float(spec.x0[0])
     half_width = max(6.0 * abs(sigma) * math.sqrt(spec.horizon), 1e-3)
@@ -110,8 +113,8 @@ def default_grid(spec: ProblemSpec, *, nx: int = 201, cfl: float = 0.45) -> Grid
     x_abs = max(abs(lo), abs(hi))
     b_max = abs(c0) + abs(c1) * max(abs(1 + 3 * w_lo), abs(1 + 3 * w_hi)) * x_abs
     # a sigma whose square underflows sets no diffusion limit, as sigma = 0
-    dt_diff = cfl * dx * dx / (sigma * sigma) if sigma * sigma != 0.0 else math.inf
-    dt_adv = cfl * dx / b_max if b_max > 0 else math.inf
+    dt_diff = DEFAULT_GRID_CFL * dx * dx / (sigma * sigma) if sigma * sigma != 0.0 else math.inf
+    dt_adv = DEFAULT_GRID_CFL * dx / b_max if b_max > 0 else math.inf
     dt_cap = min(dt_diff, dt_adv, spec.horizon)
     steps = spec.horizon / dt_cap if dt_cap > 0 else math.inf
     if not math.isfinite(steps):

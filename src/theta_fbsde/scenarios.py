@@ -169,7 +169,7 @@ def run_application(
     """Solve the system on its set and on the set's convex hull, and compare.
 
     ``solver`` holds the keyword arguments of :func:`picard_solve` (``tol``,
-    ``max_iter``, ``beta``, ``damping``) and reaches both solves.  The hull
+    ``max_iter``, ``damping``) and reaches both solves.  The hull
     comparison is defined for static ambiguity; a law-dependent map has no
     single convexification.  Each reported control is its solve's own: the
     quadratic penalty driver's argmax reads no state and the set is static,

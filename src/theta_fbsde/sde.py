@@ -84,14 +84,9 @@ class AffineControlDrift:
 
 @dataclass(frozen=True)
 class CallableDrift:
-    """Generic drift (t, x, a, mu) -> (n, k) with a declared Lipschitz bound."""
+    """Generic drift (t, x, a, mu) -> (n, k)."""
 
     fn: Callable
-    lipschitz: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.lipschitz):
-            raise ConfigurationError("a finite Lipschitz bound must be declared for generic drift")
 
     def __call__(self, t, x, a, mu):
         return self.fn(t, x, a, mu)
@@ -121,15 +116,12 @@ class ConstantVolatility:
 
 @dataclass(frozen=True)
 class CallableVolatility:
-    """Generic volatility (t, x, a, mu) -> (n, k, d) with a declared bound."""
+    """Generic volatility (t, x, a, mu) -> (n, k, d)."""
 
     fn: Callable
-    lipschitz: float
     noise_dim: int
 
     def __post_init__(self):
-        if not math.isfinite(self.lipschitz):
-            raise ConfigurationError("a finite Lipschitz bound must be declared for generic volatility")
         if isinstance(self.noise_dim, bool) or not isinstance(self.noise_dim, numbers.Integral):
             raise ConfigurationError(f"noise dimension must be an integer, got {self.noise_dim!r}")
         if self.noise_dim < 1:
@@ -150,10 +142,6 @@ class LinearTerminal:
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("terminal coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
     def __call__(self, x):
         # np.dot, not @: see simulate_forward

@@ -35,6 +35,7 @@ from theta_fbsde import (
     maximize_over,
     picard_solve,
     static_set,
+    subadditivity_gate,
     theta_expectation,
     w2,
     y0_standard_error,
@@ -110,8 +111,8 @@ def test_criterion_3_subadditivity_violation():
         spec = DeterministicSpec(driver, driver.interior_set(0.2), 1.0)
         res = check_subadditivity(spec, 0.1, TimeGrid(1.0, 1000))
         assert abs(res.e_sum) <= 1e-8
-        assert 0.015 <= res.split_sum <= 0.025
-        assert res.gap > 0.0
+        assert 0.015 <= res.gap <= 0.025
+        assert subadditivity_gate(spec, 0.1, TimeGrid(1.0, 1000), res.gap)["passed"]
         refined = check_subadditivity(spec, 0.1, TimeGrid(1.0, 2000))
         assert abs(res.gap - refined.gap) <= 1e-9
         assert time.perf_counter() - start < 1.0

@@ -173,13 +173,14 @@ MALFORMED = [
     (("solver",), "particles", 1e18),
     (("solver",), "tol", float("nan")),
     (("solver",), "tol", float("inf")),
-    (("solver",), "beta", float("inf")),
     (("problem",), "w0", float("nan")),
     (("problem",), "w0", float("inf")),
     (("problem",), "w0", float("-inf")),
     (("problem",), "kappa", float("inf")),
     (("problem", "f0"), "slope", float("nan")),
+    # fields the solver does not have
     (("solver",), "threads", 2),
+    (("solver",), "beta", float("inf")),
     (("problem", "ambiguity"), "intervals", [[1.0]]),
     (("problem",), "C0", "abc"),
     (("problem", "terminal"), "coeffs", [1.0, 2.0]),
@@ -226,6 +227,7 @@ NOT_NUMBERS = [
     ("solve", ("problem", "ambiguity"), "endpoint_shifts", [0.0, 0.0, 0.0, "0"]),
     ("solve", ("problem", "ambiguity", "theta_rule"), "bounds", [False, True]),
     ("properties", ("counterexample",), "lambda", "2"),
+    # no pde field: refused by name before its type is read
     ("pde-check", ("pde",), "cfl", "0.4"),
 ]
 NOT_NUMBER_BASES = {
@@ -256,7 +258,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "path,key,value", MALFORMED, ids=[f"{k}={v!r}" for _, k, v in MALFORMED]
     )
-    def test_config_value(self, path, key, value, tmp_path, capsys):
+    def test_config_value(self, path, key, value, tmp_path, monkeypatch, capsys):
         cfg = json.loads(json.dumps(APP_CONFIG))
         section = cfg
         for name in path:
@@ -264,10 +266,15 @@ class TestMalformedInputs:
         section[key] = value
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
+        # a particle solve draws its noise first; picard_solve itself validates some fields
+        draws = []
+        draw = coupling.brownian_increments
+        monkeypatch.setattr(coupling, "brownian_increments", lambda *a: draws.append(a) or draw(*a))
         code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         self.assert_one_line_usage_error(code, err)
         assert key in err or "particles" in err
+        assert draws == []
         if isinstance(value, dict):
             assert any(f"'{field}'" in err for field in value if field != "kind")
 
@@ -445,24 +452,25 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "pde",
         [
-            {"cfl": float("nan")}, {"cfl": 0}, {"cfl": -0.3}, {"cfl": float("inf")},
             {"nx": 0}, {"nx": 1}, {"nx": 2},
             {"nx": 3, "nt": 10, "x_min": 0.0, "x_max": float("inf")},
             # a value surface of more bytes than numpy can index
             {"nx": 1e20}, {"nx": 1e18}, {"nx": 51, "nt": 1e20, "x_min": 0.0, "x_max": 2.0},
             # the explicit scheme's stability ratio, checked where the grid is built
-            {"cfl": 0.9},
             {"nx": 201, "nt": 10, "x_min": -1.0, "x_max": 3.0},
             # settings the chosen grid would not use
             {"nt": 1}, {"x_min": 0.0}, {"nx": 51, "nt": 400, "x_min": 0.0},
-            {"nx": 51, "nt": 400, "x_min": 0.0, "x_max": 2.0, "cfl": 0.4},
             # a box without x0 = 1, where the grid value would be clamped to an edge
             {"nx": 41, "nt": 2000, "x_min": 5.0, "x_max": 6.0},
+            # the default grid's stability ratio is fixed: cfl is no pde field
+            {"cfl": float("nan")}, {"cfl": 0}, {"cfl": -0.3}, {"cfl": float("inf")},
+            {"cfl": 0.9}, {"nx": 51, "nt": 400, "x_min": 0.0, "x_max": 2.0, "cfl": 0.4},
         ],
         ids=[
-            "cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "nx=0", "nx=1", "nx=2", "x_max=inf",
-            "nx=1e20", "nx=1e18", "nt=1e20", "cfl=0.9", "explicit_nt_too_small", "partial_nt", "partial_x_min",
-            "partial_no_x_max", "cfl_with_explicit_grid", "box_without_x0",
+            "nx=0", "nx=1", "nx=2", "x_max=inf", "nx=1e20", "nx=1e18", "nt=1e20",
+            "explicit_nt_too_small", "partial_nt", "partial_x_min", "partial_no_x_max",
+            "box_without_x0", "cfl=nan", "cfl=0", "cfl=-0.3", "cfl=inf", "cfl=0.9",
+            "cfl_with_explicit_grid",
         ],
     )
     def test_pde_grid_rejected_before_the_solve(self, pde, tmp_path, monkeypatch, capsys):
@@ -473,7 +481,9 @@ class TestMalformedInputs:
         solves = []
         monkeypatch.setattr(cli, "picard_solve", lambda *args, **kwargs: solves.append(args))
         code = main(["pde-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-        self.assert_one_line_usage_error(code, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        self.assert_one_line_usage_error(code, err)
+        assert ("unknown field 'cfl'" in err) == ("cfl" in pde)
         assert solves == []
 
     @pytest.mark.parametrize("box", [(1.0, 3.0), (-1.0, 1.0)], ids=["x_min=x0", "x_max=x0"])

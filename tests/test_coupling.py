@@ -110,7 +110,6 @@ def amplifier_spec():
     """Mean feedback in the drift strong enough that the sweeps never contract."""
     amplifier = CallableDrift(
         fn=lambda t, x, a, mu: 3.0 * float(np.mean(mu.samples)) + 0.0 * x,
-        lipschitz=3.0,
     )
     return ProblemSpec(
         horizon=4.0,
@@ -139,15 +138,15 @@ def law_shifted_spec():
     )
 
 
-def reference_weighted_delta(dX, dY, dZ, beta, dt):
+def reference_weighted_delta(dX, dY, dZ, dt):
     x_part = float(np.max(np.mean(np.sum(dX * dX, axis=2), axis=1)))
     y_part = float(np.max(np.mean(dY * dY, axis=1)))
     z_part = float(np.sum(np.mean(np.sum(dZ[:-1] * dZ[:-1], axis=2), axis=1))) * dt
-    return math.sqrt(x_part + beta * (y_part + z_part))
+    return math.sqrt(x_part + (y_part + z_part))
 
 
 def reference_picard_solve(
-    spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0, damping=1.0
+    spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, damping=1.0
 ):
     """The engine's sweep loop with an out-of-place damped update.
 
@@ -161,7 +160,7 @@ def reference_picard_solve(
     X = np.tile(spec.x0, (grid.n_nodes, n_particles, 1))
     Y = np.full((grid.n_nodes, n_particles), spec.terminal_at_start())
     Z = np.zeros((grid.n_nodes, n_particles, spec.noise_dim))
-    report = PicardReport(beta=beta)
+    report = PicardReport()
     for iteration in range(1, max_iter + 1):
         laws = _node_laws(Y)
         A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
@@ -169,7 +168,7 @@ def reference_picard_solve(
         X_new = simulate_forward(spec, grid, A, laws, increments)
         Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
         dX, dY, dZ = X_new - X, Y_new - Y, Z_new - Z
-        delta = damping * weighted_delta(dX, dY, dZ, beta, grid.dt)
+        delta = damping * weighted_delta(dX, dY, dZ, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         report.mixing.append(0.0)  # every step is plain
@@ -194,7 +193,7 @@ def reference_picard_solve(
     return X, Y, Z, A, report
 
 
-def anderson_reference_solve(spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0):
+def anderson_reference_solve(spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50):
     """The undamped sweep loop with depth-1 Anderson mixing of Y, out of place.
 
     After sweep k with output f and residual r = f - u, the next Y is
@@ -207,7 +206,7 @@ def anderson_reference_solve(spec, grid, n_particles, seed=0, tol=1e-6, max_iter
     X = np.tile(spec.x0, (grid.n_nodes, n_particles, 1))
     Y = np.full((grid.n_nodes, n_particles), spec.terminal_at_start())
     Z = np.zeros((grid.n_nodes, n_particles, spec.noise_dim))
-    report = PicardReport(beta=beta)
+    report = PicardReport()
     r_prev = w = None
     for iteration in range(1, max_iter + 1):
         laws = _node_laws(Y)
@@ -216,7 +215,7 @@ def anderson_reference_solve(spec, grid, n_particles, seed=0, tol=1e-6, max_iter
         X_new = simulate_forward(spec, grid, A, laws, increments)
         Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
         r = Y_new - Y
-        delta = weighted_delta(X_new - X, r, Z_new - Z, beta, grid.dt)
+        delta = weighted_delta(X_new - X, r, Z_new - Z, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         if len(report.deltas) >= 2:
@@ -271,7 +270,7 @@ def jacobi_initial_state(spec, grid, n_particles, increments):
 
 
 def jacobi_reference_solve(
-    spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, beta=1.0, damping=1.0
+    spec, grid, n_particles, seed=0, tol=1e-6, max_iter=50, damping=1.0
 ):
     """The engine's former loop: controls, backward on the previous paths, then forward.
 
@@ -281,7 +280,7 @@ def jacobi_reference_solve(
     """
     increments = brownian_increments(seed, n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     X, Y, Z = jacobi_initial_state(spec, grid, n_particles, increments)
-    report = PicardReport(beta=beta)
+    report = PicardReport()
     for iteration in range(1, max_iter + 1):
         laws = _node_laws(Y)
         A, ties = _controls_stage(spec, grid, X, Y, Z, laws)
@@ -291,7 +290,7 @@ def jacobi_reference_solve(
         X_next = X + damping * (X_new - X)
         Y_next = Y + damping * (Y_new - Y)
         Z_next = Z + damping * (Z_new - Z)
-        delta = reference_weighted_delta(X_next - X, Y_next - Y, Z_next - Z, beta, grid.dt)
+        delta = reference_weighted_delta(X_next - X, Y_next - Y, Z_next - Z, grid.dt)
         report.iterations = iteration
         report.deltas.append(delta)
         X, Y, Z = X_next, Y_next, Z_next
@@ -308,24 +307,24 @@ def jacobi_reference_solve(
     return X, Y, Z, A, report
 
 
-def sweep_residual(spec, grid, sol, seed, beta=1.0):
+def sweep_residual(spec, grid, sol, seed):
     """Weighted-norm change of one more sweep in the engine's order applied to a solution."""
     increments = brownian_increments(seed, sol.n_particles, grid.n_steps, spec.noise_dim, grid.dt)
     laws = _node_laws(sol.Y)
     A, _ = _controls_stage(spec, grid, sol.X, sol.Y, sol.Z, laws)
     X_new = simulate_forward(spec, grid, A, laws, increments)
     Y_new, Z_new = solve_backward(spec, grid, X_new, A, laws, increments)
-    return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, beta, grid.dt)
+    return weighted_delta(X_new - sol.X, Y_new - sol.Y, Z_new - sol.Z, grid.dt)
 
 
-def jacobi_residual(spec, grid, X, Y, Z, seed, beta=1.0):
+def jacobi_residual(spec, grid, X, Y, Z, seed):
     """Weighted-norm change of one sweep in the former order applied to a state."""
     increments = brownian_increments(seed, X.shape[1], grid.n_steps, spec.noise_dim, grid.dt)
     laws = _node_laws(Y)
     A, _ = _controls_stage(spec, grid, X, Y, Z, laws)
     Y_new, Z_new = solve_backward(spec, grid, X, A, laws, increments)
     X_new = simulate_forward(spec, grid, A, laws, increments)
-    return reference_weighted_delta(X_new - X, Y_new - Y, Z_new - Z, beta, grid.dt)
+    return reference_weighted_delta(X_new - X, Y_new - Y, Z_new - Z, grid.dt)
 
 
 def closed_form_application_y0(horizon=1.0):
@@ -495,8 +494,6 @@ class TestPicardFailures:
             picard_solve(spec, grid, 100, max_iter=0)
         with pytest.raises(UsageError, match="tol"):
             picard_solve(spec, grid, 100, tol=float("nan"))
-        with pytest.raises(UsageError, match="beta"):
-            picard_solve(spec, grid, 100, beta=float("nan"))
         # a cubic regression basis in one state variable has four columns
         with pytest.raises(UsageError, match="at least 4 particles"):
             picard_solve(spec, grid, 3)
@@ -696,17 +693,16 @@ class TestWeightedDelta:
         dX = np.array([[[1.0, 0.0], [3.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]])
         dY = np.array([[1.0, 1.0], [0.0, 2.0]])
         dZ = np.array([[[1.0, 1.0], [0.0, 0.0]], [[9.0, 9.0], [9.0, 9.0]]])
-        assert weighted_delta(dX, dY, dZ, beta=2.0, dt=0.5) == math.sqrt(5.0 + 2.0 * (2.0 + 0.5))
-        assert weighted_delta(dX, dY, dZ, beta=1.0, dt=0.5) == math.sqrt(7.5)
-        assert weighted_delta(0 * dX, 0 * dY, dZ, beta=1.0, dt=0.5) == math.sqrt(0.5)
+        assert weighted_delta(dX, dY, dZ, dt=0.5) == math.sqrt(5.0 + (2.0 + 0.5))
+        assert weighted_delta(0 * dX, 0 * dY, dZ, dt=0.5) == math.sqrt(0.5)
 
     def test_matches_reference_on_random_steps(self):
         rng = np.random.default_rng(3)
         dX = rng.normal(size=(11, 300, 2))
         dY = rng.normal(size=(11, 300))
         dZ = rng.normal(size=(11, 300, 3))
-        expected = reference_weighted_delta(dX, dY, dZ, 0.7, 0.1)
-        assert weighted_delta(dX, dY, dZ, 0.7, 0.1) == pytest.approx(expected, rel=1e-13)
+        expected = reference_weighted_delta(dX, dY, dZ, 0.1)
+        assert weighted_delta(dX, dY, dZ, 0.1) == pytest.approx(expected, rel=1e-13)
 
     def test_allocates_nothing_the_size_of_the_steps(self):
         dX = np.full((51, 20_000, 1), 0.5)
@@ -714,7 +710,7 @@ class TestWeightedDelta:
         dZ = np.ones((51, 20_000, 1))
         tracemalloc.start()
         try:
-            weighted_delta(dX, dY, dZ, 1.0, 0.02)
+            weighted_delta(dX, dY, dZ, 0.02)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -736,7 +732,7 @@ def noise_draws(monkeypatch):
 
 
 MEMO_GRID = TimeGrid(1.0, 10)
-MEMO_ARGS = {"seed": 1, "tol": 1e-6, "max_iter": 50, "beta": 1.0, "damping": 1.0}
+MEMO_ARGS = {"seed": 1, "tol": 1e-6, "max_iter": 50, "damping": 1.0}
 
 
 class TestPicardReport:
@@ -791,10 +787,9 @@ class TestSolveMemo:
             {"seed": 2},
             {"tol": 1e-7},
             {"max_iter": 49},
-            {"beta": 2.0},
             {"damping": 0.5},
         ],
-        ids=["second_spec", "copied_spec", "grid", "n", "seed", "tol", "max_iter", "beta", "damping"],
+        ids=["second_spec", "copied_spec", "grid", "n", "seed", "tol", "max_iter", "damping"],
     )
     def test_each_key_component_misses(self, noise_draws, change):
         spec = application_spec()
@@ -1114,7 +1109,6 @@ def law_reading_spec():
     affine = AffineControlDrift(np.array([0.0]), np.array([[0.25]]))
     drift = CallableDrift(
         fn=lambda t, x, a, mu: affine(t, x, a, mu) + 0.0 * float(np.mean(mu.samples)),
-        lipschitz=1.0,
     )
     return dataclasses.replace(application_spec(), drift=drift)
 
@@ -1252,7 +1246,7 @@ class TestReadsLawContract:
     @pytest.mark.parametrize(
         "field, component",
         [
-            ("drift", CallableDrift(fn=lambda t, x, a, mu: 0.0 * x, lipschitz=0.0)),
+            ("drift", CallableDrift(fn=lambda t, x, a, mu: 0.0 * x)),
             ("driver", GenericDriver(
                 value_fn=lambda s, a: -0.5 * a * a, d_da_fn=lambda s, a: -a,
                 d2_da2_fn=lambda s, a: -1.0 + 0.0 * a, kappa=1.0,

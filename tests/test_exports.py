@@ -1,16 +1,20 @@
-"""Every function and class the package exports, and every public method and
-property of an exported class, has a reference in the code that ships.  Every
-parameter default of an exported function or class constructor is overridden
-by some call in that code.
+"""Every function and class the package exports, and every public method,
+property and field of an exported class, has a reference in the code that
+ships.  Every parameter default of an exported function or class constructor
+is overridden by some call in that code.
 
 A reference is a name, an attribute, or a string equal to the exported name
 (the benchmark tracer patches functions by name) in a module under ``src/``,
 ``scripts/`` or ``perfbench/``.  The object's own definition and body and
-the package ``__init__`` re-export do not count.  Tests do not count either:
-a helper only tests call is dead code.
+the package ``__init__`` re-export do not count.  Neither does a field's
+declaration in its class body, nor a read inside ``__post_init__``, which
+validates a field without using it.  A class with its own ``to_dict`` reads
+every field it has.  Tests do not count either: a helper only tests call is
+dead code.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -32,6 +36,15 @@ ALLOWED_WITHOUT_CALLER = {
     "verify_global_assumptions": "ROADMAP item 1b: the application output is to carry its ledger",
     "GenericDriver": "the paper's general strongly concave driver: library users build it, "
     "and no config kind reaches it",
+    "LinearF0.lipschitz": "ROADMAP item 1b: the ledger takes f0's Lipschitz bound",
+    "TableF0.lipschitz": "ROADMAP item 1b: the ledger takes f0's Lipschitz bound",
+    "MonotonicityCheck.y_upper": "ROADMAP item 9 records each check's numbers and noise level",
+    "MonotonicityCheck.y_lower": "ROADMAP item 9 records each check's numbers and noise level",
+    "MonotonicityCheck.tolerance": "ROADMAP item 9 records each check's numbers and noise level",
+    "MartingaleReport.z_scores": "the per-step evidence behind within_three_fraction (ROADMAP "
+    "aim 4)",
+    "OptimizerResult.interval_index": "ROADMAP item 2 counts pairs whose controls land in "
+    "different components",
 }
 
 # parameters whose default no shipped call overrides; one reason each
@@ -69,11 +82,23 @@ class _References(ast.NodeVisitor):
             self.found.add(name)
 
     def visit_FunctionDef(self, node):
+        if node.name == "__post_init__":
+            return
         self.inside.append(node.name)
         self.generic_visit(node)
         self.inside.pop()
 
-    visit_ClassDef = visit_FunctionDef
+    def visit_ClassDef(self, node):
+        self.inside.append(node.name)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                # a field declaration: its annotation and default are read, its name is not
+                self.visit(child.annotation)
+                if child.value is not None:
+                    self.visit(child.value)
+            else:
+                self.visit(child)
+        self.inside.pop()
 
     def visit_Name(self, node):
         self._add(node.id)
@@ -99,14 +124,27 @@ def referenced_names() -> set[str]:
     return found
 
 
+def fields(cls) -> tuple[str, ...]:
+    """The fields of a dataclass or NamedTuple; none for another class."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields if issubclass(cls, tuple) and hasattr(cls, "_fields") else ()
+
+
 def exported_members() -> set[str]:
-    """``Class.member`` for each public method and property an exported class defines itself."""
+    """``Class.member`` for each public method and property an exported class
+    defines itself, and each public field of an exported class without its own
+    ``to_dict``."""
     members = set()
     for name in exported(inspect.isclass):
-        for attr, value in vars(getattr(theta_fbsde, name)).items():
+        cls = getattr(theta_fbsde, name)
+        own = vars(cls)
+        for attr, value in own.items():
             routine = isinstance(value, (property, classmethod, staticmethod))
             if (routine or inspect.isfunction(value)) and not attr.startswith("_"):
                 members.add(f"{name}.{attr}")
+        if "to_dict" not in own:
+            members |= {f"{name}.{f}" for f in fields(cls) if not f.startswith("_")}
     return members
 
 
@@ -223,7 +261,9 @@ def test_own_definition_is_not_a_reference():
     visitor = _References()
     visitor.visit(ast.parse(
         "def f(n):\n    return f(n - 1) if n else 'f'\n\ndef g():\n    return h\n\n"
-        "class C:\n    def copy(self):\n        return C()\n\nclass D(E):\n    pass\n"
+        "class C:\n    def copy(self):\n        return C()\n\nclass D(E):\n    pass\n\n"
+        "class F:\n    bound: Real = default()\n\n"
+        "    def __post_init__(self):\n        check(self.bound, 'bound')\n"
     ))
-    assert not {"f", "C", "D"} & visitor.found
-    assert {"h", "E"} <= visitor.found
+    assert not {"f", "C", "D", "bound"} & visitor.found
+    assert {"h", "E", "Real", "default"} <= visitor.found

@@ -27,6 +27,7 @@ from theta_fbsde import (
     QuarticDriver,
     TimeGrid,
     UsageError,
+    build_application_spec,
     check_dynamic_consistency,
     check_monotonicity,
     check_subadditivity,
@@ -291,8 +292,8 @@ class TestSubadditivity:
     def test_reference_gap(self):
         res = check_subadditivity(quartic_spec(), 0.1, TimeGrid(1.0, 1000))
         assert res.e_sum == 0.0
-        assert res.violated
-        assert 0.015 <= res.split_sum <= 0.025
+        assert 0.015 <= res.gap <= 0.025
+        assert subadditivity_gate(quartic_spec(), 0.1, TimeGrid(1.0, 1000), res.gap)["passed"]
 
     def test_zero_split_degenerate(self):
         res = check_subadditivity(quartic_spec(), 0.0, TimeGrid(1.0, 100))
@@ -360,6 +361,20 @@ class TestTranslationInvariance:
         grid = TimeGrid(1.0, 20)
         defect = check_translation_invariance(spec, None, 0.3, grid, n_particles=2000, seed=5)
         assert abs(defect) <= 1e-10
+
+    @pytest.mark.parametrize("xi", [0.0, ConstantTerminal(0.0)], ids=["number", "map"])
+    def test_shifts_the_given_payoff(self, xi):
+        # E[0 + c] - (E[0] + c) by two valuations, not a shift of the spec's terminal
+        spec = build_application_spec(
+            C0=[0.0], C1=[[0.25]], sigma=[[0.3]], kappa=1.0, w0=0.6, f0=LinearF0(0.5),
+            ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]), x0=[1.0], horizon=1.0,
+        )
+        grid, c = TimeGrid(1.0, 20), 0.1
+        options = {"n_particles": 400, "seed": 3}
+        defect = check_translation_invariance(spec, xi, c, grid, **options)
+        y_shift, _ = theta_expectation(spec, grid, xi=c, **options)
+        y_base, _ = theta_expectation(spec, grid, xi=0.0, **options)
+        assert defect.hex() == (y_shift - (y_base + c)).hex()
 
     def test_y_independent_driver_exact(self):
         # distance penalty present but constant in y: shifts must cancel exactly

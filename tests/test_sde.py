@@ -104,7 +104,7 @@ class TestForwardSimulation:
 
     def test_divergence_reports_node(self):
         poisoned = CallableDrift(
-            fn=lambda t, x, a, mu: np.where(t < 0.5, 0.0, np.nan) + 0.0 * x, lipschitz=1.0
+            fn=lambda t, x, a, mu: np.where(t < 0.5, 0.0, np.nan) + 0.0 * x
         )
         spec = make_spec(poisoned, 0.0)
         grid = TimeGrid(1.0, 8)
@@ -188,7 +188,6 @@ class TestCallableVolatility:
         )
         volatility = CallableVolatility(
             fn=lambda t, x, a, mu: np.broadcast_to(sigma, (x.shape[0], k, d)),
-            lipschitz=0.0,
             noise_dim=d,
         )
         return constant, dataclasses.replace(constant, volatility=volatility)
@@ -219,10 +218,10 @@ class TestCallableVolatility:
     @pytest.mark.parametrize("noise_dim", [1.7, 2.0, True, "2", 0], ids=repr)
     def test_noise_dim_must_be_a_positive_integer(self, noise_dim):
         with pytest.raises(ConfigurationError, match="noise dimension"):
-            CallableVolatility(fn=lambda t, x, a, mu: x, lipschitz=0.0, noise_dim=noise_dim)
+            CallableVolatility(fn=lambda t, x, a, mu: x, noise_dim=noise_dim)
 
     def test_numpy_integer_noise_dim_is_accepted(self):
-        volatility = CallableVolatility(fn=lambda t, x, a, mu: x, lipschitz=0.0, noise_dim=np.int64(2))
+        volatility = CallableVolatility(fn=lambda t, x, a, mu: x, noise_dim=np.int64(2))
         assert volatility.noise_dim == 2
 
     def test_grid_solver_rejects_it(self):
@@ -449,6 +448,6 @@ class TestEulerProducts:
             return sigma * (1.0 + 0.1 * np.tanh(x))[:, :, None]
 
         generic = dataclasses.replace(spec, volatility=CallableVolatility(
-            fn=lambda t, x, a, mu: volatility(t, x), lipschitz=1.0, noise_dim=d))
+            fn=lambda t, x, a, mu: volatility(t, x), noise_dim=d))
         xs = simulate_forward(generic, grid, controls, dirac_laws(grid, n), increments)
         assert np.array_equal(xs, reference_forward(spec, grid, controls, increments, volatility))

@@ -58,7 +58,6 @@ def make_spec(case, driver=None):
         sigma = np.array([[0.3, 0.0], [0.1, 0.2]])
         volatility = CallableVolatility(
             fn=lambda t, x, a, mu: sigma * (1.0 + 0.1 * np.tanh(x))[:, :, None],
-            lipschitz=0.1,
             noise_dim=2,
         )
         c1 = np.array([[0.25, 0.05], [0.05, 0.2]])
@@ -162,7 +161,7 @@ def test_non_finite_rows_raise_at_the_same_node(case):
 
     drift = spec.drift
     blowing_up = CallableDrift(
-        fn=lambda t, x, a, mu: drift(t, x, a, mu) * (np.inf if t >= 0.3 else 1.0), lipschitz=1.0
+        fn=lambda t, x, a, mu: drift(t, x, a, mu) * (np.inf if t >= 0.3 else 1.0)
     )
     poisoned = ProblemSpec(
         spec.horizon, spec.x0, blowing_up, spec.volatility, spec.driver, spec.terminal,
