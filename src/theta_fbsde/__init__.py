@@ -15,7 +15,7 @@ from .errors import (
     RegressionBasisError,
     UsageError,
 )
-from .measures import EmpiricalMeasure, moments, w2
+from .measures import EmpiricalMeasure, w2
 from .optimizer import (
     ConcavityAudit,
     DriverState,
@@ -68,8 +68,6 @@ from .scenarios import (
 )
 from .sde import (
     AffineControlDrift,
-    CallableDrift,
-    CallableTerminal,
     CallableVolatility,
     ConstantTerminal,
     ConstantVolatility,

@@ -27,12 +27,12 @@ a cell gives every slot of that column a fourth word.
 
 Text printed once.  A column that repeats its text (a time per node, the
 particle index at every node, one control per node) is printed once by
-``format_once``, through ``format_rows`` itself, and ``format_rows`` copies
-its words into each block instead of printing it again.  Every pass still
-rewrites every byte of the block.
+``format_once``, through ``format_tables`` itself, and ``format_tables``
+copies its words into each block instead of printing it again.  Every pass
+still rewrites every byte of the block.
 
 One separator rule and one NUL cut.  Every printed slot and every copied text
-ends with ','; ``format_rows`` writes '\\n' over the last byte of each line.
+ends with ','; ``format_tables`` writes '\\n' over the last byte of each line.
 Dropped bytes are NUL, and ``bytes.translate`` cuts them from each block.
 """
 
@@ -270,14 +270,14 @@ class Text(np.ndarray):
 
 
 def format_once(values) -> Text:
-    """Print the 1-D ``values`` once, by ``format_rows``' blocked pass, as a
-    column that ``format_rows`` copies instead of printing again.
+    """Print the 1-D ``values`` once, by ``format_tables``' blocked pass, as
+    a column that ``format_tables`` copies instead of printing again.
 
     Each value's line, its '\\n' turned back into ',', is packed to the right
     of the fewest words that hold the longest text, so a copied column passes
     fewer NUL bytes on to the join than a slot would.
     """
-    text = b"".join(format_rows(_as_floats(values).reshape(-1))).replace(b"\n", b",")
+    text = b"".join(format_tables([(_as_floats(values).reshape(-1),)])).replace(b"\n", b",")
     raw = np.frombuffer(text, np.uint8)
     count = np.diff(np.flatnonzero(raw == ord(",")), prepend=-1)
     width = -(-int(count.max(initial=1)) // 8) * 8
@@ -287,7 +287,7 @@ def format_once(values) -> Text:
 
 
 def rows_once_if_repeated(values) -> list:
-    """Each row of the 2-D ``values`` as ``format_rows`` takes a column:
+    """Each row of the 2-D ``values`` as ``format_tables`` takes a column:
     ``Text`` of its first value when every value of the row has the same
     bits, else the row's floats.  The repeated rows are printed in one pass.
 
@@ -304,27 +304,21 @@ def rows_once_if_repeated(values) -> list:
     return rows
 
 
-def format_rows(*columns) -> Iterator[bytes]:
-    """Yield the ``columns`` side by side as CSV lines, one bytes chunk per
-    block of ``_BLOCK_ROWS`` rows.
-
-    Each line is the row's cells printed as ``'%.17g' % x`` prints them,
-    joined by ',' and ended by '\\n'.  A column argument is either cells,
-    1-D or rows by columns, printed on every pass, or ``Text`` from
-    ``format_once``, copied: one value per row, or a single value that every
-    row repeats.  The block buffer is reused from pass to pass; every pass
-    rewrites all of its bytes.
-    """
-    return format_tables([columns])
-
-
 def format_tables(tables) -> Iterator[bytes]:
-    """Yield ``format_rows(*columns)`` for each tuple of ``columns`` in the
-    iterable ``tables``, one after the other.
+    """Yield the columns of each table in the iterable ``tables`` side by
+    side as CSV lines, table after table, one bytes chunk per block of
+    ``_BLOCK_ROWS`` rows.
+
+    A table is a tuple of columns.  Each line is a row's cells printed as
+    ``'%.17g' % x`` prints them, joined by ',' and ended by '\\n'.  A column
+    is either cells, 1-D or rows by columns, printed on every pass, or
+    ``Text`` from ``format_once``, copied: one value per row, or a single
+    value that every row repeats.
 
     One block buffer and one set of scratch arrays per column position serve
     every table: fresh ones for each table (a node of ``paths.csv``, a run of
-    layers of the value surface) would cost their page faults again.
+    layers of the value surface) would cost their page faults again.  Every
+    pass rewrites all of the block's bytes.
     """
     works = {}  # (column position, cells per pass) -> scratch arrays
     block = np.empty(0, _WORD)

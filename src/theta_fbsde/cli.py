@@ -151,7 +151,8 @@ def _build_f0(cfg: dict):
 def _build_terminal(cfg: dict):
     kind = _kind(cfg, _TERMINAL_FIELDS, "linear", "terminal")
     if kind == "linear":
-        return LinearTerminal(_field(cfg, "coeffs", _array, "terminal", [1.0]))
+        # without coeffs, build_application_spec's default sums the state
+        return LinearTerminal(_field(cfg, "coeffs", _array, "terminal")) if "coeffs" in cfg else None
     if kind == "quadratic":
         return QuadraticTerminal()
     return ConstantTerminal(_field(cfg, "value", _number, "terminal"))

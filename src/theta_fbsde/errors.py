@@ -35,10 +35,11 @@ class ConcavityError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """A state or value became non-finite during integration."""
+    """A state or value became non-finite during integration; the message
+    ends with the ``node`` where it did, when one is given."""
 
     def __init__(self, message, node=None):
-        super().__init__(message)
+        super().__init__(message if node is None else f"{message} at node {node}")
         self.node = node
 
 

@@ -51,9 +51,12 @@ class EmpiricalMeasure:
         return int(self.samples.size)
 
     @cached_property
-    def _moments(self) -> tuple[float, float]:
-        # computed on first use and kept: the control stage and the grid
-        # solver realize the same law's set, and may do so more than once
+    def moments(self) -> tuple[float, float]:
+        """Population mean and standard deviation (divide by n) of the samples.
+
+        Computed on first use and kept: the control stage and the grid solver
+        realize the same law's set, and may do so more than once.
+        """
         return float(np.mean(self.samples)), float(np.std(self.samples))
 
     def __repr__(self) -> str:  # keep reprs short for large clouds
@@ -76,11 +79,3 @@ def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
             f"sample counts differ ({mu.size} vs {nu.size}); resampling is unsupported"
         )
     return float(np.sqrt(np.mean((np.sort(mu.samples) - np.sort(nu.samples)) ** 2)))
-
-
-def moments(mu: EmpiricalMeasure) -> tuple[float, float]:
-    """Population mean and standard deviation (divide by n) of the samples.
-
-    Computed once per measure and kept, so asking again costs nothing.
-    """
-    return mu._moments

@@ -21,7 +21,14 @@ from ._csv import format_once, format_tables
 from .errors import GridError, UsageError
 from .measures import EmpiricalMeasure, check_array_size
 from .optimizer import DriverState, maximize_batch, maximize_over
-from .sde import AffineControlDrift, ConstantVolatility, ProblemSpec, SolutionPaths, TimeGrid
+from .sde import (
+    AffineControlDrift,
+    ConstantVolatility,
+    ProblemSpec,
+    SolutionPaths,
+    TimeGrid,
+    check_solution_grid,
+)
 
 MeasureFlow = Callable[[float], EmpiricalMeasure]
 
@@ -58,7 +65,11 @@ class Grid1D:
 
 
 def flow_from_solution(grid: TimeGrid, sol: SolutionPaths) -> MeasureFlow:
-    """Nearest-node lookup of the per-node value laws of a particle run."""
+    """Nearest-node lookup of the per-node value laws of a particle run.
+
+    ``grid`` must be the one the run was solved on (UsageError otherwise).
+    """
+    check_solution_grid(grid, sol)
 
     def flow(t: float) -> EmpiricalMeasure:
         i = min(max(round(t / grid.dt), 0), grid.n_steps)

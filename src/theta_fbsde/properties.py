@@ -25,12 +25,12 @@ from .optimizer import (
     maximize_batch,
 )
 from .sde import (
-    CallableTerminal,
     ConstantTerminal,
     ProblemSpec,
     SolutionPaths,
     TimeGrid,
     check_horizon,
+    check_solution_grid,
 )
 from .uncertainty import IntervalUnion
 
@@ -188,7 +188,7 @@ def check_dynamic_consistency(
     def terminal_fn(x):
         return fit(x)[:, 0]
 
-    sub_spec = replace(spec, horizon=float(t_node), terminal=CallableTerminal(terminal_fn))
+    sub_spec = replace(spec, horizon=float(t_node), terminal=terminal_fn)
     sub_grid = TimeGrid(float(t_node), node)
     y_composed, _ = theta_expectation(sub_spec, sub_grid, n_particles, seed=seed)
     return abs(y_composed - y_direct)
@@ -288,9 +288,7 @@ def check_translation_invariance(
     def shifted(x, _phi=_payoff(spec, xi), _c=c):
         return np.asarray(_phi(x), dtype=float) + _c
 
-    y_shift, _ = theta_expectation(
-        spec, grid, n_particles, seed=seed, xi=CallableTerminal(shifted)
-    )
+    y_shift, _ = theta_expectation(spec, grid, n_particles, seed=seed, xi=shifted)
     return y_shift - (y_base + c)
 
 
@@ -363,7 +361,11 @@ def _resolved(measured: float, expected: float, floor: float) -> bool:
 
 
 def driver_along_path(spec: ProblemSpec, grid: TimeGrid, sol: SolutionPaths) -> np.ndarray:
-    """Driver values F_i at every node and particle of a solved system."""
+    """Driver values F_i at every node and particle of a solved system.
+
+    ``grid`` must be the one the system was solved on (UsageError otherwise).
+    """
+    check_solution_grid(grid, sol)
     out = np.empty_like(sol.Y)
     for i in range(grid.n_nodes):
         state = DriverState(

@@ -82,16 +82,6 @@ class AffineControlDrift:
         return self.C0 - mult[..., None] * np.dot(x, self.C1)
 
 
-@dataclass(frozen=True)
-class CallableDrift:
-    """Generic drift (t, x, a, mu) -> (n, k)."""
-
-    fn: Callable
-
-    def __call__(self, t, x, a, mu):
-        return self.fn(t, x, a, mu)
-
-
 @dataclass(frozen=True, eq=False)
 class ConstantVolatility:
     """sigma(t, x, a, mu) = fixed (k, d) matrix."""
@@ -157,14 +147,6 @@ class QuadraticTerminal:
 
 
 @dataclass(frozen=True)
-class CallableTerminal:
-    fn: Callable
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
 class ConstantTerminal:
     value: float
 
@@ -182,7 +164,7 @@ class ProblemSpec:
 
     horizon: float
     x0: np.ndarray
-    drift: AffineControlDrift | CallableDrift
+    drift: AffineControlDrift | Callable
     volatility: ConstantVolatility | CallableVolatility
     driver: object
     terminal: object
@@ -367,6 +349,16 @@ class SolutionPaths:
     @property
     def y0(self) -> float:
         return float(np.mean(self.Y[0]))
+
+
+def check_solution_grid(grid: TimeGrid, sol: SolutionPaths) -> None:
+    """UsageError unless the node times of ``grid`` are ``sol.times`` bit for bit."""
+    times = grid.times
+    if times.shape != sol.times.shape or times.tobytes() != sol.times.tobytes():
+        raise UsageError(
+            f"the grid's {grid.n_nodes} nodes on [0, {grid.horizon}] are not the solution's"
+            f" {sol.times.size} nodes on [0, {float(sol.times[-1])}]"
+        )
 
 
 def write_paths_csv(path, sol: SolutionPaths) -> None:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .measures import EmpiricalMeasure, moments
+from .measures import EmpiricalMeasure
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class AmbiguityMap:
         """Set realized for the given law of the value process."""
         if self._static is not None:
             return self._static
-        mean, std = moments(law)
+        mean, std = law.moments
         lo, hi = self.theta_bounds
         return self.realize_at(min(max(self.alpha * mean + self.beta * std, lo), hi))
 

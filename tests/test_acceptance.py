@@ -185,16 +185,12 @@ def test_criterion_7_property_suite():
         stoch_grid = TimeGrid(1.0, 40)
         shifts = np.linspace(0.0, 1.0, 21)
         # ordered stochastic pairs: shifted copies of the same payoff
-        from theta_fbsde import CallableTerminal
-
         stoch_values = []
         for c in shifts:
             def shifted(x, _c=float(c)):
                 return x[:, 0] + _c
 
-            val, sol = theta_expectation(
-                stoch, stoch_grid, n_particles=2000, seed=17, xi=CallableTerminal(shifted)
-            )
+            val, sol = theta_expectation(stoch, stoch_grid, n_particles=2000, seed=17, xi=shifted)
             stoch_values.append((val, y0_standard_error(stoch, stoch_grid, sol)))
         for (v_lo, se_lo), (v_hi, se_hi) in itertools.pairwise(stoch_values):
             assert v_hi - v_lo >= -3.0 * float(np.hypot(se_lo, se_hi))

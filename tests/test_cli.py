@@ -408,6 +408,19 @@ class TestMalformedInputs:
         code = self.run_config_with(command, path, value, tmp_path)
         self.assert_one_line_failure(code, capsys.readouterr().err, 2)
 
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [
+            ("w0", 1e308, "value process became non-finite at node 24"),
+            ("x0", [1e308], "value process became non-finite at node 24"),
+            ("C1", [[1e308]], "state became non-finite at node 1"),
+        ],
+    )
+    def test_divergence_names_its_node(self, key, value, line, tmp_path, capsys):
+        code = self.run_config_with("solve", ("problem", key), value, tmp_path)
+        assert capsys.readouterr().err == f"numerical failure: {line}\n"
+        assert code == 2
+
     @pytest.mark.parametrize("command", ["solve", "properties", "application"])
     def test_state_whose_mean_square_overflows(self, command, tmp_path, capsys):
         # at sigma = 1e200 the paths are finite but their squares are not, so
@@ -641,6 +654,29 @@ class TestSolveCommand:
         other = json.loads((out_b / "summary.json").read_text())
         assert (out_a / "paths.csv").read_bytes() != (out_b / "paths.csv").read_bytes()
         assert other["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "terminal", [None, {}, {"kind": "linear"}], ids=["no_section", "empty", "no_coeffs"]
+    )
+    def test_default_terminal_sums_a_2d_state(self, tmp_path, capsys, terminal):
+        # the default used to be coeffs [1.0]: "terminal coeffs have 1 entries, x0 has 2"
+        def paths_csv(name, terminal):
+            cfg = json.loads(json.dumps(APP_CONFIG))
+            cfg["problem"].update(
+                C0=[0.0, 0.0], C1=[[0.25, 0.0], [0.0, 0.25]], sigma=[[0.3, 0.0], [0.0, 0.2]],
+                x0=[1.0, 1.0],
+            )
+            cfg["problem"].pop("terminal")
+            if terminal is not None:
+                cfg["problem"]["terminal"] = terminal
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            code = main(["solve", "--config", str(path), "--out", str(tmp_path / name)])
+            assert code == 0, capsys.readouterr().err
+            return (tmp_path / name / "paths.csv").read_bytes()
+
+        explicit = paths_csv("explicit", {"kind": "linear", "coeffs": [1.0, 1.0]})
+        assert paths_csv("default", terminal) == explicit
 
 
 def readme_config():

@@ -3,8 +3,10 @@ import gc
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ import pytest
 from theta_fbsde import (
     AffineControlDrift,
     AmbiguityMap,
-    CallableDrift,
     ConstantVolatility,
     DriverState,
     ConcavityError,
@@ -43,7 +44,7 @@ from theta_fbsde import (
     weighted_delta,
     y0_standard_error,
 )
-from theta_fbsde import coupling, uncertainty
+from theta_fbsde import coupling
 from theta_fbsde.coupling import PicardReport, _anderson_step, _controls_stage, _node_laws
 
 
@@ -108,9 +109,9 @@ def tie_spec():
 
 def amplifier_spec():
     """Mean feedback in the drift strong enough that the sweeps never contract."""
-    amplifier = CallableDrift(
-        fn=lambda t, x, a, mu: 3.0 * float(np.mean(mu.samples)) + 0.0 * x,
-    )
+    def amplifier(t, x, a, mu):
+        return 3.0 * float(np.mean(mu.samples)) + 0.0 * x
+
     return ProblemSpec(
         horizon=4.0,
         x0=np.array([1.0]),
@@ -1107,10 +1108,18 @@ def pinned_quartic_spec():
 def law_reading_spec():
     """The README problem with a drift that reads its law and adds nothing from it."""
     affine = AffineControlDrift(np.array([0.0]), np.array([[0.25]]))
-    drift = CallableDrift(
-        fn=lambda t, x, a, mu: affine(t, x, a, mu) + 0.0 * float(np.mean(mu.samples)),
-    )
+    def drift(t, x, a, mu):
+        return affine(t, x, a, mu) + 0.0 * float(np.mean(mu.samples))
+
     return dataclasses.replace(application_spec(), drift=drift)
+
+
+def readme_drift():
+    """The drift function that README's python block defines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    namespace = {}
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), namespace)
+    return namespace["drift"]
 
 
 @pytest.fixture
@@ -1140,6 +1149,17 @@ class TestRepeatedControls:
         assert report.to_dict() == expected.to_dict()
         for i, mu in enumerate(sol.measures):
             assert mu.samples.tobytes() == sol.Y[i].tobytes()
+
+    def test_declared_drift_function_runs_one_forward_pass(self, stage_calls):
+        drift = readme_drift()
+        spec, grid = dataclasses.replace(application_spec(), drift=drift), TimeGrid(1.0, 20)
+        assert drift.reads_law is False and not coupling._reads_law(spec)
+        sol, report = picard_solve(spec, grid, 400, seed=1)
+        assert stage_calls == {"stage": 2, "forward": 1, "backward": 1}
+        assert report.iterations == 2 and report.converged
+        # -0.25 (1 + 3 a) x rounds as C0 - (1 + 3 a) (x C1) does: 0.25 scales exactly
+        affine, _ = picard_solve(application_spec(), grid, 400, seed=1)
+        assert sol.X.tobytes() == affine.X.tobytes() and sol.Y.tobytes() == affine.Y.tobytes()
 
     def test_recorded_sweep_matches_a_run_one(self, stage_calls):
         # the law-reading drift adds an exact zero, so its run second sweep
@@ -1246,7 +1266,7 @@ class TestReadsLawContract:
     @pytest.mark.parametrize(
         "field, component",
         [
-            ("drift", CallableDrift(fn=lambda t, x, a, mu: 0.0 * x)),
+            ("drift", lambda t, x, a, mu: 0.0 * x),
             ("driver", GenericDriver(
                 value_fn=lambda s, a: -0.5 * a * a, d_da_fn=lambda s, a: -a,
                 d2_da2_fn=lambda s, a: -1.0 + 0.0 * a, kappa=1.0,
@@ -1271,8 +1291,7 @@ class TestStaticSetsReadNoMoments:
         def unread(law):
             raise AssertionError("a law's moments were read")
 
-        monkeypatch.setattr(uncertainty, "moments", unread)
-        monkeypatch.setattr(EmpiricalMeasure, "_moments", property(unread))
+        monkeypatch.setattr(EmpiricalMeasure, "moments", property(unread))
 
     def test_readme_solve_and_its_grid_check(self, monkeypatch):
         self.forbid_moments(monkeypatch)

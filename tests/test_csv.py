@@ -11,7 +11,7 @@ from theta_fbsde import _csv
 
 
 def formatted(values, n_cols=1):
-    return b"".join(_csv.format_rows(np.asarray(values, dtype=float).reshape(-1, n_cols)))
+    return b"".join(_csv.format_tables([(np.asarray(values, dtype=float).reshape(-1, n_cols),)]))
 
 
 def reference(values, n_cols=1):
@@ -148,7 +148,7 @@ class TestLayouts:
 class TestCellTypes:
     def test_object_array_of_numbers(self):
         cells = np.array([[0.1, 3, np.float32(2.5)], [-0.0, np.nan, 7]], dtype=object)
-        assert b"".join(_csv.format_rows(cells)) == b"0.10000000000000001,3,2.5\n-0,nan,7\n"
+        assert b"".join(_csv.format_tables([(cells,)])) == b"0.10000000000000001,3,2.5\n-0,nan,7\n"
 
     @pytest.mark.parametrize("cell", ["1.5", b"2", None])
     def test_non_numbers_raise_type_error(self, cell):
@@ -156,7 +156,7 @@ class TestCellTypes:
         with pytest.raises(TypeError):
             "%.17g" % cell
         with pytest.raises(TypeError):
-            b"".join(_csv.format_rows(cells))
+            b"".join(_csv.format_tables([(cells,)]))
 
 
 ONCE = [0.0, -0.0, 7.0, 0.1, 123456.789, 1e16, 5e-324, -2.2250738585072014e-308, np.nan, -np.inf]

@@ -3,9 +3,12 @@ property and field of an exported class, has a reference in the code that
 ships.  Every parameter default of an exported function or class constructor
 is overridden by some call in that code.
 
-A reference is a name, an attribute, or a string equal to the exported name
-(the benchmark tracer patches functions by name) in a module under ``src/``,
-``scripts/`` or ``perfbench/``.  The object's own definition and body and
+A reference to a function or class is a name, an attribute, or a string
+equal to the exported name (the benchmark tracer patches functions by name)
+in a module under ``src/``, ``scripts/`` or ``perfbench/``.  A reference to a
+member is an attribute read (``obj.member`` loaded, not stored) or a string
+equal to its name: a local variable or an attribute store of the same
+spelling does not read it.  The object's own definition and body and
 the package ``__init__`` re-export do not count.  Neither does a field's
 declaration in its class body, nor a read inside ``__post_init__``, which
 validates a field without using it.  A class with its own ``to_dict`` reads
@@ -45,6 +48,13 @@ ALLOWED_WITHOUT_CALLER = {
     "aim 4)",
     "OptimizerResult.interval_index": "ROADMAP item 2 counts pairs whose controls land in "
     "different components",
+    "DriverState.x": "library users' GenericDriver callables read it; _newton_batch reads the "
+    "state by position for a ConcavityError witness",
+    "DriverState.z": "library users' GenericDriver callables read it; _newton_batch reads the "
+    "state by position for a ConcavityError witness",
+    "DriverState.mu": "library users' GenericDriver callables read it; _newton_batch reads the "
+    "state by position for a ConcavityError witness",
+    "ConcavityAudit.witness": "library users who audit a GenericDriver read where it failed",
 }
 
 # parameters whose default no shipped call overrides; one reason each
@@ -71,15 +81,20 @@ def exported(kind) -> set[str]:
 
 
 class _References(ast.NodeVisitor):
-    """Names a module refers to, outside the body of a function or class of that name."""
+    """Names a module refers to, outside the body of a function or class of
+    that name: ``found`` holds every name, attribute and string, ``read`` the
+    attributes loaded and the strings."""
 
     def __init__(self):
         self.found: set[str] = set()
+        self.read: set[str] = set()
         self.inside: list[str] = []
 
-    def _add(self, name):
+    def _add(self, name, read=False):
         if name not in self.inside:
             self.found.add(name)
+            if read:
+                self.read.add(name)
 
     def visit_FunctionDef(self, node):
         if node.name == "__post_init__":
@@ -104,16 +119,18 @@ class _References(ast.NodeVisitor):
         self._add(node.id)
 
     def visit_Attribute(self, node):
-        self._add(node.attr)
+        self._add(node.attr, read=isinstance(node.ctx, ast.Load))
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
-            self._add(node.value)
+            self._add(node.value, read=True)
 
 
-def referenced_names() -> set[str]:
+def referenced_names() -> tuple[set[str], set[str]]:
+    """Every name the shipped modules refer to, and the attributes and strings they read."""
     found: set[str] = set()
+    read: set[str] = set()
     for top in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             if path == PACKAGE_INIT:
@@ -121,7 +138,8 @@ def referenced_names() -> set[str]:
             visitor = _References()
             visitor.visit(ast.parse(path.read_text(), filename=str(path)))
             found |= visitor.found
-    return found
+            read |= visitor.read
+    return found, read
 
 
 def fields(cls) -> tuple[str, ...]:
@@ -150,8 +168,11 @@ def exported_members() -> set[str]:
 
 def unreferenced(names) -> set[str]:
     """The names, or ``Class.member`` entries, whose last part nothing references."""
-    found = referenced_names()
-    return {name for name in names if name.rpartition(".")[2] not in found}
+    found, read = referenced_names()
+    return {
+        name for name in names
+        if name.rpartition(".")[2] not in (read if "." in name else found)
+    }
 
 
 def assert_referenced(names):
@@ -263,7 +284,12 @@ def test_own_definition_is_not_a_reference():
         "def f(n):\n    return f(n - 1) if n else 'f'\n\ndef g():\n    return h\n\n"
         "class C:\n    def copy(self):\n        return C()\n\nclass D(E):\n    pass\n\n"
         "class F:\n    bound: Real = default()\n\n"
-        "    def __post_init__(self):\n        check(self.bound, 'bound')\n"
+        "    def __post_init__(self):\n        check(self.bound, 'bound')\n\n"
+        "witness = audit()\nerror.stored = witness\nuse(state.loaded, 'named')\n"
     ))
     assert not {"f", "C", "D", "bound"} & visitor.found
     assert {"h", "E", "Real", "default"} <= visitor.found
+    # a member counts only where an attribute is loaded or a string names it:
+    # a bare name or an attribute store of its spelling does not read it
+    assert not {"witness", "stored"} & visitor.read
+    assert {"loaded", "named"} <= visitor.read

@@ -9,7 +9,6 @@ from theta_fbsde import (
     EmpiricalMeasure,
     IntervalUnion,
     UsageError,
-    moments,
     w2,
 )
 
@@ -40,7 +39,7 @@ class TestConstruction:
             mu.samples[0] = 0.0
         source[:] = 7.0  # before the moments are first computed
         assert mu.samples.tolist() == [3.0, 1.0, 2.0, -0.5]
-        assert moments(mu) == (1.375, float(np.std([3.0, 1.0, 2.0, -0.5])))
+        assert mu.moments == (1.375, float(np.std([3.0, 1.0, 2.0, -0.5])))
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -115,13 +114,13 @@ class TestW2:
 
 class TestMoments:
     def test_constant_cloud(self):
-        assert moments(EmpiricalMeasure([2.0, 2.0, 2.0])) == (2.0, 0.0)
+        assert EmpiricalMeasure([2.0, 2.0, 2.0]).moments == (2.0, 0.0)
 
     def test_symmetric_pair(self):
-        assert moments(EmpiricalMeasure([0.0, 2.0])) == (1.0, 1.0)
+        assert EmpiricalMeasure([0.0, 2.0]).moments == (1.0, 1.0)
 
     def test_four_point_cloud(self):
-        mean, std = moments(EmpiricalMeasure([1.0, 2.0, 3.0, 4.0]))
+        mean, std = EmpiricalMeasure([1.0, 2.0, 3.0, 4.0]).moments
         assert mean == pytest.approx(2.5)
         assert std == pytest.approx(np.sqrt(1.25))
 
@@ -130,7 +129,7 @@ class TestMoments:
         mu = EmpiricalMeasure(np.random.default_rng(n).standard_normal(n) * 3.0 + 1.0)
         expected = (float(np.mean(mu.samples)), float(np.std(mu.samples)))
         for _ in range(2):  # computed, then kept
-            assert [v.hex() for v in moments(mu)] == [v.hex() for v in expected]
+            assert [v.hex() for v in mu.moments] == [v.hex() for v in expected]
 
     def test_std_runs_once_per_law(self, monkeypatch):
         calls = []
@@ -151,5 +150,5 @@ class TestMoments:
         for _ in range(4):
             for law in laws:
                 ambiguity.realize(law)
-                moments(law)
+                law.moments
         assert calls == [50, 50, 50]

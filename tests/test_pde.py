@@ -4,7 +4,6 @@ import pytest
 from theta_fbsde import (
     AffineControlDrift,
     AmbiguityMap,
-    CallableTerminal,
     ConstantTerminal,
     ConstantVolatility,
     EmpiricalMeasure,
@@ -107,9 +106,7 @@ class TestSolveHjb:
         errors = []
         # sigma^2 dt / dx^2 = 0.449 on both grids
         for nx, nt in ((101, 87), (201, 348)):
-            spec = grid_problem(
-                sigma=sigma, terminal=CallableTerminal(quartic), horizon=horizon
-            )
+            spec = grid_problem(sigma=sigma, terminal=quartic, horizon=horizon)
             grid1d = Grid1D(-4.0, 4.0, nx, nt)
             check_stability(spec, grid1d)
             surface = solve_hjb(spec, grid1d, static_flow)
@@ -129,7 +126,7 @@ class TestSolveHjb:
             sigma=0.3, c1=0.25, x0=1.0,
             driver=QuadraticPenaltyDriver(kappa=1.0, w0=0.6, f0=LinearF0(0.5)),
             ambiguity=static_set([(-2.0, -1.0), (1.0, 2.0)]),
-            terminal=CallableTerminal(bumped),
+            terminal=bumped,
         )
         grid1d = default_grid(spec_lo, nx=101)
         v_lo = solve_hjb(spec_lo, grid1d, static_flow)

@@ -11,6 +11,7 @@ from theta_fbsde.bsde import _rk4_increment
 
 from theta_fbsde import (
     AffineControlDrift,
+    AmbiguityMap,
     ConstantTerminal,
     ConstantVolatility,
     DeterministicSolution,
@@ -32,6 +33,9 @@ from theta_fbsde import (
     check_monotonicity,
     check_subadditivity,
     check_translation_invariance,
+    default_grid,
+    feynman_kac_check,
+    flow_from_solution,
     martingale_diagnostics,
     picard_solve,
     static_set,
@@ -278,10 +282,8 @@ class TestMonotonicity:
         def shifted(x):
             return x[:, 0] + 1.0
 
-        from theta_fbsde import CallableTerminal
-
         res = check_monotonicity(
-            spec, grid, CallableTerminal(shifted), LinearTerminal(np.array([1.0])),
+            spec, grid, shifted, LinearTerminal(np.array([1.0])),
             n_particles=2000, seed=4,
         )
         assert not res.violated
@@ -511,6 +513,55 @@ class TestSharedRK4Stepper:
         uset = IntervalUnion(((-2.0, -0.5), (0.5, 2.0)))
         spec = DeterministicSpec(QuarticDriver(2.0, 1.0), uset, 1.0)
         self.assert_scalar_bits(spec, TimeGrid(1.0, 300), 0.05)
+
+
+@pytest.fixture(scope="module")
+def law_dependent_solution():
+    """The README problem with a law-dependent set, solved on 20 steps."""
+    ambiguity = AmbiguityMap(
+        IntervalUnion(((-2.0, -1.0), (1.0, 2.0))), (0.5,) * 4, 1.0, 1.0, (-0.5, 0.5)
+    )
+    spec = build_application_spec(
+        [0.0], [[0.25]], [[0.3]], 1.0, 0.6, LinearF0(0.5), ambiguity, [1.0], 1.0
+    )
+    grid = TimeGrid(1.0, 20)
+    sol, _ = picard_solve(spec, grid, 400, seed=1)
+    return spec, grid, sol
+
+
+class TestReadersCheckTheGrid:
+    """A reader of a solved system takes only the grid it was solved on.
+
+    A coarser grid or a longer horizon used to give quietly wrong numbers
+    (the standard error read 0.012922 instead of 0.011105, the grid value
+    0.31 instead of 0.28), and a finer grid ended in IndexError.
+    """
+
+    READERS = {
+        "y0_standard_error": lambda spec, grid, sol: y0_standard_error(spec, grid, sol),
+        "martingale_diagnostics": lambda spec, grid, sol: martingale_diagnostics(spec, grid, sol),
+        "feynman_kac_check": lambda spec, grid, sol: feynman_kac_check(
+            spec, default_grid(spec, nx=41), grid, sol
+        ),
+        "flow_from_solution": lambda spec, grid, sol: flow_from_solution(grid, sol),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize(
+        "bad_grid", [TimeGrid(1.0, 10), TimeGrid(1.0, 40), TimeGrid(2.0, 20)],
+        ids=["coarser", "finer", "longer"],
+    )
+    def test_another_grid_is_rejected(self, law_dependent_solution, reader, bad_grid):
+        spec, _, sol = law_dependent_solution
+        with pytest.raises(UsageError, match="are not the solution's 21 nodes on"):
+            self.READERS[reader](spec, bad_grid, sol)
+
+    def test_the_solve_grid_is_read(self, law_dependent_solution):
+        spec, grid, sol = law_dependent_solution
+        assert y0_standard_error(spec, grid, sol) == pytest.approx(0.011105, abs=1e-6)
+        fk = feynman_kac_check(spec, default_grid(spec, nx=41), grid, sol)
+        assert math.isfinite(fk.v0)
+        assert martingale_diagnostics(spec, grid, sol).within_three_fraction == 1.0
 
 
 class TestMartingaleDiagnostics:

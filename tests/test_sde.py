@@ -5,7 +5,6 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
-    CallableDrift,
     CallableVolatility,
     ConfigurationError,
     ConstantVolatility,
@@ -103,9 +102,9 @@ class TestForwardSimulation:
         assert np.all(np.ptp(xs, axis=1) == 0.0)
 
     def test_divergence_reports_node(self):
-        poisoned = CallableDrift(
-            fn=lambda t, x, a, mu: np.where(t < 0.5, 0.0, np.nan) + 0.0 * x
-        )
+        def poisoned(t, x, a, mu):
+            return np.where(t < 0.5, 0.0, np.nan) + 0.0 * x
+
         spec = make_spec(poisoned, 0.0)
         grid = TimeGrid(1.0, 8)
         with pytest.raises(DivergenceError) as err:

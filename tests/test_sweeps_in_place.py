@@ -17,7 +17,6 @@ import pytest
 
 from theta_fbsde import (
     AffineControlDrift,
-    CallableDrift,
     CallableVolatility,
     ConstantVolatility,
     DivergenceError,
@@ -160,9 +159,9 @@ def test_non_finite_rows_raise_at_the_same_node(case):
     assert ours.value.node == reference.value.node == 5
 
     drift = spec.drift
-    blowing_up = CallableDrift(
-        fn=lambda t, x, a, mu: drift(t, x, a, mu) * (np.inf if t >= 0.3 else 1.0)
-    )
+    def blowing_up(t, x, a, mu):
+        return drift(t, x, a, mu) * (np.inf if t >= 0.3 else 1.0)
+
     poisoned = ProblemSpec(
         spec.horizon, spec.x0, blowing_up, spec.volatility, spec.driver, spec.terminal,
         spec.ambiguity,
