@@ -538,8 +538,8 @@ class TestReadersCheckTheGrid:
     """
 
     READERS = {
-        "y0_standard_error": lambda spec, grid, sol: y0_standard_error(spec, grid, sol),
-        "martingale_diagnostics": lambda spec, grid, sol: martingale_diagnostics(spec, grid, sol),
+        "y0_standard_error": y0_standard_error,
+        "martingale_diagnostics": martingale_diagnostics,
         "feynman_kac_check": lambda spec, grid, sol: feynman_kac_check(
             spec, default_grid(spec, nx=41), grid, sol
         ),
